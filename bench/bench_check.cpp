@@ -30,13 +30,11 @@
 #include <fstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/checker.h"
 #include "core/diff.h"
-#include "core/engine.h"
 #include "obs/stats.h"
 #include "topo/fec_delta.h"
 
@@ -146,69 +144,6 @@ PipelineResult run_pipeline(const gen::Wan& wan, const std::vector<topo::AclUpda
     result.cache_misses = reused.fec_cache().misses();
     result.cache_hit_rate = reused.fec_cache().hit_rate();
   }
-  return result;
-}
-
-/// The multi-intent batch workload: N independent update tasks pushed
-/// through one Engine — serially on a single-threaded engine, then via
-/// run_batch on the shared executor. The acceptance bar for the executor
-/// refactor is >= 1.5x throughput at N = 8.
-struct BatchResult {
-  std::size_t tasks = 0;
-  unsigned threads = 0;
-  double serial_seconds = 0;
-  double batch_seconds = 0;
-  double speedup = 0;
-  std::size_t inconsistent = 0;
-};
-
-BatchResult run_batch_workload(const gen::Wan& wan) {
-  BatchResult result;
-  std::vector<lai::UpdateTask> tasks;
-  for (unsigned seed = 1; seed <= 8; ++seed) {
-    lai::UpdateTask task;
-    task.scope = wan.scope;
-    task.modify = gen::perturb_rules(wan, 0.03, 100 + seed);
-    task.commands = {lai::Command::Check};
-    tasks.push_back(std::move(task));
-  }
-  result.tasks = tasks.size();
-  // Fan out over the real cores (capped at the task count). On a single-core
-  // host run_batch degenerates to the sequential loop, so the reported
-  // speedup stays honest instead of measuring oversubscription.
-  result.threads = std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
-
-  {
-    core::EngineOptions options;
-    options.check.threads = 1;
-    core::Engine serial{wan.topo, options};
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& task : tasks) {
-      const auto report = serial.run(task, wan.traffic);
-      if (!report.success()) ++result.inconsistent;
-    }
-    result.serial_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  }
-
-  {
-    core::EngineOptions options;
-    options.check.threads = result.threads;
-    core::Engine batch{wan.topo, options};
-    const auto start = std::chrono::steady_clock::now();
-    const auto reports = batch.run_batch(tasks, wan.traffic);
-    result.batch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    std::size_t inconsistent = 0;
-    for (const auto& report : reports) {
-      if (!report.success()) ++inconsistent;
-    }
-    if (inconsistent != result.inconsistent) {
-      std::fprintf(stderr, "WARNING: batch verdicts diverge from serial (%zu vs %zu)\n",
-                   inconsistent, result.inconsistent);
-    }
-  }
-  result.speedup = result.batch_seconds > 0 ? result.serial_seconds / result.batch_seconds : 0;
   return result;
 }
 
@@ -390,11 +325,6 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
                  r.cache_hit_rate);
   }
 
-  const auto batch = run_batch_workload(wan);
-  std::fprintf(stderr, "  batch x%zu (%u threads): serial %.3fs, batch %.3fs, speedup %.2fx\n",
-               batch.tasks, batch.threads, batch.serial_seconds, batch.batch_seconds,
-               batch.speedup);
-
   const auto churn = run_churn_refinement(wan, 8);
   std::fprintf(stderr,
                "  churn x%zu: delta %.3fs, scratch %.3fs, speedup %.2fx, "
@@ -429,11 +359,6 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
                  config_counters[i].c_str(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"batch\": {\"tasks\": %zu, \"threads\": %u, \"serial_seconds\": %.6f, "
-               "\"batch_seconds\": %.6f, \"speedup\": %.2f},\n",
-               batch.tasks, batch.threads, batch.serial_seconds, batch.batch_seconds,
-               batch.speedup);
   std::fprintf(out,
                "  \"churn_refinement\": {\"versions\": %zu, \"base_predicates\": %zu, "
                "\"final_atoms\": %zu, \"delta_seconds\": %.6f, \"scratch_seconds\": %.6f, "

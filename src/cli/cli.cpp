@@ -97,8 +97,9 @@ diff     compare two ACLs semantically: equivalence verdict, the rules the
 gen      write a synthetic layered WAN (the benchmark workloads) to stdout
 serve    run the long-lived verification service on a Unix domain socket
          and/or a TCP listener: versioned network snapshots, a prioritized
-         job queue (interactive check ahead of batch fix/generate) and warm
-         per-worker engines
+         job queue (interactive check ahead of batch fix/generate), pure
+         checks answered by an exact set scan (no SMT query, so
+         --timeout-ms does not apply to them) and warm fix/generate engines
          --listen HOST:PORT   also accept authenticated TCP connections
                               (port 0 binds an ephemeral port); requires
                               --token

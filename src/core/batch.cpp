@@ -83,22 +83,26 @@ std::vector<std::vector<std::size_t>> make_shards(const VerifyPlan& plan,
 
 }  // namespace
 
+const std::vector<net::PacketSet>& BatchAlgebra::before(std::size_t index) const {
+  BeforeSlot& slot = slots[index];
+  std::call_once(slot.once, [&] {
+    const topo::ConfigView base{*topo};
+    const Obligation& o = bundle->plan.obligations()[index];
+    slot.sets.reserve(o.paths.size());
+    for (const std::size_t p : o.paths) {
+      slot.sets.push_back(clipped_path_set(base, bundle->paths[p], *o.fec));
+    }
+  });
+  return slot.sets;
+}
+
 BatchAlgebra build_batch_algebra(const topo::Topology& topo,
                                  std::shared_ptr<const PlanBundle> bundle) {
-  const auto start = std::chrono::steady_clock::now();
   BatchAlgebra algebra;
   algebra.bundle = std::move(bundle);
-  const topo::ConfigView base{topo};
-  const auto& obligations = algebra.bundle->plan.obligations();
-  algebra.before.resize(obligations.size());
-  for (const Obligation& o : obligations) {
-    auto& sets = algebra.before[o.index];
-    sets.reserve(o.paths.size());
-    for (const std::size_t p : o.paths) {
-      sets.push_back(clipped_path_set(base, algebra.bundle->paths[p], *o.fec));
-    }
-  }
-  algebra.build_seconds = seconds_since(start);
+  algebra.topo = &topo;
+  algebra.slots =
+      std::make_unique<BatchAlgebra::BeforeSlot[]>(algebra.bundle->plan.obligations().size());
   return algebra;
 }
 
@@ -145,16 +149,17 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
       }
       if (stop_at_first && index > s.bound.load(std::memory_order_relaxed)) continue;
       const Obligation& o = obligations[index];
-      if (!touches(o, *item.update)) {
-        // No rewritten slot on any feasible path: both decision sides
-        // coincide, the obligation is trivially consistent.
+      // No rewritten slot on any feasible path (both decision sides
+      // coincide), or a verdict already proven for this update: consistent
+      // without a scan.
+      if (!touches(o, *item.update) || (index < item.clean.size() && item.clean[index])) {
         s.clean[index] = 1;
         s.skipped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       s.executed.fetch_add(1, std::memory_order_relaxed);
       bool violated = false;
-      const auto& before_sets = algebra.before[index];
+      const auto& before_sets = algebra.before(index);
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
         const net::PacketSet after_set =
             clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
@@ -207,7 +212,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     result.obligations_executed = s.executed.load(std::memory_order_relaxed);
     const std::size_t skipped = s.skipped.load(std::memory_order_relaxed);
     result.obligations_cancelled = count - result.obligations_executed - skipped;
-    result.plan_seconds = 0;  // amortized into the shared algebra build
+    result.plan_seconds = 0;  // amortized into the shared plan bundle
     result.execute_seconds = execute_seconds;
     executed_total += result.obligations_executed;
     skipped_total += skipped;
@@ -217,7 +222,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     for (std::size_t index = 0; index < count; ++index) {
       if (s.violated[index] == 0) continue;
       const Obligation& o = obligations[index];
-      const auto& before_sets = algebra.before[index];
+      const auto& before_sets = algebra.before(index);
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
         const net::PacketSet after_set =
             clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);

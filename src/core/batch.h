@@ -1,17 +1,17 @@
-// Set-algebra batch execution for coalesced check-only jobs.
+// Set-algebra execution of pure-check jobs, alone or coalesced.
 //
-// A coalesced dispatch unit is a group of pure-check jobs against the same
-// (snapshot version, scope, entering traffic) — i.e. the same PlanBundle.
-// Running each through its own engine repays the fixed costs (SMT context,
-// session compile, first-query warmup) once per job; this module amortizes
-// them once per *version* instead. The per-(obligation, path) before-side
-// permitted sets are precomputed against the base configuration (they do
-// not depend on any job's update), and each job then only re-walks its
-// *after* side with net::permitted_within, clipped to the obligation's FEC.
-// An obligation is violated iff some feasible path's clipped permitted set
-// differs between the two sides — the exact header-space dual of the
-// checker's Equation 3 query (no control intents, which coalescing
-// excludes), so the verdict is identical to a fresh Checker::check.
+// A dispatch unit is a group of one or more pure-check jobs against the
+// same (snapshot version, scope, entering traffic) — i.e. the same
+// PlanBundle. The per-(obligation, path) before-side permitted sets depend
+// only on the base configuration, not on any job's update, so they are
+// computed once per *version*: lazily, per obligation, by the first scan
+// that needs it, and kept for every later job of that version. Each job then
+// only re-walks its *after* side with net::permitted_within, clipped to the
+// obligation's FEC. An obligation is violated iff some feasible path's
+// clipped permitted set differs between the two sides — the exact
+// header-space dual of the checker's Equation 3 query (no control intents,
+// which pure checks exclude), so the verdict is identical to a fresh
+// Checker::check, and no SMT query is issued.
 //
 // Sharding: obligations are partitioned by entry interface (the plan's
 // per-gateway structure; round-robin in global-FEC mode) and the batch is
@@ -30,6 +30,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/checker.h"
@@ -39,22 +40,34 @@
 
 namespace jinjing::core {
 
-/// The per-version precomputation shared by every job of a batch: for each
-/// obligation, the FEC-clipped permitted set of each of its feasible paths
-/// under the base (pre-update) configuration.
+/// The per-version state shared by every job checked against one plan: for
+/// each obligation, the FEC-clipped permitted set of each of its feasible
+/// paths under the base (pre-update) configuration, filled on first use.
 struct BatchAlgebra {
   std::shared_ptr<const PlanBundle> bundle;
-  /// before[i][k]: packets of obligation i's class permitted along its k-th
+  /// The topology whose base ACLs the before-sets describe (borrowed; it
+  /// must outlive the algebra).
+  const topo::Topology* topo = nullptr;
+
+  /// before(i)[k]: packets of obligation i's class permitted along its k-th
   /// feasible path (paths[obligations()[i].paths[k]]) with no update.
-  std::vector<std::vector<net::PacketSet>> before;
-  double build_seconds = 0;
+  /// Computed by the first caller to ask for obligation i, then kept; safe
+  /// to call concurrently.
+  [[nodiscard]] const std::vector<net::PacketSet>& before(std::size_t index) const;
+
+  struct BeforeSlot {
+    std::once_flag once;
+    std::vector<net::PacketSet> sets;
+  };
+  std::unique_ptr<BeforeSlot[]> slots;  // one per obligation
 };
 
-/// Builds the before-side sets for `bundle` against `topo`'s base ACLs.
+/// Prepares the algebra for `bundle` against `topo`'s base ACLs. Allocation
+/// only: every before-set is computed lazily by the scans that need it.
 [[nodiscard]] BatchAlgebra build_batch_algebra(const topo::Topology& topo,
                                                std::shared_ptr<const PlanBundle> bundle);
 
-/// One job of a coalesced batch.
+/// One job of a dispatch unit (a batch of one or more jobs).
 struct BatchItem {
   const topo::AclUpdate* update = nullptr;
   /// Cooperative cancellation probe, polled between obligations; may be
@@ -63,14 +76,20 @@ struct BatchItem {
   /// Deadline probe, polled between obligations; true = budget exhausted.
   /// May be empty (no deadline).
   std::function<bool()> expired;
+  /// Obligations already proven consistent for this update (indexed by
+  /// Obligation::index; may be shorter or empty). They are not scanned —
+  /// the incremental planner's leased verdicts, so a fully clean re-check
+  /// scans nothing. Only sound bits may be passed.
+  std::vector<bool> clean = {};
 };
 
 /// Per-job result of a batch run.
 struct BatchOutcome {
   CheckResult result;
   /// Obligations proven consistent under the job's update (touches() ==
-  /// false, or scanned without a differing path set) — commit these to the
-  /// incremental planner so identical re-checks are query-free.
+  /// false, passed in as clean, or scanned without a differing path set) —
+  /// commit these to the incremental planner so identical re-checks skip
+  /// them.
   std::vector<bool> clean;
   bool cancelled = false;
   bool deadline_expired = false;
@@ -87,10 +106,10 @@ struct BatchRunOptions {
   std::size_t max_shards = 8;
 };
 
-/// Checks every item's update against the precomputed algebra. Outcomes
-/// come back in item order; each is equal (verdict, minimal violated
-/// obligation, canonical witness) to a fresh single-job check of the same
-/// update at the same snapshot.
+/// Checks every item's update against the algebra, which must have been
+/// built for `topo`. Outcomes come back in item order; each is equal
+/// (verdict, minimal violated obligation, canonical witness) to a fresh
+/// single-job check of the same update at the same snapshot.
 [[nodiscard]] std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
                                                         const BatchAlgebra& algebra,
                                                         const std::vector<BatchItem>& items,

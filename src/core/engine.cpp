@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "lai/parser.h"
 #include "net/acl_algebra.h"
@@ -40,9 +39,8 @@ Engine::Engine(const topo::Topology& topo, EngineOptions options)
   if (!options_.check.executor) {
     options_.check.executor = std::make_shared<Executor>(options_.check.threads);
   }
-  executor_ = options_.check.executor;
-  if (!options_.fix.check.executor) options_.fix.check.executor = executor_;
-  if (!options_.generate.executor) options_.generate.executor = executor_;
+  if (!options_.fix.check.executor) options_.fix.check.executor = options_.check.executor;
+  if (!options_.generate.executor) options_.generate.executor = options_.check.executor;
   // The engine-wide per-query Z3 deadline (worker contexts pick it up from
   // their CheckOptions; the shared context is configured here).
   if (options_.check.timeout_ms > 0) smt_.set_timeout_ms(options_.check.timeout_ms);
@@ -122,43 +120,6 @@ EngineReport Engine::run(const lai::UpdateTask& task, const net::PacketSet& ente
     report.outcomes.push_back(run_command(task, command, report.final_update, entering));
   }
   return report;
-}
-
-std::vector<EngineReport> Engine::run_batch(const std::vector<lai::UpdateTask>& tasks,
-                                            const net::PacketSet& entering) {
-  std::vector<EngineReport> reports(tasks.size());
-  if (executor_->threads() <= 1 || tasks.size() <= 1) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) reports[i] = run(tasks[i], entering);
-    return reports;
-  }
-
-  // Worker engines are single-threaded (their checkers run obligations
-  // inline — the outer executor's run() is not reentrant) and share this
-  // engine's FEC cache, so tasks over the same scope derive each partition
-  // once across the whole batch.
-  EngineOptions worker_options = options_;
-  worker_options.check.threads = 1;
-  worker_options.check.executor = nullptr;
-  worker_options.fix.check.threads = 1;
-  worker_options.fix.check.executor = nullptr;
-  worker_options.generate.executor = nullptr;
-
-  std::mutex engines_mutex;
-  std::vector<std::shared_ptr<Engine>> engines;
-  const Executor::WorkerFactory factory = [&](std::size_t) -> Executor::Task {
-    auto engine = std::make_shared<Engine>(topo_, worker_options);
-    {
-      const std::lock_guard<std::mutex> lock{engines_mutex};
-      engines.push_back(engine);
-    }
-    return [&, engine](std::size_t i, const CancellationToken& token) {
-      if (token.cancelled()) return false;
-      reports[i] = engine->run(tasks[i], entering);
-      return false;
-    };
-  };
-  (void)executor_->run(tasks.size(), factory);
-  return reports;
 }
 
 EngineReport Engine::run_program(std::string_view source, const lai::AclLibrary& acls,

@@ -81,16 +81,7 @@ class Engine {
   [[nodiscard]] EngineReport run_program(std::string_view source, const lai::AclLibrary& acls,
                                          const net::PacketSet& entering);
 
-  /// Executes N independent update tasks, fanned out over the engine's
-  /// executor (one single-threaded worker engine per pool worker, sharing
-  /// this engine's FEC cache). Reports come back in task order. With a
-  /// single-threaded executor (or one task) this degenerates to a
-  /// sequential loop over run().
-  [[nodiscard]] std::vector<EngineReport> run_batch(const std::vector<lai::UpdateTask>& tasks,
-                                                    const net::PacketSet& entering);
-
   [[nodiscard]] smt::SmtContext& smt() { return smt_; }
-  [[nodiscard]] const std::shared_ptr<Executor>& executor() const { return executor_; }
 
  private:
   /// The reusable per-scope verification session (rebuilt only when the
@@ -101,7 +92,6 @@ class Engine {
   const topo::Topology& topo_;
   EngineOptions options_;
   smt::SmtContext smt_;
-  std::shared_ptr<Executor> executor_;
 
   std::optional<topo::Scope> session_scope_;
   std::unique_ptr<Checker> checker_;

@@ -70,8 +70,8 @@ struct ExecutionStats {
 
 /// Work-stealing executor. Thread-safe to share between consumers, but
 /// run() calls are serialized — nested run() from inside a task deadlocks,
-/// so worker-side consumers (e.g. Engine::run_batch engines) must use their
-/// own single-threaded executors.
+/// so worker-side consumers (e.g. per-job engines on a server's pool) must
+/// use their own single-threaded executors.
 class Executor {
  public:
   /// A task returns true to request early exit ("stop at first").

@@ -225,26 +225,6 @@ IncrementalLease IncrementalPlanner::acquire(std::uint64_t version, const topo::
   return lease;
 }
 
-bool IncrementalPlanner::peek_fully_clean(std::uint64_t version, const topo::Scope& scope,
-                                          const net::PacketSet& entering,
-                                          const topo::AclUpdate& update) const {
-  if (options_.max_delta_chain == 0) return false;
-  const std::uint64_t key = problem_key(scope, entering);
-  const std::lock_guard<std::mutex> lock{mutex_};
-  Entry* entry =
-      const_cast<IncrementalPlanner*>(this)->find_entry_locked(key, version, scope, entering);
-  if (entry == nullptr) return false;
-  const std::string text = update_text(update);
-  const auto it = entry->verdicts.find(text_key(text));
-  if (it == entry->verdicts.end() || it->second.update_text != text) return false;
-  const auto& clean = it->second.clean;
-  for (const Obligation& o : entry->bundle->plan.obligations()) {
-    if (!touches(o, update)) continue;
-    if (o.index >= clean.size() || !clean[o.index]) return false;
-  }
-  return true;
-}
-
 void IncrementalPlanner::install(std::uint64_t version, const topo::Scope& scope,
                                  std::shared_ptr<const PlanBundle> bundle) {
   if (options_.max_delta_chain == 0 || bundle == nullptr) return;

@@ -30,7 +30,9 @@
 // behaved identically when the verdict was proven and inherit consistency;
 // only the touched sub-atoms get SMT queries. A violating sub-atom falls
 // back to the full-class query so the reported witness is bit-identical to
-// a from-scratch check.
+// a from-scratch check. That Z3 route (run_incremental_check) serves the
+// benchmark replay and tests; the service uses the rebased plans and the
+// verdict bits only, as a filter on its exact set scan (core/batch).
 //
 // The planner keys entries by a structural fingerprint of (scope devices,
 // entering cubes) plus the base version, guarded by exact comparisons so a
@@ -131,16 +133,6 @@ class IncrementalPlanner {
   [[nodiscard]] IncrementalLease acquire(std::uint64_t version, const topo::Scope& scope,
                                          const net::PacketSet& entering,
                                          const topo::AclUpdate& update);
-
-  /// Side-effect-free probe: true when a cached entry for (version, scope,
-  /// entering) holds verdict bits proving every obligation `update` touches
-  /// — i.e. a delta-scoped check would finish without issuing a single
-  /// query. Unlike acquire, this never counts a hit/miss or refreshes LRU
-  /// stamps; the service dispatcher uses it to route such jobs around
-  /// batch coalescing straight onto the fast path.
-  [[nodiscard]] bool peek_fully_clean(std::uint64_t version, const topo::Scope& scope,
-                                      const net::PacketSet& entering,
-                                      const topo::AclUpdate& update) const;
 
   /// Publishes a freshly built bundle for (version, scope). No-op when an
   /// entry already exists (a racing job won) or the planner is disabled.

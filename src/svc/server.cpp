@@ -93,9 +93,9 @@ Json outcome_json(const JobOutcome& outcome) {
   return Json{std::move(obj)};
 }
 
-/// A program is batch-coalescable (and run_check_only-eligible) when it is
-/// pure verification: at least one command, all of them `check`, and no
-/// control intents (§6 rewrites need the SMT path).
+/// A program is a pure check — answered by the exact set scan, alone or
+/// coalesced — when it is pure verification: at least one command, all of
+/// them `check`, and no control intents (§6 rewrites need the SMT path).
 bool pure_check(const lai::UpdateTask& task) {
   return !task.commands.empty() && task.controls.empty() &&
          std::all_of(task.commands.begin(), task.commands.end(),
@@ -375,9 +375,9 @@ void Server::wait() {
   accepting_.store(false, std::memory_order_release);
   stop_connections_.store(true, std::memory_order_release);
   accept_thread_.join();
-  // The accept loop has exited, so conn_threads_ is stable from here on.
-  for (auto& conn : conn_threads_) conn.join();
-  conn_threads_.clear();
+  // The accept loop has exited, so connections_ is stable from here on.
+  for (auto& conn : connections_) conn.thread.join();
+  connections_.clear();
 
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -405,6 +405,15 @@ void Server::sweep_tick() {
     const auto dropped = store_.trim(options_.keep_versions);
     if (!dropped.empty()) trim_repl_log();
   }
+  // Join finished connection threads: an unjoined thread keeps its stack
+  // mapped, so a long-lived server would otherwise grow by one stack per
+  // connection it ever served.
+  const std::lock_guard<std::mutex> lock{conn_mutex_};
+  std::erase_if(connections_, [](Connection& conn) {
+    if (!conn.done.load(std::memory_order_acquire)) return false;
+    conn.thread.join();
+    return true;
+  });
 }
 
 void Server::trim_repl_log() {
@@ -447,7 +456,11 @@ void Server::accept_loop() {
         ::close(fd);
         return;
       }
-      conn_threads_.emplace_back([this, fd, needs_auth] { connection_loop(fd, needs_auth); });
+      Connection& conn = connections_.emplace_back();
+      conn.thread = std::thread([this, fd, needs_auth, &conn] {
+        connection_loop(fd, needs_auth);
+        conn.done.store(true, std::memory_order_release);
+      });
     }
   }
 }
@@ -1024,36 +1037,16 @@ void Server::dispatch_loop() {
       join_overlap();
       return;
     }
-    if (unit.size() > 1 && incremental_ != nullptr) {
-      // Fully-clean delta-cache hits bypass the batch: every obligation
-      // their update touches is already a proven verdict, so run_check_only
-      // answers them without a single query — pulling them into the batch
-      // would only re-scan state for answers the cache already holds.
-      std::vector<JobPtr> rest;
-      rest.reserve(unit.size());
-      for (JobPtr& job : unit) {
-        const auto& task = job->spec().task;
-        if (task != nullptr &&
-            incremental_->peek_fully_clean(job->snapshot_version(), task->scope,
-                                           job->snapshot()->traffic, task->modify)) {
-          execute_job(job);
-        } else {
-          rest.push_back(std::move(job));
-        }
-      }
-      unit = std::move(rest);
-    }
-    if (unit.empty()) continue;
-    if (unit.size() == 1) {
-      if (options_.overlap && unit.front()->spec().coalesce_key == 0) {
-        join_overlap();
-        obs::count(obs::Counter::SvcOverlapDispatches);
-        overlap = std::thread([this, job = unit.front()] { execute_job(job); });
-        continue;
-      }
-      execute_job(unit.front());
-    } else {
+    // Every pure check — a unit of one included — runs the exact set scan;
+    // fix, generate and control-intent jobs run the full engine.
+    if (unit.front()->spec().coalesce_key != 0) {
       execute_batch(unit);
+    } else if (options_.overlap) {
+      join_overlap();
+      obs::count(obs::Counter::SvcOverlapDispatches);
+      overlap = std::thread([this, job = unit.front()] { execute_job(job); });
+    } else {
+      execute_job(unit.front());
     }
   }
 }
@@ -1140,26 +1133,45 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
     for (const JobPtr& job : batch) execute_job(job);
     return;
   }
-  obs::count(obs::Counter::SvcBatchDispatches);
-  obs::count(obs::Counter::SvcBatchJobsCoalesced, batch.size());
-  obs::observe(obs::Histogram::SvcBatchSize, batch.size());
+  if (batch.size() > 1) {
+    // The batch counters keep meaning "coalesced": units of one only run
+    // the same scan.
+    obs::count(obs::Counter::SvcBatchDispatches);
+    obs::count(obs::Counter::SvcBatchJobsCoalesced, batch.size());
+    obs::observe(obs::Histogram::SvcBatchSize, batch.size());
+  }
 
   const SnapshotPtr& snapshot = batch.front()->snapshot();
+  // The delta cache's verdict reuse is a filter on the scan: each job leases
+  // the obligations already proven clean for its exact update, and the scan
+  // skips them. Bits are only trusted (and later committed) against the
+  // very bundle the algebra scans.
   std::vector<core::BatchItem> items;
+  std::vector<bool> leased(batch.size(), false);
   items.reserve(batch.size());
-  for (const JobPtr& job : batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const JobPtr& job = batch[i];
+    const lai::UpdateTask& task = *job->spec().task;
     core::BatchItem item;
-    item.update = &job->spec().task->modify;
+    item.update = &task.modify;
     item.cancelled = [raw = job.get()] { return raw->cancel_requested(); };
     item.expired = [raw = job.get()] {
       const auto remaining = raw->remaining_ms();
       return remaining && *remaining == 0;
     };
+    if (incremental_) {
+      core::IncrementalLease lease =
+          incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify);
+      leased[i] = lease.bundle == algebra->bundle;
+      if (leased[i]) item.clean = std::move(lease.clean);
+    }
     items.push_back(std::move(item));
   }
   core::BatchRunOptions run;
   run.stop_at_first = options_.engine.check.stop_at_first;
-  run.executor = executor_.get();
+  // A lone job scans inline: one job's scan takes a few milliseconds, and
+  // waking the pool costs more than it saves at that size.
+  run.executor = batch.size() > 1 ? executor_.get() : nullptr;
   run.max_shards = std::max<std::size_t>(std::size_t{2} * options_.workers, 2);
   const std::vector<core::BatchOutcome> outcomes =
       core::run_check_batch(*snapshot->topo, *algebra, items, run);
@@ -1172,11 +1184,11 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
       continue;
     }
     if (bo.deadline_expired) {
-      // Same diagnostic family as a deadline caught at dispatch: the job
-      // died waiting its turn inside shared execution, not on a solver
-      // budget — never report this as a solver timeout.
+      // Same diagnostic family as a deadline caught at dispatch: the scan
+      // issues no solver query, so this is never a solver timeout.
       JobOutcome outcome;
-      outcome.error = "deadline exceeded while queued in a coalesced batch";
+      outcome.error = batch.size() > 1 ? "deadline exceeded while queued in a coalesced batch"
+                                       : "deadline exceeded during the check scan";
       scheduler_.finish(job, JobState::Failed, std::move(outcome));
       continue;
     }
@@ -1189,10 +1201,9 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
       cmd.check = bo.result;
       report.outcomes.push_back(std::move(cmd));
     }
-    if (incremental_) {
+    if (leased[i]) {
       // Seed the verdict cache with the obligations this run proved clean,
-      // so a re-check of the same pending update takes the query-free path.
-      incremental_->install(snapshot->version, task.scope, algebra->bundle);
+      // so a re-check of the same pending update scans only the rest.
       incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
                            bo.clean);
     }
@@ -1202,61 +1213,6 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
     outcome.report = std::move(report);
     scheduler_.finish(job, JobState::Done, std::move(outcome));
   }
-}
-
-bool Server::run_check_only(const JobPtr& job, const lai::UpdateTask& task,
-                            core::EngineReport& report, bool& cancelled) {
-  if (!incremental_) return false;
-  if (!pure_check(task)) return false;
-
-  const SnapshotPtr& snapshot = job->snapshot();
-  core::CheckOptions check = job_check_options();
-
-  // The cached plan for (snapshot version, scope, entering traffic), plus
-  // any obligation verdicts already proven for this exact pending update —
-  // the apply_if_head conflict / re-verify loop hits those directly.
-  core::IncrementalLease lease =
-      incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify);
-  check.adopted_plan = lease.bundle;
-
-  smt::SmtContext smt;
-  const unsigned default_timeout = check.timeout_ms;
-  core::Checker checker{smt, *snapshot->topo, task.scope, check};
-
-  for (std::size_t c = 0; c < task.commands.size(); ++c) {
-    if (job->cancel_requested()) {
-      cancelled = true;
-      return true;
-    }
-    if (const auto remaining = job->remaining_ms()) {
-      if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
-      const auto budget = static_cast<unsigned>(
-          std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
-      smt.set_timeout_ms(default_timeout == 0 ? budget : std::min(budget, default_timeout));
-    }
-    core::CommandOutcome outcome;
-    outcome.command = lai::Command::Check;
-    if (lease.valid()) {
-      auto incremental = core::run_incremental_check(checker, lease, task.modify);
-      incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                           incremental.clean);
-      outcome.check = std::move(incremental.result);
-    } else {
-      outcome.check = checker.check(task.modify, snapshot->traffic, {});
-      incremental_->install(snapshot->version, task.scope,
-                            checker.share_plan(snapshot->traffic));
-      if (outcome.check->consistent) {
-        // A consistent full run proved every obligation — seed the verdict
-        // cache so a re-check of the same pending update is query-free.
-        incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                             std::vector<bool>(outcome.check->obligation_count, true));
-      }
-      lease = incremental_->acquire(snapshot->version, task.scope, snapshot->traffic,
-                                    task.modify);
-    }
-    report.outcomes.push_back(std::move(outcome));
-  }
-  return true;
 }
 
 void Server::execute_job(const JobPtr& job) {
@@ -1279,54 +1235,48 @@ void Server::execute_job(const JobPtr& job) {
     core::EngineReport report;
     report.final_update = task.modify;
     bool cancelled = false;
-    // Check-only jobs without control intents take the delta-scoped path:
-    // the verification plan is adopted from the incremental planner (or
-    // built once and installed), and only obligations the update can touch
-    // are proven. Everything else runs the full engine pipeline.
-    if (!run_check_only(job, task, report, cancelled)) {
-      // One fresh engine per job, over the server-wide FEC cache. The cache
-      // is what makes the service warm — equivalence classes derived for a
-      // snapshot by any worker are reused by every later job on that
-      // snapshot — while a fresh SMT session per job keeps answers
-      // reproducible: the same request gets the same verdict and the same
-      // repair plan regardless of what the server ran before (a reused
-      // incremental session can steer Z3 to a different, equally valid,
-      // model).
-      core::EngineOptions engine_options = job_engine_options();
-      // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
-      // plan bundle for (version, scope, traffic) so the engine's checker
-      // and the fixer's candidate loop skip path enumeration and planning.
-      // Control intents change the obligation set, so only intent-free
-      // tasks may adopt.
-      if (incremental_ && task.controls.empty()) {
-        const core::IncrementalLease lease = incremental_->acquire(
-            snapshot->version, task.scope, snapshot->traffic, task.modify);
-        if (lease.bundle) {
-          engine_options.check.adopted_plan = lease.bundle;
-          engine_options.fix.check.adopted_plan = lease.bundle;
-        }
+    // One fresh engine per job, over the server-wide FEC cache. The cache
+    // is what makes the service warm — equivalence classes derived for a
+    // snapshot by any worker are reused by every later job on that
+    // snapshot — while a fresh SMT session per job keeps answers
+    // reproducible: the same request gets the same verdict and the same
+    // repair plan regardless of what the server ran before (a reused
+    // incremental session can steer Z3 to a different, equally valid,
+    // model).
+    core::EngineOptions engine_options = job_engine_options();
+    // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
+    // plan bundle for (version, scope, traffic) so the engine's checker
+    // and the fixer's candidate loop skip path enumeration and planning.
+    // Control intents change the obligation set, so only intent-free
+    // tasks may adopt.
+    if (incremental_ && task.controls.empty()) {
+      const core::IncrementalLease lease = incremental_->acquire(
+          snapshot->version, task.scope, snapshot->traffic, task.modify);
+      if (lease.bundle) {
+        engine_options.check.adopted_plan = lease.bundle;
+        engine_options.fix.check.adopted_plan = lease.bundle;
       }
-      core::Engine engine{*snapshot->topo, engine_options};
-      const unsigned default_timeout = engine.smt().timeout_ms();
+    }
+    core::Engine engine{*snapshot->topo, engine_options};
+    const unsigned default_timeout = engine.smt().timeout_ms();
 
-      for (const lai::Command command : task.commands) {
-        // Cooperative cancellation and the deadline budget are both checked
-        // between commands; the remaining budget caps every Z3 query of the
-        // next command via the per-query timeout.
-        if (job->cancel_requested()) {
-          cancelled = true;
-          break;
-        }
-        if (const auto remaining = job->remaining_ms()) {
-          if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
-          const auto budget = static_cast<unsigned>(
-              std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
-          engine.smt().set_timeout_ms(
-              default_timeout == 0 ? budget : std::min(budget, default_timeout));
-        }
-        report.outcomes.push_back(engine.run_command(task, command, report.final_update,
-                                                     snapshot->traffic));
+    for (const lai::Command command : task.commands) {
+      // Cooperative cancellation and the deadline budget are both checked
+      // between commands; the remaining budget caps every Z3 query of the
+      // next command via the per-query timeout.
+      if (job->cancel_requested()) {
+        cancelled = true;
+        break;
       }
+      if (const auto remaining = job->remaining_ms()) {
+        if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
+        const auto budget = static_cast<unsigned>(
+            std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
+        engine.smt().set_timeout_ms(
+            default_timeout == 0 ? budget : std::min(budget, default_timeout));
+      }
+      report.outcomes.push_back(
+          engine.run_command(task, command, report.final_update, snapshot->traffic));
     }
     if (cancelled || job->cancel_requested()) {
       state = JobState::Cancelled;

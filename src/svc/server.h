@@ -39,6 +39,7 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -191,7 +192,8 @@ class Server {
   /// disconnects or the server drains.
   void serve_subscription(int fd, Version from);
   /// Periodic housekeeping on the accept-loop tick: sweep expired leases
-  /// and re-trim so a lapsed lease actually releases its version.
+  /// and re-trim so a lapsed lease actually releases its version, and join
+  /// finished connection threads.
   void sweep_tick();
   void trim_repl_log();
 
@@ -214,8 +216,9 @@ class Server {
 
   void execute_job(const JobPtr& job);
 
-  /// Runs a coalesced unit of pure-check jobs through the set-algebra
-  /// batch checker, sharded over the shared executor. Falls back to
+  /// Runs a unit of one or more pure-check jobs through the exact
+  /// set-algebra scan, sharded over the shared executor, skipping each
+  /// job's obligations the delta cache already proved clean. Falls back to
   /// per-job execute_job when the shared algebra cannot be built.
   void execute_batch(const std::vector<JobPtr>& batch);
 
@@ -223,19 +226,10 @@ class Server {
   /// built on first use and cached until the version is released.
   [[nodiscard]] std::shared_ptr<const core::BatchAlgebra> batch_algebra_for(const JobPtr& job);
 
-  /// The delta-scoped fast path for check-only jobs without control
-  /// intents: adopt the cached plan for the job's snapshot (or build and
-  /// install one), execute only the obligations the update can touch, and
-  /// commit the proven verdicts. Returns false when the job is not
-  /// eligible (the caller runs the full engine path).
-  [[nodiscard]] bool run_check_only(const JobPtr& job, const lai::UpdateTask& task,
-                                    core::EngineReport& report, bool& cancelled);
-
   /// The one place per-job engine configuration lives: the template
   /// options with the engine forced single-threaded (Executor::run is
   /// serialized, not reentrant) over the server-wide FEC cache. Shared by
-  /// the full-engine dispatch path, run_check_only, and the batch path's
-  /// plan builds.
+  /// the full-engine dispatch path and the batch path's plan builds.
   [[nodiscard]] core::CheckOptions job_check_options() const;
   [[nodiscard]] core::EngineOptions job_engine_options() const;
 
@@ -277,8 +271,12 @@ class Server {
   int tcp_listen_fd_ = -1;  // TCP listener, -1 when listen_address is empty
   std::thread accept_thread_;
   std::thread dispatch_thread_;
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last act
+  };
   std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Connection> connections_;  // reaped by sweep_tick once done
 
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_connections_{false};

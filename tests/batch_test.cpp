@@ -1,11 +1,15 @@
-// Set-algebra batch execution: every coalesced outcome must be identical
-// to a fresh single-job Checker::check of the same update — verdict,
-// minimal violated obligation, canonical witness — regardless of executor
-// width, and cancellation/expiry of one job must never perturb batchmates.
+// Set-algebra batch execution: every outcome must be identical to a fresh
+// single-job Checker::check of the same update — verdict, minimal violated
+// obligation, canonical witness — regardless of executor width, of which
+// scan first filled the lazily computed before-sets, and of which sound
+// subset of proven-clean obligations the caller passes in; cancellation or
+// expiry of one job must never perturb batchmates.
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -75,17 +79,27 @@ void expect_same_verdict(const CheckResult& batch, const CheckResult& solo,
 
 TEST(BatchAlgebraTest, BeforeSetsMatchUnclippedPathSemantics) {
   Fixture fx;
+  // A scan fills the sets of the obligations the running example touches;
+  // the rest are filled here on first access. Both must be the unclipped
+  // path semantics intersected with the class.
+  const std::vector<topo::AclUpdate> updates = {fx.f.running_example_update()};
+  BatchRunOptions options;
+  options.stop_at_first = false;
+  (void)run_check_batch(fx.f.topo, fx.algebra, items_for(updates), options);
+
   const topo::ConfigView base{fx.f.topo};
   const auto& obligations = fx.algebra.bundle->plan.obligations();
   ASSERT_FALSE(obligations.empty());
   for (const Obligation& o : obligations) {
-    ASSERT_EQ(fx.algebra.before[o.index].size(), o.paths.size());
+    const auto& before = fx.algebra.before(o.index);
+    ASSERT_EQ(before.size(), o.paths.size());
     for (std::size_t k = 0; k < o.paths.size(); ++k) {
       const net::PacketSet full =
           topo::path_permitted_set(base, fx.algebra.bundle->paths[o.paths[k]]) & *o.fec;
-      EXPECT_TRUE(fx.algebra.before[o.index][k].equals(full))
-          << "obligation " << o.index << " path " << k;
+      EXPECT_TRUE(before[k].equals(full)) << "obligation " << o.index << " path " << k;
     }
+    // Filled once: a second access returns the same kept sets.
+    EXPECT_EQ(&fx.algebra.before(o.index), &before);
   }
 }
 
@@ -285,6 +299,122 @@ TEST(BatchRunTest, CleanVectorSeparatesProvenFromViolatedObligations) {
   for (std::size_t i = 0; i < count; ++i) dirty += outcomes[1].clean[i] ? 0 : 1;
   EXPECT_EQ(dirty, outcomes[1].result.violations.size());
   EXPECT_GE(dirty, 1u);
+}
+
+/// Outcomes must agree bit for bit: verdict, clean vector, and every
+/// violation's location and witness.
+void expect_identical(const BatchOutcome& got, const BatchOutcome& want,
+                      const std::string& tag) {
+  EXPECT_EQ(got.result.consistent, want.result.consistent) << tag;
+  EXPECT_EQ(got.clean, want.clean) << tag;
+  ASSERT_EQ(got.result.violations.size(), want.result.violations.size()) << tag;
+  for (std::size_t v = 0; v < got.result.violations.size(); ++v) {
+    const Violation& g = got.result.violations[v];
+    const Violation& w = want.result.violations[v];
+    EXPECT_EQ(g.path_index, w.path_index) << tag;
+    EXPECT_EQ(g.decision_before, w.decision_before) << tag;
+    EXPECT_EQ(g.decision_after, w.decision_after) << tag;
+    EXPECT_EQ(to_string(g.witness), to_string(w.witness)) << tag;
+  }
+}
+
+/// Re-binds the base ACL verbatim at the first `count` gateway slots: the
+/// update touches obligations but changes no decision.
+topo::AclUpdate verbatim_rebind(const gen::Wan& wan, std::size_t count) {
+  const topo::ConfigView base{wan.topo};
+  topo::AclUpdate update;
+  for (std::size_t i = 0; i < count && i < wan.gateway_slots.size(); ++i) {
+    update.emplace(wan.gateway_slots[i], base.acl(wan.gateway_slots[i]));
+  }
+  return update;
+}
+
+/// The delta cache's verdict reuse as a filter: passing the clean bits of
+/// an earlier run — or any subset of them, which is just as sound — must
+/// not move the verdict, the minimal violated obligation or its witness.
+TEST(BatchRunTest, CleanBitFilterPreservesOutcomesOnRandomWanUpdates) {
+  const gen::Wan wan = gen::make_wan(gen::small_wan());
+  smt::SmtContext smt;
+  Checker checker{smt, wan.topo, wan.scope, CheckOptions{}};
+  const BatchAlgebra algebra = build_batch_algebra(wan.topo, checker.share_plan(wan.traffic));
+
+  std::vector<topo::AclUpdate> updates = {verbatim_rebind(wan, 4)};
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    updates.push_back(gen::perturb_rules(wan, 0.02 * seed, 500 + seed));
+  }
+  std::mt19937 rng{2024};
+  for (const bool stop_at_first : {true, false}) {
+    BatchRunOptions options;
+    options.stop_at_first = stop_at_first;
+    const auto unfiltered = run_check_batch(wan.topo, algebra, items_for(updates), options);
+    ASSERT_TRUE(std::any_of(unfiltered.begin(), unfiltered.end(),
+                            [](const BatchOutcome& o) { return !o.result.consistent; }))
+        << "no random update broke consistency; the filter is never tested on a violation";
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      const std::string tag = "update " + std::to_string(i) +
+                              (stop_at_first ? " stop_at_first" : " all");
+      // The full earlier verdict set, then random subsets of it.
+      std::vector<std::vector<bool>> filters = {unfiltered[i].clean};
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<bool> subset = unfiltered[i].clean;
+        for (std::size_t b = 0; b < subset.size(); ++b) subset[b] = subset[b] && rng() % 2 == 0;
+        filters.push_back(std::move(subset));
+      }
+      for (const auto& filter : filters) {
+        const auto outcome = run_check_batch(
+            wan.topo, algebra, {BatchItem{&updates[i], {}, {}, filter}}, options);
+        expect_identical(outcome[0], unfiltered[i], tag);
+        EXPECT_LE(outcome[0].result.obligations_executed,
+                  unfiltered[i].result.obligations_executed)
+            << tag;
+      }
+    }
+  }
+
+  // A fully clean re-check scans nothing: the verbatim rebind touches
+  // obligations, all proven consistent by the first run.
+  const auto first = run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}, {}}});
+  ASSERT_TRUE(first[0].result.consistent);
+  ASSERT_GT(first[0].result.obligations_executed, 0u);
+  const auto recheck =
+      run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}, {}, first[0].clean}});
+  EXPECT_TRUE(recheck[0].result.consistent);
+  EXPECT_EQ(recheck[0].result.obligations_executed, 0u);
+  EXPECT_EQ(recheck[0].result.obligations_cancelled, 0u);
+}
+
+/// Lazy fill under contention: many jobs over shared obligations race to
+/// fill the same before-sets on a 4-wide executor. Each width starts from a
+/// fresh algebra, so every run fills the sets itself, and all must agree.
+TEST(BatchRunTest, LazyBeforeSetsAgreeAcrossExecutorWidths) {
+  const gen::Wan wan = gen::make_wan(gen::small_wan());
+  smt::SmtContext smt;
+  Checker checker{smt, wan.topo, wan.scope, CheckOptions{}};
+  const auto bundle = checker.share_plan(wan.traffic);
+
+  std::vector<topo::AclUpdate> updates;
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    updates.push_back(gen::perturb_rules(wan, 0.05, 700 + seed % 4));
+  }
+  updates.push_back(verbatim_rebind(wan, wan.gateway_slots.size()));
+  const auto items = items_for(updates);
+
+  std::vector<std::vector<BatchOutcome>> runs;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const BatchAlgebra algebra = build_batch_algebra(wan.topo, bundle);
+    Executor executor{threads};
+    BatchRunOptions options;
+    options.stop_at_first = false;
+    options.executor = &executor;
+    runs.push_back(run_check_batch(wan.topo, algebra, items, options));
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[r].size(); ++i) {
+      expect_identical(runs[r][i], runs[0][i],
+                       "run " + std::to_string(r) + " job " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "gen/fixtures.h"
 
 namespace jinjing::core {
@@ -9,10 +12,17 @@ namespace {
 
 using gen::Figure1;
 
+// gtest prints a parameter without a printer as its raw bytes, and those bytes
+// become part of each test's listed name. Naming the bytes after the bool keeps
+// them zero; left as padding they would carry whatever the stack held, and the
+// names would change from one process to the next.
 struct CheckerModes {
   bool differential;
+  std::uint8_t reserved[3]{};
   smt::EncoderStrategy encoder;
 };
+static_assert(std::has_unique_object_representations_v<CheckerModes>,
+              "CheckerModes must have no padding bytes");
 
 class CheckerAllModes : public ::testing::TestWithParam<CheckerModes> {
  protected:
@@ -135,10 +145,11 @@ TEST_P(CheckerAllModes, ViolationsCarryBlame) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, CheckerAllModes,
-    ::testing::Values(CheckerModes{true, smt::EncoderStrategy::Tree},
-                      CheckerModes{true, smt::EncoderStrategy::Sequential},
-                      CheckerModes{false, smt::EncoderStrategy::Tree},
-                      CheckerModes{false, smt::EncoderStrategy::Sequential}),
+    ::testing::Values(
+        CheckerModes{.differential = true, .encoder = smt::EncoderStrategy::Tree},
+        CheckerModes{.differential = true, .encoder = smt::EncoderStrategy::Sequential},
+        CheckerModes{.differential = false, .encoder = smt::EncoderStrategy::Tree},
+        CheckerModes{.differential = false, .encoder = smt::EncoderStrategy::Sequential}),
     [](const auto& info) {
       return std::string(info.param.differential ? "Diff" : "Basic") +
              (info.param.encoder == smt::EncoderStrategy::Tree ? "Tree" : "Seq");

@@ -308,7 +308,7 @@ TEST_P(FixerReplanParity, SkippingUntouchedObligationsPreservesTheRepair) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FixerReplanParity, ::testing::Range(1u, 5u));
 
 // ---------------------------------------------------------------------------
-// Engine session reuse and batch execution.
+// Engine session reuse.
 
 // check; fix; check through ONE engine reuses the cached plan and check
 // session across commands — and still repairs correctly.
@@ -346,44 +346,6 @@ TEST(EngineSession, CheckFixCheckReusesPlanAndStaysCorrect) {
   ASSERT_EQ(second.outcomes.size(), 1u);
   EXPECT_EQ(second.outcomes[0].check->plan_seconds, 0.0);
   EXPECT_EQ(second.outcomes[0].check->consistent, oracle_consistent(wan, again.modify));
-}
-
-// run_batch over the shared executor returns, task for task, the same
-// verdicts and final updates as a serial loop over run().
-TEST(EngineBatch, MatchesSerialExecution) {
-  const auto wan = gen::make_wan(tiny_wan(55));
-
-  std::vector<lai::UpdateTask> tasks;
-  for (unsigned seed = 1; seed <= 6; ++seed) {
-    lai::UpdateTask task;
-    task.scope = wan.scope;
-    task.allowed = wan.topo.bound_slots();
-    task.modify = gen::perturb_rules(wan, 0.05, seed);
-    task.commands = {lai::Command::Check, lai::Command::Fix};
-    tasks.push_back(std::move(task));
-  }
-
-  EngineOptions serial_options;
-  serial_options.check.threads = 1;
-  Engine serial{wan.topo, serial_options};
-  std::vector<EngineReport> expected;
-  for (const auto& task : tasks) expected.push_back(serial.run(task, wan.traffic));
-
-  EngineOptions batch_options;
-  batch_options.check.threads = 4;
-  Engine batch{wan.topo, batch_options};
-  const auto actual = batch.run_batch(tasks, wan.traffic);
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    ASSERT_EQ(actual[i].outcomes.size(), expected[i].outcomes.size()) << "task " << i;
-    EXPECT_EQ(actual[i].outcomes[0].check->consistent, expected[i].outcomes[0].check->consistent)
-        << "task " << i;
-    EXPECT_EQ(actual[i].outcomes[1].fix->success, expected[i].outcomes[1].fix->success)
-        << "task " << i;
-    EXPECT_TRUE(actual[i].final_update == expected[i].final_update) << "task " << i;
-    EXPECT_TRUE(oracle_consistent(wan, actual[i].final_update)) << "task " << i;
-  }
 }
 
 // The plan IR itself: obligations cover every (entry, class) combination in

@@ -6,10 +6,14 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "config/acl_format.h"
+#include "core/deploy.h"
+#include "core/engine.h"
 #include "gen/fixtures.h"
 #include "svc/client.h"
 #include "svc/json.h"
@@ -888,6 +892,33 @@ std::vector<CheckProgram> equivalence_matrix() {
   };
 }
 
+/// The fresh-engine oracle, the rule `jinjing soak` uses: a default
+/// core::Engine (Z3 checker) per program on the pinned snapshot, nothing
+/// shared with any server, its report rendered as the server's `outcome`.
+Json engine_outcome(const Snapshot& snapshot, const CheckProgram& p) {
+  lai::AclLibrary library;
+  library.emplace("permit_all", net::Acl::permit_all());
+  for (const auto& [name, body] : p.acls) {
+    library.insert_or_assign(name, config::parse_acl_auto(body));
+  }
+  core::Engine engine{*snapshot.topo};
+  const core::EngineReport report = engine.run_program(p.program, library, snapshot.traffic);
+  Json::Array commands;
+  for (const auto& cmd : report.outcomes) {
+    Json::Object entry;
+    entry.emplace("command", std::string(lai::to_string(cmd.command)));
+    entry.emplace("ok", cmd.ok());
+    if (cmd.check) entry.emplace("consistent", cmd.check->consistent);
+    commands.emplace_back(std::move(entry));
+  }
+  Json::Object obj;
+  obj.emplace("success", report.success());
+  const std::string plan = core::format_plan(*snapshot.topo, report.final_update);
+  if (!plan.empty()) obj.emplace("plan", plan);
+  obj.emplace("commands", std::move(commands));
+  return Json{std::move(obj)};
+}
+
 class BatchedServerEquivalence : public ::testing::TestWithParam<topo::SetBackend> {
  protected:
   static ServerOptions with_backend(unsigned workers, std::size_t coalesce) {
@@ -910,18 +941,21 @@ class BatchedServerEquivalence : public ::testing::TestWithParam<topo::SetBacken
 
 TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // The batched server coalesces everything queued behind a slow fix job;
-  // the oracle server (workers=1, coalesce=1) runs the same programs one
-  // engine at a time. A cancellation lands mid-batch, and an apply advances
-  // the head between coalesce and dispatch — client-visible outcomes must
-  // still match the oracle job for job.
+  // a second server (workers=1, coalesce=1) runs every program twice as a
+  // batch of one — the second time through the delta cache's clean-bit
+  // filter. The oracle is a fresh core::Engine per program. A cancellation
+  // lands mid-batch, and an apply advances the head between coalesce and
+  // dispatch — client-visible outcomes must still match the oracle job for
+  // job.
   // The last-constructed server's StatsRegistry is the process-global sink,
   // so the batched server comes second: its metrics endpoint then reflects
-  // everything both servers record, and the oracle (coalesce=1) never
+  // everything both servers record, and the coalesce=1 server never
   // touches the batch counters.
-  ScopedServer oracle{with_backend(1, 1), tag("oracle")};
+  ScopedServer solo{with_backend(1, 1), tag("solo")};
   ScopedServer batched{with_backend(2, 16), tag("batched")};
   Client batched_client{batched.socket};
-  Client oracle_client{oracle.socket};
+  Client solo_client{solo.socket};
+  const SnapshotPtr pinned = batched.server->store().head();
 
   CheckProgram blocker{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
   const std::uint64_t blocker_id = submit_program(batched_client, blocker);
@@ -945,16 +979,19 @@ TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   EXPECT_TRUE(wait_result(batched_client, blocker_id)
                   .at("status").at("outcome").at("success").as_bool());
   for (std::size_t i = 0; i < matrix.size(); ++i) {
+    const std::string oracle = engine_outcome(*pinned, matrix[i]).dump();
     const Json batched_result = wait_result(batched_client, batched_ids[i]);
-    const Json oracle_result =
-        wait_result(oracle_client, submit_program(oracle_client, matrix[i]));
     const Json& bs = batched_result.at("status");
-    const Json& os = oracle_result.at("status");
     EXPECT_EQ(bs.at("state").as_string(), "done") << bs.dump();
     EXPECT_EQ(bs.at("snapshot").as_u64(), 1u) << "must verify the pinned snapshot";
     // The entire client-visible outcome object — success, plan text, and
     // the per-command consistent bits — must be byte-identical.
-    EXPECT_EQ(bs.at("outcome").dump(), os.at("outcome").dump()) << "program " << i;
+    EXPECT_EQ(bs.at("outcome").dump(), oracle) << "batched, program " << i;
+    for (const char* pass : {"first", "re-check"}) {
+      const Json solo_result = wait_result(solo_client, submit_program(solo_client, matrix[i]));
+      EXPECT_EQ(solo_result.at("status").at("outcome").dump(), oracle)
+          << "solo " << pass << ", program " << i;
+    }
   }
   EXPECT_EQ(wait_result(batched_client, doomed).at("status").at("state").as_string(),
             "cancelled");
@@ -1027,6 +1064,85 @@ TEST(BatchedServerTest, CoalesceOneDisablesBatchingEntirely) {
   const std::string metrics = client.call("metrics").at("prometheus").as_string();
   EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 0u);
   EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_batch_dispatches_total"), 0u);
+}
+
+TEST(BatchedServerTest, SoloPureCheckScansWithoutSmtAndRechecksScanNothing) {
+  // At --coalesce 1 a pure check is a batch of one: the exact scan answers
+  // it without a single SMT query, byte-identical to a fresh engine, and an
+  // identical re-check finds every touched obligation proven clean.
+  ServerOptions options;
+  options.workers = 2;
+  options.coalesce = 1;
+  ScopedServer scoped{options, "solo_scan"};
+  Client client{scoped.socket};
+  const SnapshotPtr head = scoped.server->store().head();
+  const auto counters = [&client] {
+    const std::string text = client.call("metrics").at("prometheus").as_string();
+    return std::pair{prometheus_counter(text, "jinjing_smt_queries_total"),
+                     prometheus_counter(text, "jinjing_obligations_executed_total")};
+  };
+
+  // Both programs rewrite D:2-in, so they touch obligations: one is an
+  // equivalent rule split, the other breaks a class.
+  for (const CheckProgram& program : {equivalence_matrix()[2], equivalence_matrix()[3]}) {
+    const std::string oracle = engine_outcome(*head, program).dump();
+    const auto [queries_before, executed_before] = counters();
+    const Json first = wait_result(client, submit_program(client, program)).at("status");
+    const auto [queries_first, executed_first] = counters();
+    EXPECT_EQ(first.at("outcome").dump(), oracle);
+    EXPECT_EQ(queries_first, queries_before) << "a pure check issued SMT queries";
+    EXPECT_GT(executed_first, executed_before);
+
+    const Json again = wait_result(client, submit_program(client, program)).at("status");
+    const auto [queries_again, executed_again] = counters();
+    EXPECT_EQ(again.at("outcome").dump(), oracle);
+    EXPECT_EQ(queries_again, queries_first);
+    if (first.at("outcome").at("success").as_bool()) {
+      EXPECT_EQ(executed_again, executed_first) << "a fully clean re-check scanned";
+    }
+  }
+}
+
+// ------------------------------------------------- Connection lifecycle
+
+/// A /proc/self/status field in kB (VmSize, VmRSS, ...).
+std::uint64_t proc_status_kb(const std::string& field) {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) return std::stoull(line.substr(field.size() + 1));
+  }
+  return 0;
+}
+
+std::size_t live_threads() {
+  const auto tasks = std::filesystem::directory_iterator{"/proc/self/task"};
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(ConnectionLifecycleTest, SequentialConnectsLeaveThreadsAndVmSizeFlat) {
+  // Every connection is served by its own thread; finished ones must be
+  // joined, or each leaves its stack mapped (~8 MB of VmSize) for the life
+  // of the server.
+  ServerOptions options;
+  options.workers = 1;
+  ScopedServer scoped{options, "reap"};
+  const auto one_call = [&scoped] {
+    Client client{scoped.socket};
+    (void)client.call("info");
+  };
+  for (int i = 0; i < 8; ++i) one_call();  // warm-up: allocator arenas, stack cache
+  // The accept loop reaps on its next tick (<= 200 ms).
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const std::size_t threads_before = live_threads();
+  const std::uint64_t vm_before = proc_status_kb("VmSize");
+
+  for (int i = 0; i < 300; ++i) one_call();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  EXPECT_LE(live_threads(), threads_before + 2);
+  // 300 leaked stacks would add ~2.4 GB; allow 256 MB of allocator noise.
+  EXPECT_LT(proc_status_kb("VmSize"), vm_before + 256 * 1024);
 }
 
 // ------------------------------------------------- Leases & snapshot pins
@@ -1280,8 +1396,9 @@ TEST(ServerIncrementalTest, ZeroChainDisablesIncrementalServing) {
   EXPECT_FALSE(info.at("incremental").as_bool());
   EXPECT_EQ(info.as_object().count("delta_cache"), 0u);
 
-  // The seed behaviour: every job runs the full engine path, verdicts
-  // unchanged in both directions.
+  // Without the delta cache pure checks still take the exact scan (the
+  // plan is built per version instead of rebased); verdicts unchanged in
+  // both directions.
   EXPECT_TRUE(run_program(client, kCheckOnly).at("status").at("outcome")
                   .at("success").as_bool());
   EXPECT_FALSE(run_program(client, kBreakingModify).at("status").at("outcome")
