@@ -14,7 +14,6 @@
 #include "bench_common.h"
 #include "core/checker.h"
 #include "core/simplify.h"
-#include "net/bdd.h"
 #include "core/synth_opt.h"
 #include "net/acl_algebra.h"
 #include "smt/acl_encoder.h"
@@ -191,60 +190,6 @@ BENCHMARK(BM_ParallelCheck)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-// Header-space representation ablation: unions of hypercubes (our
-// PacketSet) vs reduced ordered BDDs, on the set algebra the classifiers
-// run (union of k ACL permitted sets, pairwise intersections, equality).
-void BM_SetRepresentation(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const bool use_bdd = state.range(1) != 0;
-
-  std::vector<net::PacketSet> sets;
-  for (std::size_t i = 0; i < k; ++i) {
-    sets.push_back(net::permitted_set(long_acl(64, static_cast<unsigned>(31 + i))));
-  }
-
-  std::size_t nodes_or_cubes = 0;
-  for (auto _ : state) {
-    if (use_bdd) {
-      net::BddManager bdd;
-      std::vector<net::BddManager::Node> handles;
-      net::BddManager::Node all = net::BddManager::kFalse;
-      for (const auto& s : sets) {
-        handles.push_back(bdd.from_set(s));
-        all = bdd.lor(all, handles.back());
-      }
-      std::size_t equal_pairs = 0;
-      for (std::size_t i = 0; i < handles.size(); ++i) {
-        for (std::size_t j = i + 1; j < handles.size(); ++j) {
-          equal_pairs += net::BddManager::equal(bdd.land(handles[i], handles[j]), handles[i]);
-        }
-      }
-      benchmark::DoNotOptimize(equal_pairs);
-      nodes_or_cubes = bdd.node_count();
-    } else {
-      net::PacketSet all;
-      for (const auto& s : sets) all = all | s;
-      std::size_t equal_pairs = 0;
-      for (std::size_t i = 0; i < sets.size(); ++i) {
-        for (std::size_t j = i + 1; j < sets.size(); ++j) {
-          equal_pairs += (sets[i] & sets[j]).equals(sets[i]);
-        }
-      }
-      benchmark::DoNotOptimize(equal_pairs);
-      nodes_or_cubes = all.cube_count();
-    }
-  }
-  state.counters[use_bdd ? "bdd_nodes" : "union_cubes"] =
-      static_cast<double>(nodes_or_cubes);
-  state.SetLabel(use_bdd ? "bdd" : "hypercubes");
-}
-
-BENCHMARK(BM_SetRepresentation)
-    ->ArgNames({"sets", "bdd"})
-    ->ArgsProduct({{4, 8, 16}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
 

@@ -1,5 +1,5 @@
-// Figure 4a: turnaround time of the check primitive — plus the
-// backend/cache comparison for the repeated-check workload.
+// Figure 4a: turnaround time of the check primitive — plus the cache
+// comparison for the repeated-check workload.
 //
 // Two modes:
 //
@@ -15,10 +15,11 @@
 //    candidate repairs, all checked against the same scope/traffic — run
 //    once per pipeline configuration and written to BENCH_check.json:
 //
-//      - hypercube_seed:  the seed pipeline (hypercube refinement re-derived
-//                         per check, fresh Z3 solver per query)
-//      - hypercube_cached: hypercube refinement + FecCache + incremental SMT
-//      - bdd_cached:       BDD refinement + FecCache + incremental SMT
+//      - hypercube_seed:   a fresh checker per candidate (refinement
+//                          re-derived and the session solver rebuilt for
+//                          every check)
+//      - hypercube_cached: one checker across the stream (FecCache, plan
+//                          cache and session solver reused)
 //
 //    Per configuration: wall seconds, FEC count, SMT queries, solver
 //    seconds, and the cache hit rate.
@@ -30,6 +31,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -79,8 +81,6 @@ BENCHMARK(BM_Check)
 
 struct PipelineConfig {
   const char* name;
-  topo::SetBackend backend;
-  bool incremental_smt;
   bool reuse_checker;  // false = seed behaviour: fresh checker (and cache) per check
 };
 
@@ -109,12 +109,8 @@ PipelineResult run_pipeline(const gen::Wan& wan, const std::vector<topo::AclUpda
   PipelineResult result;
   result.name = config.name;
 
-  core::CheckOptions options;
-  options.set_backend = config.backend;
-  options.incremental_smt = config.incremental_smt;
-
   smt::SmtContext smt;
-  core::Checker reused{smt, wan.topo, wan.scope, options};
+  core::Checker reused{smt, wan.topo, wan.scope};
 
   const auto start = std::chrono::steady_clock::now();
   for (const auto& update : candidates) {
@@ -123,7 +119,7 @@ PipelineResult run_pipeline(const gen::Wan& wan, const std::vector<topo::AclUpda
       check = reused.check(update, wan.traffic);
     } else {
       smt::SmtContext fresh_smt;
-      core::Checker fresh{fresh_smt, wan.topo, wan.scope, options};
+      core::Checker fresh{fresh_smt, wan.topo, wan.scope};
       check = fresh.check(update, wan.traffic);
       result.smt_queries += check.smt_queries;
       result.solve_seconds += fresh_smt.solve_seconds();
@@ -210,7 +206,7 @@ ChurnResult run_churn_refinement(const gen::Wan& wan, std::size_t versions) {
   {
     const auto start = std::chrono::steady_clock::now();
     for (const auto& changed : per_version) {
-      auto step = topo::refine_delta(delta_atoms, changed, fec_options.backend);
+      auto step = topo::refine_delta(delta_atoms, changed);
       result.reused_atoms += step.reused;
       result.split_atoms += step.split;
       delta_atoms = std::move(step.atoms);
@@ -282,9 +278,8 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
   }
 
   const PipelineConfig configs[] = {
-      {"hypercube_seed", topo::SetBackend::Hypercube, false, false},
-      {"hypercube_cached", topo::SetBackend::Hypercube, true, true},
-      {"bdd_cached", topo::SetBackend::Bdd, true, true},
+      {"hypercube_seed", false},
+      {"hypercube_cached", true},
   };
 
   // Observability overhead: the cached-pipeline workload with no registry
@@ -340,6 +335,7 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
     return 1;
   }
   std::fprintf(out, "{\n  \"workload\": \"repeated_check\",\n  \"network\": \"medium\",\n");
+  std::fprintf(out, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(out, "  \"candidates\": %zu,\n  \"perturb_fraction\": 0.03,\n", candidates.size());
   std::fprintf(out, "  \"configurations\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -374,7 +370,7 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
                "\"overhead_pct\": %.2f}\n}\n",
                disabled_seconds, enabled_seconds, overhead_pct);
   std::fclose(out);
-  std::fprintf(stderr, "wrote %s (bdd_cached speedup vs seed: %.2fx)\n", json_path,
+  std::fprintf(stderr, "wrote %s (hypercube_cached speedup vs seed: %.2fx)\n", json_path,
                baseline / results.back().wall_seconds);
 
   if (trace_path != nullptr) {
@@ -399,7 +395,7 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
 
 int main(int argc, char** argv) {
   // Any --benchmark* flag selects the google-benchmark grid; the bare
-  // invocation runs the backend/cache comparison and writes JSON.
+  // invocation runs the cache comparison and writes JSON.
   bool run_gbench = false;
   const char* json_path = "BENCH_check.json";
   const char* trace_path = nullptr;

@@ -33,9 +33,8 @@ namespace {
 constexpr const char* kUsage = R"(usage:
   jinjing run   --network FILE --program FILE [--acl NAME=FILE]...
                 [--diff] [--rollback] [--stage availability|security]
-                [--out FILE] [--set-backend hypercube|bdd] [--threads N]
-                [--no-incremental-smt] [--timeout-ms N] [--report-json FILE]
-                [--metrics FILE] [--trace FILE]
+                [--out FILE] [--threads N] [--timeout-ms N]
+                [--report-json FILE] [--metrics FILE] [--trace FILE]
   jinjing show  --network FILE
   jinjing audit --network FILE
   jinjing reach --network FILE --from IFACE --to IFACE [--packet SPEC]
@@ -45,9 +44,7 @@ constexpr const char* kUsage = R"(usage:
   jinjing serve  --network FILE [--socket PATH] [--listen HOST:PORT --token SECRET]
                  [--queue-depth N] [--workers N]
                  [--coalesce N] [--keep-versions N] [--retain-jobs N]
-                 [--max-delta-chain N] [--max-lease-ms N]
-                 [--set-backend hypercube|bdd] [--timeout-ms N]
-                 [--no-incremental-smt]
+                 [--max-delta-chain N] [--max-lease-ms N] [--timeout-ms N]
   jinjing replica --network FILE --writer ENDPOINT [--token SECRET]
                  [--socket PATH] [--listen HOST:PORT] [--lease-ms N]
                  [--queue-depth N] [--workers N] [--coalesce N]
@@ -69,12 +66,8 @@ run      execute an LAI program (check / fix / generate) and print the plan
          --rollback  also print the plan that restores the current ACLs
          --stage M   also print a transient-safe two-phase push sequence
          --out FILE  write the plan as reusable 'acl ... end' blocks
-         --set-backend B      set representation for traffic classification
-                              (hypercube, the default, or bdd)
          --threads N          worker threads for classification and the
                               per-class SMT queries
-         --no-incremental-smt fresh solver per query instead of one
-                              incremental solver per session
          --timeout-ms N       per-query Z3 deadline in milliseconds (0, the
                               default, means none); a query hitting the
                               deadline is an error, never a pass
@@ -159,9 +152,7 @@ struct Options {
   std::string out_path;
   std::string acl_a_path;
   std::string acl_b_path;
-  topo::SetBackend set_backend = topo::SetBackend::Hypercube;
   unsigned threads = 1;
-  bool incremental_smt = true;
   unsigned timeout_ms = 0;
   std::string report_json_path;
   std::string metrics_path;
@@ -301,15 +292,6 @@ Options parse_args(const std::vector<std::string>& args) {
       options.acl_b_path = value();
     } else if (arg == "--out") {
       options.out_path = value();
-    } else if (arg == "--set-backend") {
-      const auto& backend = value();
-      if (backend == "hypercube") {
-        options.set_backend = topo::SetBackend::Hypercube;
-      } else if (backend == "bdd") {
-        options.set_backend = topo::SetBackend::Bdd;
-      } else {
-        throw std::runtime_error("--set-backend expects 'hypercube' or 'bdd'");
-      }
     } else if (arg == "--threads") {
       options.threads = static_cast<unsigned>(parse_unsigned("--threads", value(), 1, 1024));
     } else if (arg == "--timeout-ms") {
@@ -321,8 +303,6 @@ Options parse_args(const std::vector<std::string>& args) {
       options.metrics_path = value();
     } else if (arg == "--trace") {
       options.trace_path = value();
-    } else if (arg == "--no-incremental-smt") {
-      options.incremental_smt = false;
     } else if (arg == "--size") {
       options.gen_size = value();
     } else if (arg == "--seed") {
@@ -546,9 +526,7 @@ int run_command(const Options& options, std::ostream& out) {
 
   core::EngineOptions engine_options;
   for (core::CheckOptions* check : {&engine_options.check, &engine_options.fix.check}) {
-    check->set_backend = options.set_backend;
     check->threads = options.threads;
-    check->incremental_smt = options.incremental_smt;
     check->timeout_ms = options.timeout_ms;
   }
   // Observability is on whenever any export wants its data; the registry
@@ -856,7 +834,7 @@ int soak_command(const Options& options, std::ostream& out) {
   // soak default stays far below serve's 1024.
   soak_options.server.retain_jobs = options.retain_jobs_set ? options.retain_jobs : 64;
   soak_options.server.max_delta_chain = options.max_delta_chain;
-  // The engine knobs (--set-backend etc.) are deliberately not wired: the
+  // The engine knobs (--threads, --timeout-ms) are deliberately not wired: the
   // soak's oracle runs default options, and the service must agree with it.
 
   if (options.soak_dump_stream) {
@@ -907,8 +885,6 @@ svc::ServerOptions server_options_for(const Options& options) {
   server_options.max_delta_chain = options.max_delta_chain;
   for (core::CheckOptions* check :
        {&server_options.engine.check, &server_options.engine.fix.check}) {
-    check->set_backend = options.set_backend;
-    check->incremental_smt = options.incremental_smt;
     check->timeout_ms = options.timeout_ms;
   }
   return server_options;

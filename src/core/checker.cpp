@@ -308,36 +308,23 @@ std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
   auto& smt = smt_;
   const auto& h = vars_;
 
-  std::optional<net::Packet> witness;
-  if (checker_.options_.incremental_smt) {
-    // One solver for the whole session: each path's inconsistency disjunct
-    // is asserted once (as a named indicator at the base frame), so the
-    // solver internalizes every ACL expression a single time and reuses
-    // learned clauses across the per-FEC queries. Only the query-specific
-    // ψ_[h]FEC / exclusion constraints live inside the push/pop frame.
-    if (!solver_) solver_.emplace(smt.make_solver());
-    z3::expr any_inconsistent = smt.bool_val(false);
-    for (const std::size_t pi : feasible) {
-      any_inconsistent = any_inconsistent || path_inconsistent(pi);
-    }
-    solver_->push();
-    solver_->add(any_inconsistent);
-    solver_->add(smt::set_expr(h, fec));                       // ψ_[h]FEC
-    if (!excluded.is_empty()) solver_->add(!smt::set_expr(h, excluded));
-    obs::count(obs::Counter::SmtQueriesCached);
-    witness = smt.solve_for_packet(*solver_, h);
-    solver_->pop();
-  } else {
-    auto solver = smt.make_solver();
-    z3::expr any_inconsistent = smt.bool_val(false);
-    for (const std::size_t pi : feasible) {
-      any_inconsistent = any_inconsistent || path_inconsistency_expr(pi);
-    }
-    solver.add(any_inconsistent);
-    solver.add(smt::set_expr(h, fec));                         // ψ_[h]FEC
-    if (!excluded.is_empty()) solver.add(!smt::set_expr(h, excluded));
-    witness = smt.solve_for_packet(solver, h);
+  // One solver for the whole session: each path's inconsistency disjunct
+  // is asserted once (as a named indicator at the base frame), so the
+  // solver internalizes every ACL expression a single time and reuses
+  // learned clauses across the per-FEC queries. Only the query-specific
+  // ψ_[h]FEC / exclusion constraints live inside the push/pop frame.
+  if (!solver_) solver_.emplace(smt.make_solver());
+  z3::expr any_inconsistent = smt.bool_val(false);
+  for (const std::size_t pi : feasible) {
+    any_inconsistent = any_inconsistent || path_inconsistent(pi);
   }
+  solver_->push();
+  solver_->add(any_inconsistent);
+  solver_->add(smt::set_expr(h, fec));                       // ψ_[h]FEC
+  if (!excluded.is_empty()) solver_->add(!smt::set_expr(h, excluded));
+  obs::count(obs::Counter::SmtQueriesCached);
+  const std::optional<net::Packet> witness = smt.solve_for_packet(*solver_, h);
+  solver_->pop();
   if (!witness) return std::nullopt;
 
   // Locate the violated path by concrete evaluation on the *full* views

@@ -55,16 +55,6 @@ struct CheckOptions {
   /// which is the byte-deterministic mode). Ignored for execution when an
   /// explicit `executor` is installed.
   unsigned threads = 1;
-  /// Exact set representation backing equivalence-class refinement
-  /// (topo::FecOptions::backend). Both backends produce the same partition;
-  /// the BDD backend refines atoms as decision-diagram nodes and converts
-  /// to PacketSet only at the SMT-encoding boundary.
-  topo::SetBackend set_backend = topo::SetBackend::Hypercube;
-  /// One incremental Z3 solver per session, with push()/pop() around each
-  /// per-FEC query, so path-decision assertions are encoded once per
-  /// session instead of once per query. Off = a fresh solver per query
-  /// (the seed behaviour, kept for ablation).
-  bool incremental_smt = true;
   /// Per-query Z3 deadline in milliseconds (0 = none). A query that hits
   /// the deadline surfaces as smt::SmtTimeout — never as "consistent".
   unsigned timeout_ms = 0;
@@ -198,7 +188,7 @@ class CheckSession {
   smt::PacketVars vars_;                  // shared by all queries in the session
   double build_seconds_ = 0;
   std::unordered_map<std::uint64_t, z3::expr> expr_cache_;
-  std::optional<z3::solver> solver_;      // incremental mode: lives for the session
+  std::optional<z3::solver> solver_;      // lives for the session
   std::unordered_map<std::size_t, z3::expr> path_flags_;
 };
 
@@ -275,7 +265,7 @@ class Checker {
   friend class CheckSession;
 
   [[nodiscard]] topo::FecOptions fec_options() const {
-    return topo::FecOptions{options_.set_backend, options_.threads};
+    return topo::FecOptions{options_.threads};
   }
 
   [[nodiscard]] const std::vector<net::PacketSet>& path_forwarding() const {

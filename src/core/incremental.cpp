@@ -367,8 +367,7 @@ IncrementalOutcome run_incremental_check(Checker& checker, const IncrementalLeas
       // proof and inherit consistency.
       const std::vector<net::PacketSet> changed(lease.diffs.begin() + stale_from,
                                                 lease.diffs.end());
-      const topo::FecDeltaResult delta =
-          topo::refine_delta({*o.fec}, changed, checker.options().set_backend);
+      const topo::FecDeltaResult delta = topo::refine_delta({*o.fec}, changed);
       ++result.obligations_executed;
       ++out.delta_checked;
       bool violated = false;

@@ -23,14 +23,6 @@ class PacketSet {
 
   [[nodiscard]] static PacketSet empty() { return {}; }
 
-  /// Adopts `cubes` directly. Precondition: the cubes are pairwise disjoint
-  /// (the class invariant); used by exact converters (e.g. BddManager::
-  /// to_set) whose construction guarantees disjointness.
-  [[nodiscard]] static PacketSet from_disjoint_cubes(std::vector<HyperCube> cubes) {
-    PacketSet out;
-    out.cubes_ = std::move(cubes);
-    return out;
-  }
   [[nodiscard]] static PacketSet all() { return PacketSet{HyperCube{}}; }
   [[nodiscard]] static PacketSet point(const Packet& p) { return PacketSet{HyperCube::point(p)}; }
 

@@ -27,26 +27,22 @@ std::uint64_t steady_now_ns() {
 }
 
 constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
-    "smt_queries",          "smt_queries_cached",    "smt_timeouts",
-    "smt_frame_reuses",     "smt_sessions_built",    "smt_optimize_queries",
-    "plan_builds",          "plan_cache_hits",       "fec_cache_hits",
-    "fec_cache_misses",     "bdd_memo_hits",         "bdd_memo_misses",
-    "obligations_planned",  "obligations_executed",  "obligations_cancelled",
-    "obligations_skipped",  "executor_runs",         "executor_tasks",
-    "executor_steals",      "svc_jobs_submitted",    "svc_jobs_rejected",
-    "svc_jobs_cancelled",   "svc_jobs_done",         "svc_jobs_failed",
-    "svc_applies",          "delta_cache_hits",      "delta_cache_misses",
-    "delta_cache_invalidations",                     "delta_cache_rebases",
-    "svc_batch_dispatches", "svc_batch_jobs_coalesced",
-    "svc_batch_algebra_builds",                      "svc_leases_granted",
-    "svc_leases_renewed",   "svc_leases_released",   "svc_leases_expired",
-    "svc_repl_records_streamed",                     "svc_overlap_dispatches",
-    "fec_delta_splits",     "fec_delta_reused_atoms",
-    "fec_delta_rebuilds",
+    "smt_queries",               "smt_queries_cached",        "smt_timeouts",
+    "smt_frame_reuses",          "smt_sessions_built",        "smt_optimize_queries",
+    "plan_builds",               "plan_cache_hits",           "fec_cache_hits",
+    "fec_cache_misses",          "obligations_planned",       "obligations_executed",
+    "obligations_cancelled",     "obligations_skipped",       "executor_runs",
+    "executor_tasks",            "executor_steals",           "svc_jobs_submitted",
+    "svc_jobs_rejected",         "svc_jobs_cancelled",        "svc_jobs_done",
+    "svc_jobs_failed",           "svc_applies",               "delta_cache_hits",
+    "delta_cache_misses",        "delta_cache_invalidations", "delta_cache_rebases",
+    "svc_batch_dispatches",      "svc_batch_jobs_coalesced",  "svc_batch_algebra_builds",
+    "svc_leases_granted",        "svc_leases_renewed",        "svc_leases_released",
+    "svc_leases_expired",        "svc_repl_records_streamed", "svc_overlap_dispatches",
+    "fec_delta_splits",          "fec_delta_reused_atoms",    "fec_delta_rebuilds",
 };
 
 constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
-    "bdd_nodes",
     "svc_cached_obligations",
 };
 
@@ -104,7 +100,10 @@ StatsRegistry::StatsRegistry()
     : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)),
       epoch_ns_(steady_now_ns()) {}
 
-StatsRegistry::~StatsRegistry() = default;
+// Threads that were never joined with the destroying one may have recorded
+// spans here (a server's workers write to whichever registry is installed);
+// taking the ring's lock orders those writes before the ring is freed.
+StatsRegistry::~StatsRegistry() { const std::lock_guard<std::mutex> lock{trace_mutex_}; }
 
 StatsRegistry::Shard& StatsRegistry::shard_for_thread() {
   thread_local const std::size_t shard =
@@ -163,42 +162,38 @@ std::uint64_t StatsRegistry::now_us() const {
   return (steady_now_ns() - epoch_ns_) / 1000;
 }
 
-std::shared_ptr<StatsRegistry::ThreadTraceBuffer>
-StatsRegistry::buffer_for_thread() {
+std::uint32_t StatsRegistry::tid_for_thread() {
   thread_local std::uint64_t cached_serial = 0;
-  thread_local std::shared_ptr<ThreadTraceBuffer> cached;
-  if (cached_serial != serial_ || !cached) {
-    auto buffer = std::make_shared<ThreadTraceBuffer>();
-    {
-      std::lock_guard<std::mutex> lock{trace_mutex_};
-      buffer->tid = static_cast<std::uint32_t>(buffers_.size());
-      buffers_.push_back(buffer);
-    }
-    cached = std::move(buffer);
+  thread_local std::uint32_t cached_tid = 0;
+  if (cached_serial != serial_) {
+    cached_tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
     cached_serial = serial_;
   }
-  return cached;
+  return cached_tid;
 }
 
 void StatsRegistry::record_span(Span name, std::uint64_t start_us,
                                 std::uint64_t end_us) {
-  std::shared_ptr<ThreadTraceBuffer> buffer = buffer_for_thread();
-  std::lock_guard<std::mutex> lock{buffer->mutex};
-  buffer->events.push_back(TraceEvent{
-      name, buffer->tid, start_us, end_us >= start_us ? end_us - start_us : 0});
+  const TraceEvent event{name, tid_for_thread(), start_us,
+                         end_us >= start_us ? end_us - start_us : 0};
+  std::lock_guard<std::mutex> lock{trace_mutex_};
+  if (trace_ring_.size() < kTraceCapacity) {
+    trace_ring_.push_back(event);
+  } else {
+    trace_ring_[trace_recorded_ % kTraceCapacity] = event;
+  }
+  ++trace_recorded_;
 }
 
 std::vector<TraceEvent> StatsRegistry::trace_events() const {
-  std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock{trace_mutex_};
-    buffers = buffers_;
-  }
+  std::lock_guard<std::mutex> lock{trace_mutex_};
+  if (trace_ring_.size() < kTraceCapacity) return trace_ring_;
+  // Full ring: the slot the next event would overwrite holds the oldest.
+  const auto oldest = static_cast<std::ptrdiff_t>(trace_recorded_ % kTraceCapacity);
   std::vector<TraceEvent> events;
-  for (const auto& buffer : buffers) {
-    std::lock_guard<std::mutex> lock{buffer->mutex};
-    events.insert(events.end(), buffer->events.begin(), buffer->events.end());
-  }
+  events.reserve(kTraceCapacity);
+  events.insert(events.end(), trace_ring_.begin() + oldest, trace_ring_.end());
+  events.insert(events.end(), trace_ring_.begin(), trace_ring_.begin() + oldest);
   return events;
 }
 

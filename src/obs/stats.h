@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
@@ -25,8 +24,6 @@ enum class Counter : std::size_t {
   PlanCacheHits,        // Checker::plan() reuses (same entering set)
   FecCacheHits,         // topo::FecCache lookups served from memo
   FecCacheMisses,       // topo::FecCache lookups that derived classes
-  BddMemoHits,          // BddManager and/not memo-table hits
-  BddMemoMisses,        // BddManager and/not memo-table misses
   ObligationsPlanned,   // obligations materialized into VerifyPlans
   ObligationsExecuted,  // obligations actually solved by the executor
   ObligationsCancelled, // obligations skipped by early-exit cancellation
@@ -57,14 +54,13 @@ enum class Counter : std::size_t {
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
   FecDeltaRebuilds,     // delta refinements abandoned for a from-scratch rebuild
 };
-inline constexpr std::size_t kCounterCount = 41;
+inline constexpr std::size_t kCounterCount = 39;
 
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
-  BddNodes,              // peak node count across live BddManagers
   SvcCachedObligations,  // peak obligations held by the incremental planner
 };
-inline constexpr std::size_t kGaugeCount = 2;
+inline constexpr std::size_t kGaugeCount = 1;
 
 // Histograms use power-of-two buckets: bucket i counts values whose bit
 // width is i, i.e. cumulative(le = 2^i - 1) is exact.
@@ -105,6 +101,10 @@ enum class Span : std::size_t {
 };
 inline constexpr std::size_t kSpanCount = 19;
 
+// Span storage is a ring of this many events per registry, shared by all
+// threads: once it is full, each new event overwrites the oldest one.
+inline constexpr std::size_t kTraceCapacity = 16384;
+
 std::string_view to_string(Counter counter);
 std::string_view to_string(Gauge gauge);
 std::string_view to_string(Histogram histogram);
@@ -124,9 +124,10 @@ struct TraceEvent {
 };
 
 // Thread-safe statistics sink. Counters are sharded across cache-line-aligned
-// atomic blocks to keep concurrent increments cheap; trace events go to
-// per-thread buffers registered on first use. All methods are safe to call
-// from any thread at any time.
+// atomic blocks to keep concurrent increments cheap; trace events go to one
+// fixed-capacity ring (kTraceCapacity), so span memory stays bounded however
+// many threads record. All methods are safe to call from any thread at any
+// time.
 class StatsRegistry {
  public:
   StatsRegistry();
@@ -146,6 +147,7 @@ class StatsRegistry {
   // Microseconds since this registry was created (steady clock).
   std::uint64_t now_us() const;
   void record_span(Span name, std::uint64_t start_us, std::uint64_t end_us);
+  // The retained events (at most kTraceCapacity), oldest first.
   std::vector<TraceEvent> trace_events() const;
 
   // Prometheus text exposition format (counters, gauges, histograms).
@@ -170,24 +172,22 @@ class StatsRegistry {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
   };
-  struct ThreadTraceBuffer {
-    std::mutex mutex;
-    std::uint32_t tid = 0;
-    std::vector<TraceEvent> events;
-  };
 
   static constexpr std::size_t kShards = 8;
 
   Shard& shard_for_thread();
-  std::shared_ptr<ThreadTraceBuffer> buffer_for_thread();
+  // This thread's trace tid in this registry, assigned on first use.
+  std::uint32_t tid_for_thread();
 
   std::uint64_t serial_ = 0;
   std::uint64_t epoch_ns_ = 0;
   std::array<Shard, kShards> shards_;
   std::array<std::atomic<std::uint64_t>, kGaugeCount> gauges_{};
   std::array<HistogramCells, kHistogramCount> histograms_;
+  std::atomic<std::uint32_t> next_tid_{0};
   mutable std::mutex trace_mutex_;
-  std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers_;
+  std::vector<TraceEvent> trace_ring_;  // grows to kTraceCapacity, then wraps
+  std::uint64_t trace_recorded_ = 0;    // events ever recorded
 };
 
 namespace detail {

@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <thread>
-#include <unordered_map>
-
-#include "net/bdd.h"
 
 namespace jinjing::topo {
 
@@ -15,8 +12,8 @@ namespace {
 /// caller-owned vector).
 using PredRefs = std::vector<const net::PacketSet*>;
 
-std::vector<net::PacketSet> refine_hypercube(const net::PacketSet& universe,
-                                             const PredRefs& predicates) {
+std::vector<net::PacketSet> refine_sequential(const net::PacketSet& universe,
+                                              const PredRefs& predicates) {
   std::vector<net::PacketSet> classes;
   if (!universe.is_empty()) classes.push_back(universe);
   for (const auto* pred : predicates) {
@@ -37,64 +34,6 @@ std::vector<net::PacketSet> refine_hypercube(const net::PacketSet& universe,
   return classes;
 }
 
-/// BDD-backed refinement. Atoms live as BDD nodes until the very end:
-/// intersection/difference are memoized node operations and emptiness is
-/// O(1), so fragmentation never costs quadratic cube sweeps. Predicate
-/// nodes are memoized by pointer so per-entry classification converts each
-/// edge predicate once per manager, not once per entry.
-class BddRefiner {
- public:
-  std::vector<net::PacketSet> refine(const net::PacketSet& universe, const PredRefs& predicates) {
-    using Node = net::BddManager::Node;
-    std::vector<Node> atoms;
-    const Node u = mgr_.from_set(universe);
-    if (u != net::BddManager::kFalse) atoms.push_back(u);
-    for (const auto* pred : predicates) {
-      const Node p = node_for(pred);
-      std::vector<Node> next;
-      next.reserve(atoms.size());
-      for (const Node cls : atoms) {
-        const Node inside = mgr_.land(cls, p);
-        if (inside == net::BddManager::kFalse) {
-          next.push_back(cls);
-          continue;
-        }
-        const Node outside = mgr_.ldiff(cls, p);
-        next.push_back(inside);
-        if (outside != net::BddManager::kFalse) next.push_back(outside);
-      }
-      atoms = std::move(next);
-    }
-    std::vector<net::PacketSet> out;
-    out.reserve(atoms.size());
-    for (const Node atom : atoms) out.push_back(mgr_.to_set(atom).compact());
-    return out;
-  }
-
- private:
-  net::BddManager::Node node_for(const net::PacketSet* pred) {
-    const auto it = pred_nodes_.find(pred);
-    if (it != pred_nodes_.end()) return it->second;
-    const auto node = mgr_.from_set(*pred);
-    pred_nodes_.emplace(pred, node);
-    return node;
-  }
-
-  net::BddManager mgr_;
-  std::unordered_map<const net::PacketSet*, net::BddManager::Node> pred_nodes_;
-};
-
-std::vector<net::PacketSet> refine_sequential(const net::PacketSet& universe,
-                                              const PredRefs& predicates, SetBackend backend,
-                                              BddRefiner* shared) {
-  if (backend == SetBackend::Bdd) {
-    if (shared != nullptr) return shared->refine(universe, predicates);
-    BddRefiner refiner;
-    return refiner.refine(universe, predicates);
-  }
-  return refine_hypercube(universe, predicates);
-}
-
 /// Atoms of (preds(acc) ∪ preds(part)) from the two partitions: every
 /// nonempty pairwise intersection. Exact — partition merging is how the
 /// parallel groups recombine without losing or splitting classes.
@@ -112,13 +51,13 @@ std::vector<net::PacketSet> merge_partitions(std::vector<net::PacketSet> acc,
 }
 
 std::vector<net::PacketSet> refine_refs(const net::PacketSet& universe, const PredRefs& predicates,
-                                        const FecOptions& options, BddRefiner* shared) {
+                                        const FecOptions& options) {
   const auto threads =
       static_cast<unsigned>(std::min<std::size_t>(options.threads, predicates.size()));
-  if (threads <= 1) return refine_sequential(universe, predicates, options.backend, shared);
+  if (threads <= 1) return refine_sequential(universe, predicates);
 
-  // Contiguous balanced predicate groups, one per worker; PacketSet and
-  // per-worker BddManager state are confined to their thread.
+  // Contiguous balanced predicate groups, one per worker; each worker's
+  // PacketSets are confined to its thread.
   std::vector<PredRefs> groups(threads);
   for (std::size_t i = 0; i < predicates.size(); ++i) {
     groups[i * threads / predicates.size()].push_back(predicates[i]);
@@ -127,9 +66,7 @@ std::vector<net::PacketSet> refine_refs(const net::PacketSet& universe, const Pr
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t]() {
-      parts[t] = refine_sequential(universe, groups[t], options.backend, nullptr);
-    });
+    pool.emplace_back([&, t]() { parts[t] = refine_sequential(universe, groups[t]); });
   }
   for (auto& t : pool) t.join();
 
@@ -169,7 +106,7 @@ std::vector<net::PacketSet> refine_into_atoms(const net::PacketSet& universe,
   PredRefs refs;
   refs.reserve(predicates.size());
   for (const auto& pred : predicates) refs.push_back(&pred);
-  return refine_refs(universe, refs, options, nullptr);
+  return refine_refs(universe, refs, options);
 }
 
 std::vector<net::PacketSet> forwarding_equivalence_classes(const Topology& topo,
@@ -182,7 +119,7 @@ std::vector<net::PacketSet> forwarding_equivalence_classes(const Topology& topo,
       predicates.push_back(&edge.predicate);
     }
   }
-  return refine_refs(entering, predicates, options, nullptr);
+  return refine_refs(entering, predicates, options);
 }
 
 net::PacketSet fec_region_of(const Topology& topo, const Scope& scope,
@@ -208,34 +145,27 @@ std::vector<EntryClasses> per_entry_equivalence_classes(const Topology& topo, co
   const auto threads = static_cast<unsigned>(std::min<std::size_t>(options.threads,
                                                                    entries.size()));
   if (threads <= 1) {
-    // One shared BDD manager memoizes predicate conversions across entries.
-    BddRefiner shared;
-    BddRefiner* refiner = options.backend == SetBackend::Bdd ? &shared : nullptr;
     for (std::size_t i = 0; i < entries.size(); ++i) {
       out[i] = EntryClasses{
           entries[i],
-          refine_refs(entering, reachable_predicates(topo, scope, entries[i]),
-                      FecOptions{options.backend, options.threads}, refiner)};
+          refine_refs(entering, reachable_predicates(topo, scope, entries[i]), options)};
     }
     return out;
   }
 
   // Entries are independent classification problems: fan them over workers.
-  // Each worker owns its BDD manager; inner refinement stays sequential.
+  // Inner refinement stays sequential.
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     pool.emplace_back([&]() {
-      BddRefiner shared;
-      BddRefiner* refiner = options.backend == SetBackend::Bdd ? &shared : nullptr;
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= entries.size()) break;
-        out[i] = EntryClasses{entries[i],
-                              refine_sequential(entering,
-                                                reachable_predicates(topo, scope, entries[i]),
-                                                options.backend, refiner)};
+        out[i] = EntryClasses{
+            entries[i],
+            refine_sequential(entering, reachable_predicates(topo, scope, entries[i]))};
       }
     });
   }

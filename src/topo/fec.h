@@ -5,30 +5,17 @@
 // the atoms of {g_{i,j}} restricted to that traffic, computed exactly by
 // successive packet-set refinement.
 //
-// Refinement is backed by one of two exact set representations (FecOptions::
-// backend): unions of disjoint hypercubes (PacketSet) or reduced ordered
-// BDDs (net::BddManager). The BDD backend refines atoms as BDD nodes —
-// intersection/difference with memoized node operations, O(1) emptiness —
-// and converts to PacketSet only when handing classes to the SMT boundary.
-// Both backends produce the same partition (property-tested).
+// Refinement runs on the exact hypercube representation (net::PacketSet,
+// unions of disjoint hypercubes), the same one every other stage uses.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "topo/topology.h"
 
 namespace jinjing::topo {
 
-/// Which exact set representation backs atom refinement.
-enum class SetBackend : std::uint8_t { Hypercube, Bdd };
-
-[[nodiscard]] constexpr std::string_view to_string(SetBackend b) {
-  return b == SetBackend::Hypercube ? "hypercube" : "bdd";
-}
-
 struct FecOptions {
-  SetBackend backend = SetBackend::Hypercube;
   /// Worker threads for refinement (1 = sequential). Within one refinement
   /// the predicate list is split into groups refined concurrently and the
   /// group partitions merged by pairwise intersection (an exact identity:

@@ -29,15 +29,11 @@ void mix_set(std::uint64_t& h, const net::PacketSet& set) {
 }
 
 /// Structural fingerprint of one classification problem. `per_entry`
-/// separates the two derivation modes; the backend is included so cold
-/// derivations of each backend are observable separately in benchmarks
-/// (both backends produce the same partition).
+/// separates the two derivation modes.
 std::uint64_t fingerprint(const Topology& topo, const Scope& scope,
-                          const net::PacketSet& entering, const FecOptions& options,
-                          bool per_entry) {
+                          const net::PacketSet& entering, bool per_entry) {
   std::uint64_t h = kFnvOffset;
   mix(h, per_entry ? 1 : 2);
-  mix(h, static_cast<std::uint64_t>(options.backend));
   std::vector<DeviceId> devices(scope.devices().begin(), scope.devices().end());
   std::sort(devices.begin(), devices.end());
   mix(h, devices.size());
@@ -105,7 +101,7 @@ FecCache::Slot* FecCache::stitch_from_lineage_locked(std::uint64_t key, const To
 FecCache::EntryClassesPtr FecCache::entry_classes(const Topology& topo, const Scope& scope,
                                                   const net::PacketSet& entering,
                                                   const FecOptions& options) {
-  const std::uint64_t key = fingerprint(topo, scope, entering, options, /*per_entry=*/true);
+  const std::uint64_t key = fingerprint(topo, scope, entering, /*per_entry=*/true);
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (Slot* slot = find_slot(key, topo, entering); slot != nullptr && slot->entry) {
@@ -140,7 +136,7 @@ FecCache::EntryClassesPtr FecCache::entry_classes(const Topology& topo, const Sc
 FecCache::ClassesPtr FecCache::global_classes(const Topology& topo, const Scope& scope,
                                               const net::PacketSet& entering,
                                               const FecOptions& options) {
-  const std::uint64_t key = fingerprint(topo, scope, entering, options, /*per_entry=*/false);
+  const std::uint64_t key = fingerprint(topo, scope, entering, /*per_entry=*/false);
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (Slot* slot = find_slot(key, topo, entering); slot != nullptr && slot->global) {

@@ -1,38 +1,35 @@
 #include "topo/fec_delta.h"
 
-#include <unordered_map>
 #include <utility>
 
-#include "net/bdd.h"
 #include "obs/stats.h"
 
 namespace jinjing::topo {
 
 namespace {
 
-/// One in-flight fragment of a base atom: the packet set (or node) plus
+/// One in-flight fragment of a base atom: the packet set plus
 /// whether it has landed inside a changed predicate so far. The flag rides
 /// the split: an `inside` fragment is contained in the predicate (touched);
 /// an `outside` fragment inherits — it is disjoint from this predicate but
 /// may sit inside an earlier one.
-struct HypercubeFragment {
+struct Fragment {
   net::PacketSet set;
   bool touched = false;
 };
 
-/// Refines one base atom by the changed predicates, hypercube backend.
-/// Identical step semantics to refine_hypercube: a fragment disjoint from
+/// Refines one base atom by the changed predicates. Identical step
+/// semantics to fec.cpp's sequential refinement: a fragment disjoint from
 /// the predicate passes through verbatim (no re-compaction); otherwise the
 /// contained part is pushed first, then the nonempty remainder, both
 /// compacted. Returns whether any split happened.
-bool refine_atom_hypercube(const net::PacketSet& atom,
-                           const std::vector<net::PacketSet>& changed,
-                           std::vector<HypercubeFragment>& out) {
+bool refine_atom(const net::PacketSet& atom, const std::vector<net::PacketSet>& changed,
+                 std::vector<Fragment>& out) {
   out.clear();
   out.push_back({atom, false});
   bool any_split = false;
   for (const auto& pred : changed) {
-    std::vector<HypercubeFragment> next;
+    std::vector<Fragment> next;
     next.reserve(out.size());
     for (auto& frag : out) {
       net::PacketSet inside = frag.set & pred;
@@ -50,14 +47,23 @@ bool refine_atom_hypercube(const net::PacketSet& atom,
   return any_split;
 }
 
-FecDeltaResult refine_delta_hypercube(const std::vector<net::PacketSet>& base,
-                                      const std::vector<net::PacketSet>& changed) {
+}  // namespace
+
+FecDeltaResult refine_delta(const std::vector<net::PacketSet>& base,
+                            const std::vector<net::PacketSet>& changed) {
+  if (changed.empty()) {
+    FecDeltaResult result;
+    result.atoms = base;
+    result.touched.assign(base.size(), false);
+    result.reused = base.size();
+    return result;
+  }
   FecDeltaResult result;
   result.atoms.reserve(base.size());
   result.touched.reserve(base.size());
-  std::vector<HypercubeFragment> fragments;
+  std::vector<Fragment> fragments;
   for (const auto& atom : base) {
-    if (!refine_atom_hypercube(atom, changed, fragments)) {
+    if (!refine_atom(atom, changed, fragments)) {
       // Untouched: the atom keeps its class and its exact representation.
       result.atoms.push_back(atom);
       result.touched.push_back(false);
@@ -70,77 +76,6 @@ FecDeltaResult refine_delta_hypercube(const std::vector<net::PacketSet>& base,
       result.touched.push_back(frag.touched);
     }
   }
-  return result;
-}
-
-FecDeltaResult refine_delta_bdd(const std::vector<net::PacketSet>& base,
-                                const std::vector<net::PacketSet>& changed) {
-  using Node = net::BddManager::Node;
-  net::BddManager mgr;
-  // Convert each changed predicate once, shared across every base atom.
-  std::vector<Node> pred_nodes;
-  pred_nodes.reserve(changed.size());
-  for (const auto& pred : changed) pred_nodes.push_back(mgr.from_set(pred));
-
-  struct BddFragment {
-    Node node;
-    bool touched = false;
-  };
-
-  FecDeltaResult result;
-  result.atoms.reserve(base.size());
-  result.touched.reserve(base.size());
-  std::vector<BddFragment> fragments;
-  for (const auto& atom : base) {
-    fragments.clear();
-    fragments.push_back({mgr.from_set(atom), false});
-    bool any_split = false;
-    for (const Node p : pred_nodes) {
-      std::vector<BddFragment> next;
-      next.reserve(fragments.size());
-      for (const BddFragment frag : fragments) {
-        const Node inside = mgr.land(frag.node, p);
-        if (inside == net::BddManager::kFalse) {
-          next.push_back(frag);
-          continue;
-        }
-        any_split = true;
-        const Node outside = mgr.ldiff(frag.node, p);
-        next.push_back({inside, true});
-        if (outside != net::BddManager::kFalse) next.push_back({outside, frag.touched});
-      }
-      fragments = std::move(next);
-    }
-    if (!any_split) {
-      // The base atom was produced by to_set(node).compact() — emitting it
-      // verbatim is exactly what a from-scratch run would output here.
-      result.atoms.push_back(atom);
-      result.touched.push_back(false);
-      ++result.reused;
-      continue;
-    }
-    ++result.split;
-    for (const BddFragment& frag : fragments) {
-      result.atoms.push_back(mgr.to_set(frag.node).compact());
-      result.touched.push_back(frag.touched);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-FecDeltaResult refine_delta(const std::vector<net::PacketSet>& base,
-                            const std::vector<net::PacketSet>& changed, SetBackend backend) {
-  if (changed.empty()) {
-    FecDeltaResult result;
-    result.atoms = base;
-    result.touched.assign(base.size(), false);
-    result.reused = base.size();
-    return result;
-  }
-  FecDeltaResult result = backend == SetBackend::Bdd ? refine_delta_bdd(base, changed)
-                                                     : refine_delta_hypercube(base, changed);
   obs::count(obs::Counter::FecDeltaSplits, result.split);
   obs::count(obs::Counter::FecDeltaReusedAtoms, result.reused);
   return result;

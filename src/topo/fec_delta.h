@@ -11,11 +11,11 @@
 // |P ∪ D| refinement.
 //
 // Exactness contract (property-tested in fec_delta_test): given
-//   base == refine_into_atoms(universe, P, {backend, threads: 1})
+//   base == refine_into_atoms(universe, P, {threads: 1})
 // the delta result's atoms are bit-identical — same classes, same order,
 // same cube representation — to
-//   refine_into_atoms(universe, P ++ D, {backend, threads: 1})
-// under both backends. (A base produced by multi-threaded refinement is a
+//   refine_into_atoms(universe, P ++ D, {threads: 1}).
+// (A base produced by multi-threaded refinement is a
 // valid partition in a different order; the delta then reproduces the
 // partition exactly but inherits the base's order.) The identity holds
 // because sequential refinement processes predicates outermost: the state
@@ -50,7 +50,6 @@ struct FecDeltaResult {
 /// construction, and sequential continuation is what the bit-identity
 /// contract requires.
 [[nodiscard]] FecDeltaResult refine_delta(const std::vector<net::PacketSet>& base,
-                                          const std::vector<net::PacketSet>& changed,
-                                          SetBackend backend = SetBackend::Hypercube);
+                                          const std::vector<net::PacketSet>& changed);
 
 }  // namespace jinjing::topo

@@ -307,6 +307,10 @@ TEST_F(CliTest, FlagValidationSweep) {
       {{"client", "--socket", "/tmp/x.sock"}, "METHOD"},
       {{"run", "--network", path("figure1.topo"), "--program", path("running_example.lai"),
         "--bogus-flag"}, "unknown option"},
+      {{"run", "--network", path("figure1.topo"), "--program", path("running_example.lai"),
+        "--set-backend", "bdd"}, "unknown option"},
+      {{"run", "--network", path("figure1.topo"), "--program", path("running_example.lai"),
+        "--no-incremental-smt"}, "unknown option"},
       {{"frobnicate"}, "unknown command"},
   };
   for (const auto& test_case : cases) {
@@ -399,7 +403,7 @@ TEST_F(CliTest, MetricsWritesPrometheusText) {
   EXPECT_EQ(text.find("jinjing_smt_queries_total 0\n"), std::string::npos)
       << "pipeline ran, smt_queries must be nonzero:\n" << text;
   EXPECT_NE(text.find("jinjing_smt_solve_micros_bucket{le=\"+Inf\"}"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE jinjing_bdd_nodes gauge"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE jinjing_svc_cached_obligations gauge"), std::string::npos);
 }
 
 TEST_F(CliTest, TraceWritesChromeTraceJson) {

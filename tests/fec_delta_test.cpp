@@ -1,6 +1,6 @@
 // Property suite for delta FEC refinement: refine_delta must reproduce
 // from-scratch sequential refinement bit-for-bit (same classes, same
-// order, same cube representation) across backends and chain depths,
+// order, same cube representation) across chain depths,
 // including the empty-delta, full-rewrite and chain-budget-fallback cases;
 // the FecCache lineage must stitch partitions across versions and survive
 // eviction; the planner's stale-verdict sub-atom path must agree with a
@@ -24,13 +24,6 @@
 
 namespace jinjing {
 namespace {
-
-topo::FecOptions with(topo::SetBackend backend, unsigned threads = 1) {
-  topo::FecOptions o;
-  o.backend = backend;
-  o.threads = threads;
-  return o;
-}
 
 /// Bit-identity: same atom count, and atom i has exactly the same cubes in
 /// the same order on both sides. Strictly stronger than partition equality.
@@ -125,21 +118,19 @@ TEST_P(FecDeltaProperty, DeltaIsBitIdenticalToFromScratch) {
     const auto changed = gen.batch(1, 3);
     auto combined = base_preds;
     combined.insert(combined.end(), changed.begin(), changed.end());
-    for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-      const auto base = topo::refine_into_atoms(universe, base_preds, with(backend));
-      const auto scratch = topo::refine_into_atoms(universe, combined, with(backend));
-      const auto delta = topo::refine_delta(base, changed, backend);
-      expect_identical(delta.atoms, scratch, to_string(backend).data());
-      EXPECT_EQ(delta.reused + delta.split, base.size());
-      // touched[i] iff the atom lies inside some changed predicate (atoms
-      // are uniform w.r.t. every predicate, so intersects == contains).
-      ASSERT_EQ(delta.touched.size(), delta.atoms.size());
-      for (std::size_t i = 0; i < delta.atoms.size(); ++i) {
-        const bool meets = std::any_of(changed.begin(), changed.end(), [&](const auto& d) {
-          return d.intersects(delta.atoms[i]);
-        });
-        EXPECT_EQ(delta.touched[i], meets) << "atom " << i;
-      }
+    const auto base = topo::refine_into_atoms(universe, base_preds);
+    const auto scratch = topo::refine_into_atoms(universe, combined);
+    const auto delta = topo::refine_delta(base, changed);
+    expect_identical(delta.atoms, scratch, "delta");
+    EXPECT_EQ(delta.reused + delta.split, base.size());
+    // touched[i] iff the atom lies inside some changed predicate (atoms
+    // are uniform w.r.t. every predicate, so intersects == contains).
+    ASSERT_EQ(delta.touched.size(), delta.atoms.size());
+    for (std::size_t i = 0; i < delta.atoms.size(); ++i) {
+      const bool meets = std::any_of(changed.begin(), changed.end(), [&](const auto& d) {
+        return d.intersects(delta.atoms[i]);
+      });
+      EXPECT_EQ(delta.touched[i], meets) << "atom " << i;
     }
   }
 }
@@ -153,30 +144,26 @@ TEST_P(FecDeltaProperty, DeltaOnWanPredicatesMatchesFromScratch) {
   const std::size_t cut = preds.size() - std::min<std::size_t>(3, preds.size() - 1);
   const std::vector<net::PacketSet> base_preds(preds.begin(), preds.begin() + cut);
   const std::vector<net::PacketSet> changed(preds.begin() + cut, preds.end());
-  for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-    const auto base = topo::refine_into_atoms(wan.traffic, base_preds, with(backend));
-    const auto scratch = topo::refine_into_atoms(wan.traffic, preds, with(backend));
-    const auto delta = topo::refine_delta(base, changed, backend);
-    expect_identical(delta.atoms, scratch, to_string(backend).data());
-  }
+  const auto base = topo::refine_into_atoms(wan.traffic, base_preds);
+  const auto scratch = topo::refine_into_atoms(wan.traffic, preds);
+  const auto delta = topo::refine_delta(base, changed);
+  expect_identical(delta.atoms, scratch, "delta");
 }
 
 TEST_P(FecDeltaProperty, ChainedDeltasMatchFromScratchAtEveryDepth) {
   PredicateGen gen{GetParam() + 100};
   const auto universe = net::PacketSet::all();
   const auto base_preds = gen.batch(2, 4);
-  for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-    auto atoms = topo::refine_into_atoms(universe, base_preds, with(backend));
-    auto combined = base_preds;
-    // Chain depth 8: each hop applies a small delta to the previous hop's
-    // output, exactly how successive applies chain partitions forward.
-    for (int depth = 1; depth <= 8; ++depth) {
-      const auto changed = gen.batch(1, 2);
-      combined.insert(combined.end(), changed.begin(), changed.end());
-      atoms = topo::refine_delta(atoms, changed, backend).atoms;
-      const auto scratch = topo::refine_into_atoms(universe, combined, with(backend));
-      expect_identical(atoms, scratch, to_string(backend).data());
-    }
+  auto atoms = topo::refine_into_atoms(universe, base_preds);
+  auto combined = base_preds;
+  // Chain depth 8: each hop applies a small delta to the previous hop's
+  // output, exactly how successive applies chain partitions forward.
+  for (int depth = 1; depth <= 8; ++depth) {
+    const auto changed = gen.batch(1, 2);
+    combined.insert(combined.end(), changed.begin(), changed.end());
+    atoms = topo::refine_delta(atoms, changed).atoms;
+    const auto scratch = topo::refine_into_atoms(universe, combined);
+    expect_identical(atoms, scratch, "chained delta");
   }
 }
 
@@ -190,12 +177,10 @@ TEST_P(FecDeltaProperty, ThreadedBaseYieldsSamePartition) {
   const auto changed = gen.batch(1, 3);
   auto combined = base_preds;
   combined.insert(combined.end(), changed.begin(), changed.end());
-  for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-    const auto base = topo::refine_into_atoms(universe, base_preds, with(backend, 3));
-    const auto scratch = topo::refine_into_atoms(universe, combined, with(backend, 1));
-    const auto delta = topo::refine_delta(base, changed, backend);
-    EXPECT_TRUE(same_partition(delta.atoms, scratch)) << to_string(backend);
-  }
+  const auto base = topo::refine_into_atoms(universe, base_preds, topo::FecOptions{3});
+  const auto scratch = topo::refine_into_atoms(universe, combined);
+  const auto delta = topo::refine_delta(base, changed);
+  EXPECT_TRUE(same_partition(delta.atoms, scratch));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FecDeltaProperty, ::testing::Range(1u, 7u));
@@ -204,15 +189,13 @@ TEST(FecDelta, EmptyDeltaIsIdentity) {
   PredicateGen gen{42};
   const auto universe = net::PacketSet::all();
   const auto preds = gen.batch(2, 4);
-  for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-    const auto base = topo::refine_into_atoms(universe, preds, with(backend));
-    const auto delta = topo::refine_delta(base, {}, backend);
-    expect_identical(delta.atoms, base, "empty delta");
-    EXPECT_EQ(delta.reused, base.size());
-    EXPECT_EQ(delta.split, 0u);
-    EXPECT_TRUE(std::none_of(delta.touched.begin(), delta.touched.end(),
-                             [](bool touched) { return touched; }));
-  }
+  const auto base = topo::refine_into_atoms(universe, preds);
+  const auto delta = topo::refine_delta(base, {});
+  expect_identical(delta.atoms, base, "empty delta");
+  EXPECT_EQ(delta.reused, base.size());
+  EXPECT_EQ(delta.split, 0u);
+  EXPECT_TRUE(std::none_of(delta.touched.begin(), delta.touched.end(),
+                           [](bool touched) { return touched; }));
 }
 
 TEST(FecDelta, FullRewriteTouchesEveryAtom) {
@@ -224,16 +207,14 @@ TEST(FecDelta, FullRewriteTouchesEveryAtom) {
   const std::vector<net::PacketSet> changed{universe};
   auto combined = preds;
   combined.push_back(universe);
-  for (const auto backend : {topo::SetBackend::Hypercube, topo::SetBackend::Bdd}) {
-    const auto base = topo::refine_into_atoms(universe, preds, with(backend));
-    const auto scratch = topo::refine_into_atoms(universe, combined, with(backend));
-    const auto delta = topo::refine_delta(base, changed, backend);
-    expect_identical(delta.atoms, scratch, "full rewrite");
-    EXPECT_EQ(delta.split, base.size());
-    EXPECT_EQ(delta.reused, 0u);
-    EXPECT_TRUE(std::all_of(delta.touched.begin(), delta.touched.end(),
-                            [](bool touched) { return touched; }));
-  }
+  const auto base = topo::refine_into_atoms(universe, preds);
+  const auto scratch = topo::refine_into_atoms(universe, combined);
+  const auto delta = topo::refine_delta(base, changed);
+  expect_identical(delta.atoms, scratch, "full rewrite");
+  EXPECT_EQ(delta.split, base.size());
+  EXPECT_EQ(delta.reused, 0u);
+  EXPECT_TRUE(std::all_of(delta.touched.begin(), delta.touched.end(),
+                          [](bool touched) { return touched; }));
 }
 
 TEST(FecCacheLineage, StitchesPartitionsAcrossVersions) {
@@ -244,7 +225,7 @@ TEST(FecCacheLineage, StitchesPartitionsAcrossVersions) {
   const auto v1 = gen::make_wan(params);
   const auto v2 = gen::make_wan(params);
   topo::FecCache cache;
-  const auto options = with(topo::SetBackend::Hypercube);
+  const topo::FecOptions options;
   const auto cold = cache.entry_classes(v1.topo, v1.scope, v1.traffic, options);
   EXPECT_EQ(cache.misses(), 1u);
   cache.record_delta(&v1.topo, &v2.topo, 8);
@@ -265,7 +246,7 @@ TEST(FecCacheLineage, ChainBudgetFallsBackToRebuild) {
   const auto v2 = gen::make_wan(params);
   const auto v3 = gen::make_wan(params);
   topo::FecCache cache;
-  const auto options = with(topo::SetBackend::Hypercube);
+  const topo::FecOptions options;
   const auto cold = cache.global_classes(v1.topo, v1.scope, v1.traffic, options);
   // Budget of one hop: v3 -> v2 (no slot) exhausts the walk before v1.
   cache.record_delta(&v1.topo, &v2.topo, 1);
@@ -283,7 +264,7 @@ TEST(FecCacheLineage, EvictionCompressesLineagePastRetiredVersions) {
   const auto v2 = gen::make_wan(params);
   const auto v3 = gen::make_wan(params);
   topo::FecCache cache;
-  const auto options = with(topo::SetBackend::Hypercube);
+  const topo::FecOptions options;
   const auto cold = cache.global_classes(v1.topo, v1.scope, v1.traffic, options);
   cache.record_delta(&v1.topo, &v2.topo, 8);
   cache.record_delta(&v2.topo, &v3.topo, 8);

@@ -1,8 +1,7 @@
-// Randomized cross-backend matrix: the checker and fixer must produce the
-// same verdicts — validated against the exact header-space oracle — across
-// every combination of set backend, thread count and SMT incrementality,
-// and the observability counters must be consistent with the options that
-// produced them. Registered with the "slow" ctest label.
+// Randomized cross-config matrix: the checker and fixer must produce the
+// same verdicts — validated against the exact header-space oracle — at
+// every thread count, and the observability counters must be consistent
+// with the options that produced them.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,32 +17,11 @@
 namespace jinjing {
 namespace {
 
-struct MatrixConfig {
-  topo::SetBackend backend;
-  unsigned threads;
-  bool incremental;
-};
+/// The matrix cells: worker threads for obligation execution and
+/// equivalence-class refinement.
+constexpr std::array<unsigned, 3> kMatrix = {1, 2, 8};
 
-std::string to_string(const MatrixConfig& config) {
-  return std::string(topo::to_string(config.backend)) + "/t" +
-         std::to_string(config.threads) +
-         (config.incremental ? "/incremental" : "/fresh-solver");
-}
-
-constexpr std::array<MatrixConfig, 12> kMatrix = {{
-    {topo::SetBackend::Hypercube, 1, true},
-    {topo::SetBackend::Hypercube, 2, true},
-    {topo::SetBackend::Hypercube, 8, true},
-    {topo::SetBackend::Hypercube, 1, false},
-    {topo::SetBackend::Hypercube, 2, false},
-    {topo::SetBackend::Hypercube, 8, false},
-    {topo::SetBackend::Bdd, 1, true},
-    {topo::SetBackend::Bdd, 2, true},
-    {topo::SetBackend::Bdd, 8, true},
-    {topo::SetBackend::Bdd, 1, false},
-    {topo::SetBackend::Bdd, 2, false},
-    {topo::SetBackend::Bdd, 8, false},
-}};
+std::string to_string(unsigned threads) { return "t" + std::to_string(threads); }
 
 gen::WanParams matrix_wan(unsigned seed) {
   gen::WanParams p;
@@ -72,12 +50,10 @@ bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update) {
   return true;
 }
 
-core::CheckOptions check_options(const MatrixConfig& config) {
+core::CheckOptions check_options(unsigned threads) {
   core::CheckOptions options;
   options.stop_at_first = false;
-  options.threads = config.threads;
-  options.set_backend = config.backend;
-  options.incremental_smt = config.incremental;
+  options.threads = threads;
   return options;
 }
 
@@ -94,14 +70,14 @@ TEST_P(FullMatrixSweep, VerdictsAgreeAndCountersMatchOptions) {
   const topo::ConfigView after{wan.topo, &update};
 
   std::optional<std::size_t> violation_count;
-  for (const auto& config : kMatrix) {
-    SCOPED_TRACE(to_string(config));
+  for (const unsigned threads : kMatrix) {
+    SCOPED_TRACE(to_string(threads));
     obs::StatsRegistry registry;
     core::CheckResult result;
     {
       const obs::ScopedRegistry installed{registry};
       smt::SmtContext smt;
-      core::Checker checker{smt, wan.topo, wan.scope, check_options(config)};
+      core::Checker checker{smt, wan.topo, wan.scope, check_options(threads)};
       result = checker.check(update, wan.traffic);
 
       // Witnesses must be genuine in every configuration.
@@ -121,24 +97,9 @@ TEST_P(FullMatrixSweep, VerdictsAgreeAndCountersMatchOptions) {
     // Counter/option consistency, on a registry scoped to exactly this run.
     const auto total = [&](obs::Counter c) { return registry.total(c); };
     EXPECT_GT(total(obs::Counter::SmtQueries), 0u);
-    if (config.incremental) {
-      EXPECT_GT(total(obs::Counter::SmtQueriesCached), 0u);
-      EXPECT_LE(total(obs::Counter::SmtQueriesCached),
-                total(obs::Counter::SmtQueries));
-    } else {
-      EXPECT_EQ(total(obs::Counter::SmtQueriesCached), 0u);
-    }
-    if (config.backend == topo::SetBackend::Hypercube) {
-      EXPECT_EQ(total(obs::Counter::BddMemoHits), 0u);
-      EXPECT_EQ(total(obs::Counter::BddMemoMisses), 0u);
-      EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 0u);
-    } else {
-      EXPECT_GT(total(obs::Counter::BddMemoHits) +
-                    total(obs::Counter::BddMemoMisses),
-                0u);
-      EXPECT_GT(registry.gauge(obs::Gauge::BddNodes), 0u);
-    }
-    if (config.threads == 1) {
+    EXPECT_GT(total(obs::Counter::SmtQueriesCached), 0u);
+    EXPECT_LE(total(obs::Counter::SmtQueriesCached), total(obs::Counter::SmtQueries));
+    if (threads == 1) {
       EXPECT_EQ(total(obs::Counter::ExecutorSteals), 0u);
     }
     EXPECT_EQ(total(obs::Counter::PlanBuilds), 1u);
@@ -161,8 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FullMatrixSweep, ::testing::Range(1u, 6u));
 //    *packets* are solver-model-dependent and only need to be genuine.
 //  - stop_at_first=true, parallel: the executor reports the minimal
 //    violating obligation and re-derives its witness on a fresh Z3 context,
-//    so the reported violation is byte-identical for every thread count > 1
-//    and for both solver modes.
+//    so the reported violation is byte-identical for every thread count > 1.
 class WitnessDeterminism : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(WitnessDeterminism, FullSweepCountsAgreeAcrossThreadCounts) {
@@ -171,26 +131,22 @@ TEST_P(WitnessDeterminism, FullSweepCountsAgreeAcrossThreadCounts) {
   const topo::ConfigView before{wan.topo};
   const topo::ConfigView after{wan.topo, &update};
 
-  for (const bool incremental : {false, true}) {
-    std::optional<std::size_t> reference_count;
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE((incremental ? "incremental/t" : "fresh-solver/t") +
-                   std::to_string(threads));
-      smt::SmtContext smt;
-      core::CheckOptions options;
-      options.stop_at_first = false;
-      options.threads = threads;
-      options.incremental_smt = incremental;
-      core::Checker checker{smt, wan.topo, wan.scope, options};
-      const auto result = checker.check(update, wan.traffic);
+  std::optional<std::size_t> reference_count;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(to_string(threads));
+    smt::SmtContext smt;
+    core::CheckOptions options;
+    options.stop_at_first = false;
+    options.threads = threads;
+    core::Checker checker{smt, wan.topo, wan.scope, options};
+    const auto result = checker.check(update, wan.traffic);
 
-      if (!reference_count) reference_count = result.violations.size();
-      EXPECT_EQ(result.violations.size(), *reference_count);
-      for (const auto& v : result.violations) {
-        const auto& path = checker.paths()[v.path_index];
-        EXPECT_EQ(topo::path_permits(before, path, v.witness), v.decision_before);
-        EXPECT_EQ(topo::path_permits(after, path, v.witness), v.decision_after);
-      }
+    if (!reference_count) reference_count = result.violations.size();
+    EXPECT_EQ(result.violations.size(), *reference_count);
+    for (const auto& v : result.violations) {
+      const auto& path = checker.paths()[v.path_index];
+      EXPECT_EQ(topo::path_permits(before, path, v.witness), v.decision_before);
+      EXPECT_EQ(topo::path_permits(after, path, v.witness), v.decision_after);
     }
   }
 }
@@ -202,29 +158,25 @@ TEST_P(WitnessDeterminism, FirstWitnessIdenticalAcrossParallelRuns) {
   // confirms it so the determinism assertions below are never vacuous.
   ASSERT_FALSE(oracle_consistent(wan, update));
 
-  for (const bool incremental : {false, true}) {
-    std::optional<core::Violation> reference;
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      SCOPED_TRACE((incremental ? "incremental/t" : "fresh-solver/t") +
-                   std::to_string(threads));
-      smt::SmtContext smt;
-      core::CheckOptions options;
-      options.threads = threads;
-      options.incremental_smt = incremental;
-      core::Checker checker{smt, wan.topo, wan.scope, options};
-      auto result = checker.check(update, wan.traffic);
-      EXPECT_FALSE(result.consistent);
-      ASSERT_EQ(result.violations.size(), 1u);
+  std::optional<core::Violation> reference;
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(to_string(threads));
+    smt::SmtContext smt;
+    core::CheckOptions options;
+    options.threads = threads;
+    core::Checker checker{smt, wan.topo, wan.scope, options};
+    auto result = checker.check(update, wan.traffic);
+    EXPECT_FALSE(result.consistent);
+    ASSERT_EQ(result.violations.size(), 1u);
 
-      if (!reference) {
-        reference = std::move(result.violations[0]);
-        continue;
-      }
-      EXPECT_EQ(result.violations[0].witness, reference->witness);
-      EXPECT_EQ(result.violations[0].path_index, reference->path_index);
-      EXPECT_EQ(result.violations[0].decision_before, reference->decision_before);
-      EXPECT_EQ(result.violations[0].decision_after, reference->decision_after);
+    if (!reference) {
+      reference = std::move(result.violations[0]);
+      continue;
     }
+    EXPECT_EQ(result.violations[0].witness, reference->witness);
+    EXPECT_EQ(result.violations[0].path_index, reference->path_index);
+    EXPECT_EQ(result.violations[0].decision_before, reference->decision_before);
+    EXPECT_EQ(result.violations[0].decision_after, reference->decision_after);
   }
 
   // The sequential first-found violation lives in the same minimal
@@ -253,11 +205,11 @@ TEST_P(FixerMatrix, OutcomesAgreeAcrossMatrix) {
   const auto update = gen::perturb_rules(wan, 0.06, GetParam());
 
   std::optional<bool> reference_success;
-  for (const auto& config : kMatrix) {
-    SCOPED_TRACE(to_string(config));
+  for (const unsigned threads : kMatrix) {
+    SCOPED_TRACE(to_string(threads));
     smt::SmtContext smt;
     core::FixOptions options;
-    options.check = check_options(config);
+    options.check = check_options(threads);
     core::Fixer fixer{smt, wan.topo, wan.scope, options};
     const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots());
 

@@ -3,6 +3,7 @@
 // (no installed registry must mean no work and no allocations).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -52,7 +53,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
         obs::count(obs::Counter::ExecutorTasks, 3);
         obs::observe(obs::Histogram::SmtSolveMicros,
                      static_cast<std::uint64_t>(i % 16));
-        obs::gauge_max(obs::Gauge::BddNodes, static_cast<std::uint64_t>(i));
+        obs::gauge_max(obs::Gauge::SvcCachedObligations, static_cast<std::uint64_t>(i));
       }
     });
   }
@@ -63,7 +64,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
   EXPECT_EQ(registry.total(obs::Counter::ExecutorTasks),
             std::uint64_t{3} * kThreads * kPerThread);
   EXPECT_EQ(registry.total(obs::Counter::SmtTimeouts), 0u);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), std::uint64_t{kPerThread - 1});
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), std::uint64_t{kPerThread - 1});
 
   std::uint64_t per_thread_sum = 0;
   for (int i = 0; i < kPerThread; ++i) per_thread_sum += i % 16;
@@ -100,11 +101,11 @@ TEST(StatsRegistry, HistogramBucketsArePowerOfTwo) {
 
 TEST(StatsRegistry, GaugeKeepsHighWaterMark) {
   obs::StatsRegistry registry;
-  registry.set_max(obs::Gauge::BddNodes, 10);
-  registry.set_max(obs::Gauge::BddNodes, 4);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 10u);
-  registry.set_max(obs::Gauge::BddNodes, 11);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 11u);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 10);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 4);
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), 10u);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 11);
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), 11u);
 }
 
 TEST(TraceSpan, NestedSpansAreContained) {
@@ -148,8 +149,8 @@ TEST(TraceSpan, ThreadsGetDistinctTids) {
 }
 
 TEST(TraceSpan, EventsSurviveThreadExit) {
-  // Per-thread buffers are shared_ptr-owned: a worker that dies before the
-  // export must not lose its events.
+  // Events live in the registry's ring, not in the thread: a worker that
+  // dies before the export must not lose its events.
   obs::StatsRegistry registry;
   {
     const obs::ScopedRegistry installed{registry};
@@ -161,6 +162,55 @@ TEST(TraceSpan, EventsSurviveThreadExit) {
     worker.join();
   }
   EXPECT_EQ(registry.trace_events().size(), 5u);
+}
+
+TEST(TraceSpan, RingKeepsNewestEventsFromManyShortLivedThreads) {
+  // The connection-thread shape: many threads that each record a few spans
+  // and exit. Storage stays at kTraceCapacity events however many threads
+  // recorded; the oldest events are the ones overwritten.
+  obs::StatsRegistry registry;
+  constexpr std::size_t kThreads = 64;
+  constexpr std::size_t kPerThread = 2 * obs::kTraceCapacity / kThreads;
+  constexpr std::size_t kTotal = kThreads * kPerThread;
+  static_assert(kTotal > obs::kTraceCapacity);
+  // Sequential threads: event i carries start_us = i, so the retained
+  // window is known exactly.
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::thread worker{[&registry, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t at = t * kPerThread + i;
+        registry.record_span(obs::Span::SvcJob, at, at + 1);
+      }
+    }};
+    worker.join();
+  }
+  auto events = registry.trace_events();
+  ASSERT_EQ(events.size(), obs::kTraceCapacity);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].start_us, kTotal - obs::kTraceCapacity + i) << "oldest first";
+  }
+  EXPECT_NE(events.front().tid, events.back().tid);
+
+  // Concurrent short-lived threads overflow the ring again; the event
+  // recorded after they all exit is the newest and must be kept, last.
+  constexpr std::uint64_t kMarker = 1u << 30;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < 8; ++t) {
+    workers.emplace_back([&registry] {
+      for (std::size_t i = 0; i < obs::kTraceCapacity / 4; ++i) {
+        registry.record_span(obs::Span::SmtQuery, 0, 1);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  registry.record_span(obs::Span::SvcBatch, kMarker, kMarker + 1);
+  events = registry.trace_events();
+  ASSERT_EQ(events.size(), obs::kTraceCapacity);
+  EXPECT_EQ(events.back().name, obs::Span::SvcBatch);
+  EXPECT_EQ(events.back().start_us, kMarker);
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const obs::TraceEvent& e) { return e.name == obs::Span::SvcJob; }),
+            0);
 }
 
 TEST(ScopedRegistry, InstallsAndRestores) {
@@ -211,7 +261,7 @@ TEST(DisabledPath, NoRegistryMeansNoCountsAndNoAllocations) {
   for (int i = 0; i < 1000; ++i) {
     obs::count(obs::Counter::SmtQueries);
     obs::count(obs::Counter::ExecutorSteals, 7);
-    obs::gauge_max(obs::Gauge::BddNodes, 123);
+    obs::gauge_max(obs::Gauge::SvcCachedObligations, 123);
     obs::observe(obs::Histogram::SmtSolveMicros, 55);
     const obs::TraceSpan span{obs::Span::SmtQuery};
   }
@@ -221,7 +271,7 @@ TEST(DisabledPath, NoRegistryMeansNoCountsAndNoAllocations) {
 TEST(Exports, PrometheusTextFormat) {
   obs::StatsRegistry registry;
   registry.add(obs::Counter::SmtQueries, 5);
-  registry.set_max(obs::Gauge::BddNodes, 17);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 17);
   registry.observe(obs::Histogram::SmtSolveMicros, 3);
   registry.observe(obs::Histogram::SmtSolveMicros, 9);
 
@@ -233,7 +283,8 @@ TEST(Exports, PrometheusTextFormat) {
                       "jinjing_smt_queries_total 5\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE jinjing_bdd_nodes gauge\njinjing_bdd_nodes 17\n"),
+  EXPECT_NE(text.find("# TYPE jinjing_svc_cached_obligations gauge\n"
+                      "jinjing_svc_cached_obligations 17\n"),
             std::string::npos);
   // Cumulative buckets: le="3" sees the 3, le="15" sees both observations.
   EXPECT_NE(text.find("jinjing_smt_solve_micros_bucket{le=\"3\"} 1\n"),

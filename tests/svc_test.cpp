@@ -919,9 +919,9 @@ Json engine_outcome(const Snapshot& snapshot, const CheckProgram& p) {
   return Json{std::move(obj)};
 }
 
-class BatchedServerEquivalence : public ::testing::TestWithParam<topo::SetBackend> {
+class BatchedServerEquivalence : public ::testing::Test {
  protected:
-  static ServerOptions with_backend(unsigned workers, std::size_t coalesce) {
+  static ServerOptions options_for(unsigned workers, std::size_t coalesce) {
     ServerOptions options;
     options.workers = workers;
     options.coalesce = coalesce;
@@ -929,17 +929,11 @@ class BatchedServerEquivalence : public ::testing::TestWithParam<topo::SetBacken
     // provably coalesce; the overlap slot would run the fix on the side and
     // drain the queue one by one instead. Overlap has its own test below.
     options.overlap = false;
-    options.engine.check.set_backend = GetParam();
-    options.engine.fix.check.set_backend = GetParam();
     return options;
-  }
-  static std::string tag(const char* prefix) {
-    return std::string(prefix) +
-           (GetParam() == topo::SetBackend::Bdd ? "_bdd" : "_hypercube");
   }
 };
 
-TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
+TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // The batched server coalesces everything queued behind a slow fix job;
   // a second server (workers=1, coalesce=1) runs every program twice as a
   // batch of one — the second time through the delta cache's clean-bit
@@ -951,8 +945,8 @@ TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // so the batched server comes second: its metrics endpoint then reflects
   // everything both servers record, and the coalesce=1 server never
   // touches the batch counters.
-  ScopedServer solo{with_backend(1, 1), tag("solo")};
-  ScopedServer batched{with_backend(2, 16), tag("batched")};
+  ScopedServer solo{options_for(1, 1), "equivalence_solo"};
+  ScopedServer batched{options_for(2, 16), "equivalence_batched"};
   Client batched_client{batched.socket};
   Client solo_client{solo.socket};
   const SnapshotPtr pinned = batched.server->store().head();
@@ -1009,10 +1003,6 @@ TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
       << metrics;
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_dispatches_total"), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, BatchedServerEquivalence,
-                         ::testing::Values(topo::SetBackend::Hypercube,
-                                           topo::SetBackend::Bdd));
 
 TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
   // A job whose deadline expires while it waits behind a slow blocker —
