@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 
-#include "net/acl_algebra.h"
 #include "obs/stats.h"
 
 namespace jinjing::core {
@@ -17,22 +16,6 @@ constexpr std::size_t kNoViolation = std::numeric_limits<std::size_t>::max();
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-/// The FEC-clipped permitted set of one path under a view: the first-match
-/// walk of every hop ACL, with each intermediate set confined to `fec`.
-/// Equals path_permitted_set(view, path) & fec, but never materializes the
-/// whole-ACL permitted sets.
-net::PacketSet clipped_path_set(const topo::ConfigView& view, const topo::Path& path,
-                                const net::PacketSet& fec) {
-  net::PacketSet permitted = fec;
-  for (const topo::Hop& hop : path.hops()) {
-    if (permitted.is_empty()) break;
-    const net::Acl& acl = view.acl(hop.slot());
-    if (acl.empty() && acl.default_action() == net::Action::Permit) continue;
-    permitted = net::permitted_within(acl, permitted);
-  }
-  return permitted;
 }
 
 /// Mutable per-job state shared by that job's shard tasks. Distinct shards
@@ -90,7 +73,7 @@ const std::vector<net::PacketSet>& BatchAlgebra::before(std::size_t index) const
     const Obligation& o = bundle->plan.obligations()[index];
     slot.sets.reserve(o.paths.size());
     for (const std::size_t p : o.paths) {
-      slot.sets.push_back(clipped_path_set(base, bundle->paths[p], *o.fec));
+      slot.sets.push_back(topo::clipped_path_set(base, bundle->paths[p], *o.fec));
     }
   });
   return slot.sets;
@@ -162,7 +145,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
       const auto& before_sets = algebra.before(index);
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
         const net::PacketSet after_set =
-            clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
+            topo::clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
         if (!after_set.equals(before_sets[k])) {
           violated = true;
           break;
@@ -225,7 +208,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
       const auto& before_sets = algebra.before(index);
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
         const net::PacketSet after_set =
-            clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
+            topo::clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
         const net::PacketSet changed =
             (before_sets[k] - after_set) | (after_set - before_sets[k]);
         if (changed.is_empty()) continue;

@@ -13,14 +13,6 @@ namespace jinjing::core {
 
 namespace {
 
-/// Does a control intent span this path's endpoints?
-bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path) {
-  const auto has = [](const std::vector<topo::InterfaceId>& list, topo::InterfaceId i) {
-    return std::find(list.begin(), list.end(), i) != list.end();
-  };
-  return has(intent.from, path.entry()) && has(intent.to, path.exit());
-}
-
 /// Cache key for per-slot-per-side ACL expressions: (iface, direction,
 /// before/after side) packed into distinct bit fields.
 std::uint64_t acl_expr_key(topo::AclSlot slot, bool after_side) {
@@ -46,6 +38,13 @@ bool same_controls(const std::vector<lai::ControlIntent>& a,
 
 }  // namespace
 
+bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path) {
+  const auto has = [](const std::vector<topo::InterfaceId>& list, topo::InterfaceId i) {
+    return std::find(list.begin(), list.end(), i) != list.end();
+  };
+  return has(intent.from, path.entry()) && has(intent.to, path.exit());
+}
+
 bool desired_decision(const std::vector<lai::ControlIntent>& controls, const topo::Path& path,
                       const net::Packet& h, bool original_decision) {
   for (const auto& intent : controls) {
@@ -58,6 +57,25 @@ bool desired_decision(const std::vector<lai::ControlIntent>& controls, const top
     }
   }
   return original_decision;
+}
+
+net::PacketSet desired_set(const std::vector<lai::ControlIntent>& controls,
+                           const topo::Path& path, const net::PacketSet& original,
+                           const net::PacketSet& clip) {
+  net::PacketSet desired;
+  net::PacketSet unmatched = clip;  // not yet claimed by an earlier intent
+  for (const auto& intent : controls) {
+    if (!intent_spans_path(intent, path)) continue;
+    const net::PacketSet matched = unmatched & intent.header;
+    if (matched.is_empty()) continue;
+    switch (intent.verb) {
+      case lai::ControlVerb::Open: desired = desired | matched; break;
+      case lai::ControlVerb::Isolate: break;
+      case lai::ControlVerb::Maintain: desired = desired | (matched & original); break;
+    }
+    unmatched = unmatched - matched;
+  }
+  return (desired | (unmatched & original)).compact();
 }
 
 namespace {
@@ -289,19 +307,6 @@ const z3::expr& CheckSession::path_inconsistent(std::size_t path_index) {
 }
 
 std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
-                                                      const net::PacketSet& excluded,
-                                                      std::optional<topo::InterfaceId> entry) {
-  auto feasible = checker_.feasible_paths(fec);
-  if (entry) {
-    std::erase_if(feasible, [&](std::size_t pi) {
-      return checker_.paths()[pi].entry() != *entry;
-    });
-  }
-  return find_violation(fec, excluded, feasible);
-}
-
-std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
-                                                      const net::PacketSet& excluded,
                                                       const std::vector<std::size_t>& feasible) {
   if (feasible.empty()) return std::nullopt;
 
@@ -312,7 +317,7 @@ std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
   // is asserted once (as a named indicator at the base frame), so the
   // solver internalizes every ACL expression a single time and reuses
   // learned clauses across the per-FEC queries. Only the query-specific
-  // ψ_[h]FEC / exclusion constraints live inside the push/pop frame.
+  // ψ_[h]FEC constraint lives inside the push/pop frame.
   if (!solver_) solver_.emplace(smt.make_solver());
   z3::expr any_inconsistent = smt.bool_val(false);
   for (const std::size_t pi : feasible) {
@@ -320,8 +325,7 @@ std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
   }
   solver_->push();
   solver_->add(any_inconsistent);
-  solver_->add(smt::set_expr(h, fec));                       // ψ_[h]FEC
-  if (!excluded.is_empty()) solver_->add(!smt::set_expr(h, excluded));
+  solver_->add(smt::set_expr(h, fec));  // ψ_[h]FEC
   obs::count(obs::Counter::SmtQueriesCached);
   const std::optional<net::Packet> witness = smt.solve_for_packet(*solver_, h);
   solver_->pop();
@@ -438,7 +442,7 @@ CheckResult Checker::check(const topo::AclUpdate& update, const net::PacketSet& 
         if (token.cancelled()) return false;
         const auto start = std::chrono::steady_clock::now();
         const Obligation& o = obligations[i];
-        auto violation = main_session.find_violation(*o.fec, net::PacketSet::empty(), o.paths);
+        auto violation = main_session.find_violation(*o.fec, o.paths);
         busy += seconds_since(start);
         if (!violation) return false;
         found[i] = std::move(*violation);
@@ -473,8 +477,7 @@ CheckResult Checker::check(const topo::AclUpdate& update, const net::PacketSet& 
         if (token.cancelled()) return false;
         const auto start = std::chrono::steady_clock::now();
         const Obligation& o = obligations[i];
-        auto violation =
-            state->session->find_violation(*o.fec, net::PacketSet::empty(), o.paths);
+        auto violation = state->session->find_violation(*o.fec, o.paths);
         state->busy_seconds += seconds_since(start);
         if (!violation) return false;
         found[i] = std::move(*violation);
@@ -510,7 +513,7 @@ CheckResult Checker::check(const topo::AclUpdate& update, const net::PacketSet& 
     if (options_.timeout_ms > 0) fresh.set_timeout_ms(options_.timeout_ms);
     CheckSession fresh_session{*this, fresh, update, controls};
     const Obligation& o = obligations[stats.stop_index];
-    auto violation = fresh_session.find_violation(*o.fec, net::PacketSet::empty(), o.paths);
+    auto violation = fresh_session.find_violation(*o.fec, o.paths);
     result.smt_queries += fresh.query_count();
     if (!violation) violation = std::move(found[stats.stop_index]);  // unreachable fallback
     result.consistent = false;

@@ -43,8 +43,8 @@ struct CheckOptions {
   bool use_differential = true;
   /// ACL decision-model encoding (§4.1 optimization; Sequential = baseline).
   smt::EncoderStrategy encoder = smt::EncoderStrategy::Tree;
-  /// Return on the first violated FEC (the paper's check behaviour). Fix
-  /// needs all of them and turns this off.
+  /// Return on the first violated FEC (the paper's check behaviour). Off =
+  /// report one witness per violated FEC.
   bool stop_at_first = true;
   /// Classify entering traffic per entry interface against only the edges
   /// reachable from that entry (structured-topology fast path). Covers the
@@ -116,6 +116,10 @@ struct CheckResult {
   double execute_seconds = 0;  // executor wall time for the obligation batch
 };
 
+/// Does a control intent span this path's endpoints (entry in `from`,
+/// exit in `to`)? Only spanning intents rewrite the path's decision.
+[[nodiscard]] bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path);
+
 /// The desired decision for a path/packet after applying control intents:
 /// open => permit, isolate => deny, maintain (or no matching intent) =>
 /// keep the original decision. First matching intent wins (§6).
@@ -123,14 +127,20 @@ struct CheckResult {
                                     const topo::Path& path, const net::Packet& h,
                                     bool original_decision);
 
+/// The set dual of desired_decision over a region: the packets of `clip`
+/// the path should permit, given `original` (the packets of `clip` it
+/// permits before the update).
+[[nodiscard]] net::PacketSet desired_set(const std::vector<lai::ControlIntent>& controls,
+                                         const topo::Path& path, const net::PacketSet& original,
+                                         const net::PacketSet& clip);
+
 class Checker;
 
 /// The compile stage for one update: the before/after configuration views
 /// and (in Differential lowering) the Theorem 4.1 reduced groups, computed
 /// once and reused across obligations. Lowered ACL expressions and path
 /// indicators are cached, so executing many obligations against one session
-/// encodes each ACL a single time. fix iterates find_violation with a
-/// growing exclusion set to enumerate all violating neighborhoods.
+/// encodes each ACL a single time.
 class CheckSession {
  public:
   CheckSession(Checker& checker, const topo::AclUpdate& update,
@@ -142,23 +152,11 @@ class CheckSession {
   CheckSession(Checker& checker, smt::SmtContext& smt, const topo::AclUpdate& update,
                const std::vector<lai::ControlIntent>& controls);
 
-  /// Searches one packet in `fec` (and outside `excluded`) whose desired
-  /// decision differs from the updated decision on some feasible path.
-  /// With `entry` set, only paths entering there are considered (the
-  /// per-entry classification mode).
-  [[nodiscard]] std::optional<Violation> find_violation(
-      const net::PacketSet& fec, const net::PacketSet& excluded,
-      std::optional<topo::InterfaceId> entry = std::nullopt);
-
-  /// Obligation form: the feasible path set comes precomputed from the
-  /// plan instead of being re-derived per query.
+  /// Searches one packet in `fec` whose desired decision differs from the
+  /// updated decision on some path of `feasible` (an obligation's path set
+  /// Y, precomputed by the plan).
   [[nodiscard]] std::optional<Violation> find_violation(const net::PacketSet& fec,
-                                                        const net::PacketSet& excluded,
                                                         const std::vector<std::size_t>& feasible);
-
-  [[nodiscard]] const topo::ConfigView& before() const { return before_; }
-  [[nodiscard]] const topo::ConfigView& after() const { return after_; }
-  [[nodiscard]] const std::vector<lai::ControlIntent>& controls() const { return controls_; }
 
   /// Seconds spent building this session (differential reduction — the
   /// fixed cost of the compile stage).
@@ -222,9 +220,8 @@ class Checker {
   [[nodiscard]] const VerifyPlan& plan(const net::PacketSet& entering);
 
   /// The compile-stage session for (update, controls), cached so repeated
-  /// executions against the same update (check; fix; trailing check of a
-  /// candidate) keep their incremental Z3 base frame. Invalidated when
-  /// either differs from the cached pair.
+  /// checks of the same update keep their incremental Z3 base frame.
+  /// Invalidated when either differs from the cached pair.
   [[nodiscard]] CheckSession& session(const topo::AclUpdate& update,
                                       const std::vector<lai::ControlIntent>& controls);
 

@@ -11,9 +11,9 @@
 // The final update of the last executed command is the deployable plan.
 //
 // One Checker/Fixer pair is kept per scope and reused across the commands
-// of a task (and across tasks with the same scope), so a check; fix; check
-// program shares its verification plan, FEC partitions and incremental Z3
-// base frame instead of rebuilding them per command. One Executor and one
+// of a task (and across tasks with the same scope), so repeated commands
+// reuse their verification plans and the checker's incremental Z3 base
+// frame instead of rebuilding them per command. One Executor and one
 // FecCache are installed across the whole check/fix/generate pipeline.
 #pragma once
 

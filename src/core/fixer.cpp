@@ -9,7 +9,6 @@
 #include "net/acl_algebra.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
-#include "topo/fec.h"
 
 namespace jinjing::core {
 
@@ -38,6 +37,61 @@ double lap(std::chrono::steady_clock::time_point& start) {
   return elapsed;
 }
 
+bool rewrites_any_hop(const topo::AclUpdate& update, const topo::Path& path) {
+  return std::any_of(path.hops().begin(), path.hops().end(), [&](const topo::Hop& hop) {
+    return update.contains(hop.slot());
+  });
+}
+
+/// The obligation's violating region: ⋃_p (desired_p Δ after_p) over its
+/// feasible paths, each side the class-clipped first-match walk. A path no
+/// rewritten slot and no control intent touches has desired_p = after_p.
+net::PacketSet violating_region(const Checker& checker, const topo::ConfigView& before,
+                                const topo::ConfigView& after, const topo::AclUpdate& update,
+                                const std::vector<lai::ControlIntent>& controls,
+                                const Obligation& obligation) {
+  const net::PacketSet& cls = *obligation.fec;
+  net::PacketSet violating;
+  for (const std::size_t pi : obligation.paths) {
+    const topo::Path& path = checker.paths()[pi];
+    const bool rewritten = rewrites_any_hop(update, path);
+    const bool steered = std::any_of(controls.begin(), controls.end(), [&](const auto& intent) {
+      return intent_spans_path(intent, path);
+    });
+    if (!rewritten && !steered) continue;
+    net::PacketSet original = topo::clipped_path_set(before, path, cls);
+    const net::PacketSet updated =
+        rewritten ? topo::clipped_path_set(after, path, cls) : original;
+    const net::PacketSet desired =
+        steered ? desired_set(controls, path, original, cls) : std::move(original);
+    violating = violating | (desired - updated) | (updated - desired);
+  }
+  return violating.compact();
+}
+
+/// Splits every piece into the part `inside` selects and the rest,
+/// dropping empty parts; a piece `inside` leaves whole stays as it is.
+template <typename Inside>
+void split_pieces(std::vector<net::PacketSet>& pieces, const Inside& inside) {
+  std::vector<net::PacketSet> next;
+  next.reserve(pieces.size());
+  for (auto& piece : pieces) {
+    net::PacketSet in = inside(piece);
+    if (in.is_empty()) {
+      next.push_back(std::move(piece));
+      continue;
+    }
+    net::PacketSet out = piece - in;
+    if (out.is_empty()) {
+      next.push_back(std::move(piece));
+      continue;
+    }
+    next.push_back(std::move(in.compact()));
+    next.push_back(std::move(out.compact()));
+  }
+  pieces = std::move(next);
+}
+
 }  // namespace
 
 Fixer::Fixer(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
@@ -53,33 +107,17 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   const std::uint64_t queries_before = smt_.query_count();
   FixResult result;
 
-  // The checker-cached session: a preceding check of the same update (or a
-  // re-fix in a candidate loop) shares its incremental Z3 base frame.
-  CheckSession& session = checker_.session(update, controls);
   const auto& topo = checker_.topology();
+  const topo::ConfigView before{topo};
+  const topo::ConfigView after{topo, &update};
 
-  // Permitted sets of every bound slot's before/after ACL, computed lazily
-  // and shared across all neighborhoods (the f / f' of Equation 6).
-  std::unordered_map<topo::AclSlot, std::pair<net::PacketSet, net::PacketSet>, topo::AclSlotHash>
-      permitted_cache;
-  const auto slot_sets = [&](topo::AclSlot slot)
-      -> const std::pair<net::PacketSet, net::PacketSet>& {
-    const auto it = permitted_cache.find(slot);
-    if (it != permitted_cache.end()) return it->second;
-    return permitted_cache
-        .emplace(slot, std::make_pair(net::permitted_set(session.before().acl(slot)),
-                                      net::permitted_set(session.after().acl(slot))))
-        .first->second;
-  };
-
-  // Phase 1: enumerate all violating neighborhoods. Violations are
-  // *discovered* with the cheap per-entry classification; each witness is
-  // then enlarged within its global forwarding equivalence class and the
-  // agreement region of the decision models (Equation 6). Only edges and
-  // ACL slots that can interact with the class are folded — the others
-  // cannot split a region contained in it. One global `handled` set both
-  // excludes found neighborhoods from later queries and dedupes across
-  // entries.
+  // Phase 1: every violating neighborhood, by exact set algebra. Per live
+  // obligation, the violating region V is split by the Equation 6
+  // predicates — in-scope edges meeting the class, the before/after ACL of
+  // every slot on the class's feasible paths, the header of every intent
+  // spanning one of those paths. V is a union of such cells, so each piece
+  // left is one whole cell: the neighborhood of any of its packets. One
+  // global `handled` set dedupes cells across overlapping per-entry classes.
   net::PacketSet handled;
   auto stopwatch = std::chrono::steady_clock::now();
   const VerifyPlan& plan = checker_.plan(entering);
@@ -95,61 +133,57 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     }
     const net::PacketSet& cls = *obligation.fec;
 
-    // Per-class context, built on the first violation.
-    std::vector<std::size_t> relevant_edges;
-    std::vector<topo::AclSlot> relevant_slots;
-    bool context_ready = false;
+    (void)lap(stopwatch);
+    std::vector<net::PacketSet> cells;
+    {
+      const obs::TraceSpan span{obs::Span::FixSearch};
+      net::PacketSet violating =
+          violating_region(checker_, before, after, update, controls, obligation);
+      if (!violating.is_empty()) cells.push_back(std::move(violating));
+    }
+    result.search_seconds += lap(stopwatch);
+    if (cells.empty()) continue;
 
-    while (true) {
+    const obs::TraceSpan enlarge_span{obs::Span::FixEnlarge};
+    for (const auto& edge : topo.edges()) {
+      if (checker_.scope().contains_interface(topo, edge.from) &&
+          checker_.scope().contains_interface(topo, edge.to) &&
+          edge.predicate.intersects(cls)) {
+        split_pieces(cells, [&](const net::PacketSet& piece) { return piece & edge.predicate; });
+      }
+    }
+    const auto split_by_acl = [&cells](const net::Acl& acl) {
+      if (acl.empty() && acl.default_action() == net::Action::Permit) return;
+      split_pieces(cells, [&acl](const net::PacketSet& piece) {
+        return net::permitted_within(acl, piece);
+      });
+    };
+    const auto feasible = checker_.feasible_paths(cls);
+    for (const auto slot : decision_slots(checker_.paths(), feasible)) {
+      const net::Acl& original = before.acl(slot);
+      const net::Acl& updated = after.acl(slot);
+      split_by_acl(original);
+      if (&updated != &original) split_by_acl(updated);
+    }
+    for (const auto& intent : controls) {
+      const bool spans = std::any_of(feasible.begin(), feasible.end(), [&](std::size_t pi) {
+        return intent_spans_path(intent, checker_.paths()[pi]);
+      });
+      if (!spans) continue;
+      split_pieces(cells, [&](const net::PacketSet& piece) { return piece & intent.header; });
+    }
+
+    for (auto& cell : cells) {
+      if ((cell - handled).is_empty()) continue;
       if (result.neighborhoods.size() >= options_.max_neighborhoods) {
         throw std::runtime_error("fix: exceeded max_neighborhoods = " +
                                  std::to_string(options_.max_neighborhoods));
       }
-      (void)lap(stopwatch);
-      // Only the part of `handled` inside this class matters; trimming it
-      // keeps the exclusion encoding small as neighborhoods accumulate.
-      std::optional<Violation> violation;
-      {
-        const obs::TraceSpan span{obs::Span::FixSearch};
-        violation = session.find_violation(cls, (handled & cls).compact(), obligation.paths);
-      }
-      result.search_seconds += lap(stopwatch);
-      if (!violation) break;
-
-      if (!context_ready) {
-        context_ready = true;
-        for (std::size_t ei = 0; ei < topo.edges().size(); ++ei) {
-          const auto& edge = topo.edges()[ei];
-          if (checker_.scope().contains_interface(topo, edge.from) &&
-              checker_.scope().contains_interface(topo, edge.to) &&
-              edge.predicate.intersects(cls)) {
-            relevant_edges.push_back(ei);
-          }
-        }
-        relevant_slots = decision_slots(checker_.paths(), checker_.feasible_paths(cls));
-      }
-
-      // seed ∩ [h]_FEC ∩ agreement region, folded from the class.
-      const obs::TraceSpan enlarge_span{obs::Span::FixEnlarge};
-      const net::Packet& h = violation->witness;
-      net::PacketSet region = cls;
-      for (const auto ei : relevant_edges) {
-        const auto& pred = topo.edges()[ei].predicate;
-        region = pred.contains(h) ? (region & pred) : (region - pred);
-        region.compact();
-      }
-      for (const auto slot : relevant_slots) {
-        const auto& [before_set, after_set] = slot_sets(slot);
-        for (const auto* f : {&before_set, &after_set}) {
-          region = f->contains(h) ? (region & *f) : (region - *f);
-          region.compact();
-        }
-      }
-
-      handled = (handled | region).compact();
-      result.enlarge_seconds += lap(stopwatch);
-      result.neighborhoods.push_back(NeighborhoodReport{std::move(region), h, true});
+      handled = (handled | cell).compact();
+      const net::Packet representative = cell.sample();
+      result.neighborhoods.push_back(NeighborhoodReport{std::move(cell), representative, true});
     }
+    result.enlarge_seconds += lap(stopwatch);
   }
 
   // Phase 2: solve a placement problem per neighborhood.
@@ -172,7 +206,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     // Every feasible path reproduces the desired decision (Equation 7/3).
     for (const std::size_t pi : feasible) {
       const auto& path = checker_.paths()[pi];
-      const bool original = topo::path_permits(session.before(), path, h);
+      const bool original = topo::path_permits(before, path, h);
       const bool desired = desired_decision(controls, path, h, original);
       z3::expr conj = ctx.bool_val(true);
       for (const auto& hop : path.hops()) conj = conj && decision.at(hop.slot());
@@ -184,7 +218,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
       return std::find(allowed.begin(), allowed.end(), slot) != allowed.end();
     };
     for (const auto slot : slots) {
-      const bool updated_decision = session.after().acl(slot).permits(h);
+      const bool updated_decision = after.acl(slot).permits(h);
       const z3::expr keep = decision.at(slot) == ctx.bool_val(updated_decision);
       if (allowed_contains(slot)) {
         opt.add_soft(keep, 1);
@@ -201,7 +235,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     }
 
     for (const auto slot : slots) {
-      const bool updated_decision = session.after().acl(slot).permits(h);
+      const bool updated_decision = after.acl(slot).permits(h);
       const bool solved_decision =
           z3::eq(model->eval(decision.at(slot), true), ctx.bool_val(true));
       if (solved_decision == updated_decision) continue;
@@ -218,7 +252,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   const obs::TraceSpan assemble_span{obs::Span::FixAssemble};
   result.fixed_update = update;
   for (const auto& [slot, rules] : prepends) {
-    net::Acl acl = session.after().acl(slot);
+    net::Acl acl = after.acl(slot);
     acl.prepend(rules);
     if (options_.simplify_result) acl = simplify_on(acl, simplify_universe);
     result.fixed_update.insert_or_assign(slot, std::move(acl));

@@ -1,8 +1,9 @@
 // The fix primitive (§4.2): repairing an update that fails check.
 //
-// Phase 1 (seeking neighborhoods): repeatedly ask the checker for a
-// violating packet, enlarge it to its neighborhood (Equation 6), exclude
-// the neighborhood, and repeat until no violation remains.
+// Phase 1 (seeking neighborhoods): per live plan obligation, compute the
+// exact violating region ⋃_p (desired_p Δ after_p) of its class by set
+// algebra, and split it into Equation 6 cells — the neighborhoods. No SMT
+// query is issued.
 //
 // Phase 2 (fixing plan generation): for each neighborhood, solve for a
 // per-interface decision function D_[h]N (Equation 7) with Z3's optimizer:
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/checker.h"
-#include "core/neighborhood.h"
 
 namespace jinjing::core {
 
@@ -42,11 +42,11 @@ struct FixAction {
 };
 
 /// One violating neighborhood and whether a repair could be placed for it.
-/// The neighborhood is the witness's entire Equation-6 uniform region
-/// (every packet in it is forwarded and filtered exactly like the
+/// The neighborhood is a whole Equation-6 uniform region (every packet in
+/// it is forwarded, filtered and steered by intents exactly like the
 /// representative), generalizing the paper's single rule-shaped tuple:
 /// emitting one region instead of its prefix-block fragments produces the
-/// same rules with far fewer solver iterations.
+/// same rules with far fewer placement queries.
 struct NeighborhoodReport {
   net::PacketSet set;
   net::Packet representative;
@@ -56,11 +56,14 @@ struct NeighborhoodReport {
 struct FixResult {
   /// True when every neighborhood admitted a repair within `allow`.
   bool success = true;
+  /// Plan order, then split order within an obligation; a region already
+  /// covered by an earlier obligation's neighborhood is not reported again.
   std::vector<NeighborhoodReport> neighborhoods;
   std::vector<FixAction> actions;
   /// The repaired update: the proposed update with fixing rules prepended
   /// (and simplified when FixOptions::simplify_result is set).
   topo::AclUpdate fixed_update;
+  /// Placement optimize queries (Phase 1 issues none).
   std::uint64_t smt_queries = 0;
 
   /// Plan consumption: how many obligations the violation search covered,
@@ -69,8 +72,8 @@ struct FixResult {
   std::size_t obligations_skipped = 0;
 
   // Phase timing (seconds), for the Figure 4b analysis.
-  double search_seconds = 0;   // SMT violation queries
-  double enlarge_seconds = 0;  // Equation 6 neighborhood enlargement
+  double search_seconds = 0;   // violating regions (class-clipped path walks)
+  double enlarge_seconds = 0;  // splitting them into Equation 6 cells
   double place_seconds = 0;    // per-neighborhood placement solving
   double assemble_seconds = 0; // rule emission + simplification
 };

@@ -373,8 +373,7 @@ IncrementalOutcome run_incremental_check(Checker& checker, const IncrementalLeas
       bool violated = false;
       for (std::size_t a = 0; a < delta.atoms.size() && !violated; ++a) {
         if (!delta.touched[a]) continue;
-        violated = session.find_violation(delta.atoms[a], net::PacketSet::empty(), o.paths)
-                       .has_value();
+        violated = session.find_violation(delta.atoms[a], o.paths).has_value();
       }
       if (!violated) {
         out.clean[o.index] = true;
@@ -383,7 +382,7 @@ IncrementalOutcome run_incremental_check(Checker& checker, const IncrementalLeas
       // A violating sub-atom implies a full-class violation; re-derive it on
       // the whole class so the reported witness is bit-identical to a
       // from-scratch check.
-      auto full = session.find_violation(*o.fec, net::PacketSet::empty(), o.paths);
+      auto full = session.find_violation(*o.fec, o.paths);
       if (full) {
         result.consistent = false;
         result.violations.push_back(std::move(*full));
@@ -394,7 +393,7 @@ IncrementalOutcome run_incremental_check(Checker& checker, const IncrementalLeas
       continue;
     }
     ++result.obligations_executed;
-    auto violation = session.find_violation(*o.fec, net::PacketSet::empty(), o.paths);
+    auto violation = session.find_violation(*o.fec, o.paths);
     if (violation) {
       result.consistent = false;
       result.violations.push_back(std::move(*violation));

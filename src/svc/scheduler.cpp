@@ -166,6 +166,10 @@ void Scheduler::finish_locked(Job& job, JobState state, JobOutcome outcome,
                               std::vector<JobPtr>& evicted) {
   job.state_ = state;
   job.outcome_ = std::move(outcome);
+  // status/result/apply answer from the outcome alone; the inputs go now,
+  // not when retention evicts the job.
+  job.spec_.acls = {};
+  job.spec_.task.reset();
   job.finished_at_ = std::chrono::steady_clock::now();
   switch (state) {
     case JobState::Done: obs::count(obs::Counter::SvcJobsDone); break;

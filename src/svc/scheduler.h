@@ -18,7 +18,9 @@
 //    running job observes its cancel flag between program commands.
 //  * Retention — terminal jobs are kept (for status/result queries) only
 //    up to a bound; beyond it the oldest-finished are evicted, releasing
-//    their pinned snapshot and report. A long-running server therefore
+//    their pinned snapshot and outcome. A finished job keeps only a
+//    summary of its report (JobOutcome) and drops its resolved inputs as
+//    it finishes. A long-running server therefore
 //    does not grow without bound with every submission, at the cost of
 //    `status`/`result` answering 404 for jobs that finished long ago.
 //
@@ -75,12 +77,23 @@ struct JobSpec {
   std::uint64_t coalesce_key = 0;
 };
 
-/// Terminal payload of a job.
+/// One program command's verdict, as `status`/`result` render it.
+struct CommandSummary {
+  lai::Command command = lai::Command::Check;
+  bool ok = false;
+  std::optional<bool> consistent;  // check commands only
+};
+
+/// Terminal payload of a job: only what `status`/`result`/`apply` read, so
+/// a retained job does not pin its engine report (neighborhood sets,
+/// violations, the per-command updates) for the whole retention window.
 struct JobOutcome {
-  bool success = false;               // EngineReport::success() for Done
-  std::string error;                  // Failed: the diagnostic
-  std::optional<core::EngineReport> report;  // Done: the full report
-  std::string plan_text;              // Done: the formatted deployable plan
+  bool success = false;                 // EngineReport::success() for Done
+  std::string error;                    // Failed: the diagnostic
+  std::vector<CommandSummary> commands; // Done: one per executed command
+  /// Done and successful: the update `apply` installs.
+  std::optional<topo::AclUpdate> final_update;
+  std::string plan_text;                // Done: the formatted deployable plan
 };
 
 class Job {
@@ -89,6 +102,8 @@ class Job {
       : id_(id), spec_(std::move(spec)), snapshot_(std::move(snapshot)) {}
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
+  /// `acls` and `task` are released when the job turns terminal: only the
+  /// thread running the job may read them, and only before it finishes it.
   [[nodiscard]] const JobSpec& spec() const { return spec_; }
   /// The pinned snapshot — held alive by the job even after the store
   /// trims its version.
@@ -108,7 +123,7 @@ class Job {
   friend class Scheduler;
 
   const std::uint64_t id_;
-  const JobSpec spec_;
+  JobSpec spec_;  // acls and task are cleared by the terminal transition
   const SnapshotPtr snapshot_;
   std::atomic<bool> cancel_requested_{false};
   std::chrono::steady_clock::time_point submitted_at_{};

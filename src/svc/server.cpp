@@ -74,18 +74,32 @@ std::uint64_t u64_param(const Json& params, std::string_view key) {
   }
 }
 
-Json outcome_json(const JobOutcome& outcome) {
+/// The retained outcome of a job that ran to completion.
+JobOutcome done_outcome(const topo::Topology& topo, core::EngineReport report) {
+  JobOutcome outcome;
+  outcome.success = report.success();
+  outcome.plan_text = core::format_plan(topo, report.final_update);
+  for (const auto& cmd : report.outcomes) {
+    CommandSummary summary{cmd.command, cmd.ok(), std::nullopt};
+    if (cmd.check) summary.consistent = cmd.check->consistent;
+    outcome.commands.push_back(summary);
+  }
+  if (outcome.success) outcome.final_update = std::move(report.final_update);
+  return outcome;
+}
+
+Json outcome_json(JobState state, const JobOutcome& outcome) {
   Json::Object obj;
   obj.emplace("success", outcome.success);
   if (!outcome.error.empty()) obj.emplace("error", outcome.error);
   if (!outcome.plan_text.empty()) obj.emplace("plan", outcome.plan_text);
-  if (outcome.report) {
+  if (state == JobState::Done) {
     Json::Array commands;
-    for (const auto& cmd : outcome.report->outcomes) {
+    for (const auto& cmd : outcome.commands) {
       Json::Object entry;
       entry.emplace("command", lai::to_string(cmd.command));
-      entry.emplace("ok", cmd.ok());
-      if (cmd.check) entry.emplace("consistent", cmd.check->consistent);
+      entry.emplace("ok", cmd.ok);
+      if (cmd.consistent) entry.emplace("consistent", *cmd.consistent);
       commands.emplace_back(std::move(entry));
     }
     obj.emplace("commands", std::move(commands));
@@ -137,7 +151,9 @@ Json status_json(const JobStatus& status) {
   obj.emplace("snapshot", status.snapshot);
   obj.emplace("queue_seconds", status.queue_seconds);
   obj.emplace("run_seconds", status.run_seconds);
-  if (is_terminal(status.state)) obj.emplace("outcome", outcome_json(status.outcome));
+  if (is_terminal(status.state)) {
+    obj.emplace("outcome", outcome_json(status.state, status.outcome));
+  }
   return Json{std::move(obj)};
 }
 
@@ -807,7 +823,7 @@ Json Server::handle_apply(const Json& params) {
     fail(kConflict, "job " + std::to_string(id) + " is still " +
                         std::string(to_string(status->state)));
   }
-  if (status->state != JobState::Done || !status->outcome.success || !status->outcome.report) {
+  if (status->state != JobState::Done || !status->outcome.final_update) {
     fail(kConflict, "job " + std::to_string(id) + " did not produce a deployable plan");
   }
 
@@ -816,7 +832,7 @@ Json Server::handle_apply(const Json& params) {
   // exactly one wins — the loser sees the advanced version and conflicts
   // (the same gate also rejects a double-apply of one job).
   const SnapshotPtr next =
-      store_.apply_if_head(job->snapshot_version(), status->outcome.report->final_update);
+      store_.apply_if_head(job->snapshot_version(), *status->outcome.final_update);
   if (!next) {
     fail(kConflict, "job " + std::to_string(id) + " was verified against snapshot " +
                         std::to_string(job->snapshot_version()) + " but head is " +
@@ -1207,11 +1223,7 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
       incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
                            bo.clean);
     }
-    JobOutcome outcome;
-    outcome.success = report.success();
-    outcome.plan_text = core::format_plan(*snapshot->topo, report.final_update);
-    outcome.report = std::move(report);
-    scheduler_.finish(job, JobState::Done, std::move(outcome));
+    scheduler_.finish(job, JobState::Done, done_outcome(*snapshot->topo, std::move(report)));
   }
 }
 
@@ -1281,9 +1293,7 @@ void Server::execute_job(const JobPtr& job) {
     if (cancelled || job->cancel_requested()) {
       state = JobState::Cancelled;
     } else {
-      outcome.success = report.success();
-      outcome.plan_text = core::format_plan(*snapshot->topo, report.final_update);
-      outcome.report = std::move(report);
+      outcome = done_outcome(*snapshot->topo, std::move(report));
     }
   } catch (const smt::SmtTimeout& e) {
     state = JobState::Failed;

@@ -66,6 +66,18 @@ net::PacketSet path_permitted_set(const ConfigView& view, const Path& p) {
   return permitted;
 }
 
+net::PacketSet clipped_path_set(const ConfigView& view, const Path& p,
+                                const net::PacketSet& clip) {
+  net::PacketSet permitted = clip;
+  for (const Hop& hop : p.hops()) {
+    if (permitted.is_empty()) break;
+    const net::Acl& acl = view.acl(hop.slot());
+    if (acl.empty() && acl.default_action() == net::Action::Permit) continue;
+    permitted = net::permitted_within(acl, permitted);
+  }
+  return permitted;
+}
+
 namespace {
 
 class PathEnumerator {

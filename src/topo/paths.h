@@ -62,6 +62,13 @@ class Path {
 /// under a configuration view. This is the header-space dual of c_p.
 [[nodiscard]] net::PacketSet path_permitted_set(const ConfigView& view, const Path& p);
 
+/// The subset of `clip` a path's ACLs permit under a view: the first-match
+/// walk of every hop ACL, each intermediate set confined to `clip`. Equals
+/// path_permitted_set(view, p) & clip, but never materializes whole-ACL
+/// permitted sets, so its cost scales with `clip` (a narrow class).
+[[nodiscard]] net::PacketSet clipped_path_set(const ConfigView& view, const Path& p,
+                                              const net::PacketSet& clip);
+
 /// Options for path enumeration.
 struct PathEnumOptions {
   /// Hard cap guarding against path explosion; exceeded => TopologyError.

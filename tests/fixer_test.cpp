@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "gen/fixtures.h"
+#include "net/acl_algebra.h"
 
 namespace jinjing::core {
 namespace {
@@ -158,6 +159,39 @@ TEST(Fixer, FixWithControlIntent) {
   smt::SmtContext smt2;
   Checker checker{smt2, f.topo, f.scope};
   EXPECT_TRUE(checker.check(result.fixed_update, f.traffic, {open6}).consistent);
+}
+
+TEST(Fixer, IntentBoundaryInsideANeighborhoodIsRespected) {
+  // isolate dst 1.0.0.0/9 from A1 to D3 cuts traffic class 1 in half. The
+  // fixed update must keep the lower half denied towards D3 while the
+  // upper half keeps its pre-update reachability, so no neighborhood may
+  // straddle the intent's header.
+  const auto f = gen::make_figure1();
+  lai::ControlIntent isolate;
+  isolate.from = {f.A1};
+  isolate.to = {f.D3};
+  isolate.verb = lai::ControlVerb::Isolate;
+  net::HyperCube half;
+  half.set_interval(net::Field::DstIp, net::parse_prefix("1.0.0.0/9").interval());
+  isolate.header = net::PacketSet{half};
+
+  smt::SmtContext smt;
+  Fixer fixer{smt, f.topo, f.scope};
+  const auto result =
+      fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f), {isolate});
+  ASSERT_TRUE(result.success);
+  for (const auto& n : result.neighborhoods) {
+    EXPECT_TRUE(isolate.header.contains(n.set) || !isolate.header.intersects(n.set))
+        << "neighborhood " << net::to_string(n.set) << " straddles the intent header";
+  }
+
+  smt::SmtContext smt2;
+  Checker checker{smt2, f.topo, f.scope};
+  const auto check = checker.check(result.fixed_update, f.traffic, {isolate});
+  EXPECT_TRUE(check.consistent) << "witness "
+                                << (check.violations.empty()
+                                        ? std::string("-")
+                                        : net::to_string(check.violations.front().witness));
 }
 
 }  // namespace

@@ -2,13 +2,17 @@
 // against the exact header-space engine on generated WANs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <unordered_map>
 
 #include "core/checker.h"
 #include "core/fixer.h"
 #include "core/generator.h"
 #include "gen/scenario.h"
 #include "net/acl_algebra.h"
+#include "smt/acl_encoder.h"
+#include "smt/encode.h"
 #include "topo/paths.h"
 
 namespace jinjing {
@@ -26,17 +30,47 @@ gen::WanParams tiny_wan(unsigned seed) {
   return p;
 }
 
+bool spans(const lai::ControlIntent& intent, const topo::Path& path) {
+  return std::find(intent.from.begin(), intent.from.end(), path.entry()) != intent.from.end() &&
+         std::find(intent.to.begin(), intent.to.end(), path.exit()) != intent.to.end();
+}
+
 /// Oracle: exact per-path consistency verdict via the header-space engine.
-bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update) {
+/// With control intents, each path's target is its desired set: earlier
+/// intents take precedence, unmatched packets keep the pre-update decision.
+bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update,
+                       const std::vector<lai::ControlIntent>& intents = {}) {
   const topo::ConfigView before{wan.topo};
   const topo::ConfigView after{wan.topo, &update};
+  // Whole-ACL permitted sets, one per distinct ACL (paths share hops).
+  std::unordered_map<const net::Acl*, net::PacketSet> permitted;
+  const auto path_permitted = [&](const topo::ConfigView& view, const topo::Path& path,
+                                  const net::PacketSet& carried) {
+    net::PacketSet set = carried;
+    for (const auto& hop : path.hops()) {
+      const net::Acl& acl = view.acl(hop.slot());
+      auto it = permitted.find(&acl);
+      if (it == permitted.end()) it = permitted.emplace(&acl, net::permitted_set(acl)).first;
+      set = set & it->second;
+    }
+    return set;
+  };
   for (const auto& path : topo::enumerate_paths(wan.topo, wan.scope)) {
     const auto carried = topo::forwarding_set(wan.topo, path) & wan.traffic;
     if (carried.is_empty()) continue;
-    if (!(topo::path_permitted_set(before, path) & carried)
-             .equals(topo::path_permitted_set(after, path) & carried)) {
-      return false;
+    const auto original = path_permitted(before, path, carried);
+    auto desired = original;
+    for (auto it = intents.rbegin(); it != intents.rend(); ++it) {
+      if (!spans(*it, path)) continue;
+      net::PacketSet kept;  // what the intent permits inside its header
+      switch (it->verb) {
+        case lai::ControlVerb::Open: kept = it->header & carried; break;
+        case lai::ControlVerb::Isolate: break;
+        case lai::ControlVerb::Maintain: kept = original & it->header; break;
+      }
+      desired = (desired - it->header) | kept;
     }
+    if (!desired.equals(path_permitted(after, path, carried))) return false;
   }
   return true;
 }
@@ -105,6 +139,231 @@ TEST_P(FixRepairsToOracle, FixedUpdateIsExactlyConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FixRepairsToOracle, ::testing::Range(1u, 9u));
 
+// fix's exact violation search against the SMT exclusion loop it replaced.
+
+std::vector<topo::AclSlot> slots_on(const std::vector<topo::Path>& paths,
+                                    const std::vector<std::size_t>& indices) {
+  std::vector<topo::AclSlot> slots;
+  for (const std::size_t pi : indices) {
+    for (const auto& hop : paths[pi].hops()) {
+      if (std::find(slots.begin(), slots.end(), hop.slot()) == slots.end()) {
+        slots.push_back(hop.slot());
+      }
+    }
+  }
+  return slots;
+}
+
+struct ReferenceFix {
+  std::vector<net::PacketSet> neighborhoods;
+  topo::AclUpdate fixed_update;
+  bool success = true;
+};
+
+/// The fixer as it was before its search became set algebra. Phase 1 asks
+/// Z3 (whole ACLs encoded) for one violating packet of the class outside
+/// `handled`, folds it to its Equation 6 region — in-scope edges meeting
+/// the class, the before/after permitted set of every slot on the class's
+/// feasible paths, the header of every intent spanning one of them —
+/// excludes the region and asks again. Phase 2 is the fixer's Equation 7
+/// placement, without the simplification pass; every bound slot is
+/// allowed.
+ReferenceFix reference_fix(const gen::Wan& wan, const topo::AclUpdate& update,
+                           const std::vector<lai::ControlIntent>& controls, bool per_entry) {
+  smt::SmtContext smt;
+  core::CheckOptions options;
+  options.per_entry_fec = per_entry;
+  core::Checker checker{smt, wan.topo, wan.scope, options};
+  const auto& paths = checker.paths();
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  const auto h = smt.packet_vars("ref");
+
+  const auto decision = [&](const topo::Path& path, const topo::ConfigView& view) {
+    z3::expr conj = smt.bool_val(true);
+    for (const auto& hop : path.hops()) conj = conj && smt::acl_permits(h, view.acl(hop.slot()));
+    return conj;
+  };
+  std::unordered_map<std::size_t, z3::expr> inconsistent;  // per path
+  const auto path_inconsistent = [&](std::size_t pi) -> const z3::expr& {
+    if (const auto it = inconsistent.find(pi); it != inconsistent.end()) return it->second;
+    const z3::expr original = decision(paths[pi], before);
+    z3::expr desired = original;
+    for (auto it = controls.rbegin(); it != controls.rend(); ++it) {
+      if (!spans(*it, paths[pi])) continue;
+      const z3::expr value = it->verb == lai::ControlVerb::Open      ? smt.bool_val(true)
+                             : it->verb == lai::ControlVerb::Isolate ? smt.bool_val(false)
+                                                                     : original;
+      desired = z3::ite(smt::set_expr(h, it->header), value, desired);
+    }
+    return inconsistent.emplace(pi, desired != decision(paths[pi], after)).first->second;
+  };
+
+  ReferenceFix out;
+  std::vector<net::Packet> witnesses;
+  net::PacketSet handled;
+  for (const auto& o : checker.plan(wan.traffic).obligations()) {
+    if (controls.empty() && !core::touches(o, update)) continue;
+    const net::PacketSet& cls = *o.fec;
+    const auto feasible = checker.feasible_paths(cls);
+    z3::expr any = smt.bool_val(false);
+    for (const std::size_t pi : o.paths) any = any || path_inconsistent(pi);
+    while (true) {
+      auto solver = smt.make_solver();
+      solver.add(any);
+      solver.add(smt::set_expr(h, cls));
+      const net::PacketSet excluded = (handled & cls).compact();
+      if (!excluded.is_empty()) solver.add(!smt::set_expr(h, excluded));
+      const auto witness = smt.solve_for_packet(solver, h);
+      if (!witness) break;
+
+      net::PacketSet region = cls;
+      const auto fold = [&](const net::PacketSet& predicate) {
+        region = predicate.contains(*witness) ? (region & predicate) : (region - predicate);
+        region.compact();
+      };
+      for (const auto& edge : wan.topo.edges()) {
+        if (wan.scope.contains_interface(wan.topo, edge.from) &&
+            wan.scope.contains_interface(wan.topo, edge.to) && edge.predicate.intersects(cls)) {
+          fold(edge.predicate);
+        }
+      }
+      for (const auto slot : slots_on(paths, feasible)) {
+        fold(net::permitted_set(before.acl(slot)));
+        fold(net::permitted_set(after.acl(slot)));
+      }
+      for (const auto& intent : controls) {
+        if (std::any_of(feasible.begin(), feasible.end(),
+                        [&](std::size_t pi) { return spans(intent, paths[pi]); })) {
+          fold(intent.header);
+        }
+      }
+      handled = (handled | region).compact();
+      out.neighborhoods.push_back(std::move(region));
+      witnesses.push_back(*witness);
+    }
+  }
+
+  const auto allowed = wan.topo.bound_slots();
+  std::unordered_map<topo::AclSlot, std::vector<net::AclRule>, topo::AclSlotHash> prepends;
+  for (std::size_t n = 0; n < out.neighborhoods.size(); ++n) {
+    const net::Packet& w = witnesses[n];
+    const auto feasible = checker.feasible_paths(out.neighborhoods[n]);
+    const auto slots = slots_on(paths, feasible);
+    auto opt = smt.make_optimize();
+    std::unordered_map<topo::AclSlot, z3::expr, topo::AclSlotHash> d;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      d.emplace(slots[i], smt.ctx().bool_const(("RD_" + std::to_string(i)).c_str()));
+    }
+    for (const std::size_t pi : feasible) {
+      const bool original = topo::path_permits(before, paths[pi], w);
+      z3::expr conj = smt.bool_val(true);
+      for (const auto& hop : paths[pi].hops()) conj = conj && d.at(hop.slot());
+      opt.add(conj == smt.bool_val(core::desired_decision(controls, paths[pi], w, original)));
+    }
+    for (const auto slot : slots) {
+      const z3::expr keep = d.at(slot) == smt.bool_val(after.acl(slot).permits(w));
+      if (std::find(allowed.begin(), allowed.end(), slot) != allowed.end()) {
+        opt.add_soft(keep, 1);
+      } else {
+        opt.add(keep);
+      }
+    }
+    const auto model = smt.check_optimize(opt);
+    if (!model) {
+      out.success = false;
+      continue;
+    }
+    for (const auto slot : slots) {
+      const bool solved = z3::eq(model->eval(d.at(slot), true), smt.bool_val(true));
+      if (solved == after.acl(slot).permits(w)) continue;
+      for (auto& rule : net::rules_for_set(out.neighborhoods[n],
+                                           solved ? net::Action::Permit : net::Action::Deny)) {
+        prepends[slot].push_back(std::move(rule));
+      }
+    }
+  }
+  out.fixed_update = update;
+  for (const auto& [slot, rules] : prepends) {
+    net::Acl acl = after.acl(slot);
+    acl.prepend(rules);
+    out.fixed_update.insert_or_assign(slot, std::move(acl));
+  }
+  return out;
+}
+
+struct FixSearchCase {
+  std::string name;
+  bool medium = false;
+  unsigned seed = 0;
+  double fraction = 0;
+  bool per_entry = true;
+  bool control_open = false;  // add gen::control_open intents (k = 1)
+};
+
+class FixSearchMatchesExclusionLoop : public ::testing::TestWithParam<FixSearchCase> {};
+
+TEST_P(FixSearchMatchesExclusionLoop, SameNeighborhoodsAndBothRepairsExact) {
+  const FixSearchCase& c = GetParam();
+  const auto wan = gen::make_wan(c.medium ? gen::medium_wan() : tiny_wan(800 + c.seed));
+  const auto update = gen::perturb_rules(wan, c.fraction, c.seed);
+  std::vector<lai::ControlIntent> controls;
+  if (c.control_open) controls = gen::control_open(wan, 1, c.seed).intents;
+
+  smt::SmtContext smt;
+  core::FixOptions options;
+  options.check.per_entry_fec = c.per_entry;
+  core::Fixer fixer{smt, wan.topo, wan.scope, options};
+  const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots(), controls);
+  const auto ref = reference_fix(wan, update, controls, c.per_entry);
+
+  ASSERT_FALSE(ref.neighborhoods.empty()) << "the case exercises no violation";
+  ASSERT_EQ(fix.neighborhoods.size(), ref.neighborhoods.size());
+  for (const auto& n : fix.neighborhoods) {
+    EXPECT_EQ(std::count_if(ref.neighborhoods.begin(), ref.neighborhoods.end(),
+                            [&](const net::PacketSet& r) { return r.equals(n.set); }),
+              1)
+        << net::to_string(n.set);
+  }
+  if (c.control_open) {
+    // Some neighborhood lies inside an opened header: the intents take part.
+    EXPECT_TRUE(std::any_of(fix.neighborhoods.begin(), fix.neighborhoods.end(), [&](const auto& n) {
+      return std::any_of(controls.begin(), controls.end(),
+                         [&](const auto& intent) { return intent.header.contains(n.set); });
+    }));
+  }
+
+  ASSERT_TRUE(fix.success);
+  ASSERT_TRUE(ref.success);
+  EXPECT_TRUE(oracle_consistent(wan, fix.fixed_update, controls));
+  EXPECT_TRUE(oracle_consistent(wan, ref.fixed_update, controls));
+}
+
+std::vector<FixSearchCase> fix_search_cases() {
+  const auto mode = [](bool per_entry) { return per_entry ? "PerEntry" : "Global"; };
+  std::vector<FixSearchCase> cases;
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    for (const bool per_entry : {true, false}) {
+      cases.push_back({"Tiny6pctSeed" + std::to_string(seed) + mode(per_entry), false, seed,
+                       0.06, per_entry, false});
+    }
+  }
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    cases.push_back({"Medium1pctSeed" + std::to_string(seed), true, seed, 0.01, true, false});
+  }
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    for (const bool per_entry : {true, false}) {
+      cases.push_back({"ControlOpenSeed" + std::to_string(seed) + mode(per_entry), false, seed,
+                       0.03, per_entry, true});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, FixSearchMatchesExclusionLoop,
+                         ::testing::ValuesIn(fix_search_cases()),
+                         [](const auto& info) { return info.param.name; });
+
 // generate must produce plans the oracle accepts, for random migrations.
 class GenerateSatisfiesOracle : public ::testing::TestWithParam<unsigned> {};
 
@@ -149,10 +408,7 @@ TEST_P(ControlOpenOracle, OpenedTrafficFlowsOthersUnchanged) {
     // paths.
     auto desired = before_permitted;
     for (const auto& intent : sc.intents) {
-      const bool spans =
-          std::find(intent.from.begin(), intent.from.end(), path.entry()) != intent.from.end() &&
-          std::find(intent.to.begin(), intent.to.end(), path.exit()) != intent.to.end();
-      if (spans) desired = desired | (intent.header & carried);
+      if (spans(intent, path)) desired = desired | (intent.header & carried);
     }
     EXPECT_TRUE(after_permitted.equals(desired)) << to_string(wan.topo, path);
   }

@@ -1004,6 +1004,45 @@ TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_dispatches_total"), 1u);
 }
 
+TEST(RetainedOutcomeTest, FinishedFixJobAnswersAndAppliesLikeTheEngine) {
+  // A terminal job keeps a summary of its engine report (per-command
+  // verdicts, plan text, repaired update) and drops its resolved inputs.
+  // status and result must still render the fresh engine's outcome byte for
+  // byte, and apply must install exactly the engine's repaired update.
+  ScopedServer scoped{ServerOptions{}, "retained_fix"};
+  Client client{scoped.socket};
+  const SnapshotPtr pinned = scoped.server->store().head();
+  const CheckProgram program{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
+  const std::uint64_t id = submit_program(client, program);
+
+  const std::string oracle = engine_outcome(*pinned, program).dump();
+  const Json result = wait_result(client, id);
+  ASSERT_EQ(result.at("status").at("state").as_string(), "done");
+  EXPECT_EQ(result.at("status").at("outcome").dump(), oracle);
+  Json::Object query;
+  query.emplace("job", id);
+  EXPECT_EQ(client.call("status", Json{std::move(query)}).at("outcome").dump(), oracle);
+
+  lai::AclLibrary library;
+  library.emplace("permit_all", net::Acl::permit_all());
+  for (const auto& [name, body] : program.acls) {
+    library.insert_or_assign(name, config::parse_acl_auto(body));
+  }
+  core::Engine engine{*pinned->topo};
+  const core::EngineReport report =
+      engine.run_program(program.program, library, pinned->traffic);
+  ASSERT_TRUE(report.success());
+
+  Json::Object apply;
+  apply.emplace("job", id);
+  EXPECT_EQ(client.call("apply", Json{std::move(apply)}).at("version").as_u64(), 2u);
+  const SnapshotPtr head = scoped.server->store().head();
+  ASSERT_FALSE(report.final_update.empty());
+  for (const auto& [slot, acl] : report.final_update) {
+    EXPECT_EQ(net::to_string(head->topo->acl(slot)), net::to_string(acl));
+  }
+}
+
 TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
   // A job whose deadline expires while it waits behind a slow blocker —
   // whether caught at dispatch or inside the coalesced unit — must fail
