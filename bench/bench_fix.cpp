@@ -45,6 +45,18 @@ void BM_Fix(benchmark::State& state) {
   state.counters["enlarge_ms"] = last.enlarge_seconds * 1e3;
   state.counters["place_ms"] = last.place_seconds * 1e3;
   state.counters["assemble_ms"] = last.assemble_seconds * 1e3;
+  // Output size: rules prepended, and how much the touched ACLs grew
+  // against the proposed update once simplified (negative = they shrank).
+  const topo::ConfigView proposed{wan.topo, &update};
+  double prepended = 0;
+  double net_added = 0;
+  for (const auto& action : last.actions) {
+    prepended += static_cast<double>(action.rules.size());
+    net_added += static_cast<double>(last.fixed_update.at(action.slot).size()) -
+                 static_cast<double>(proposed.acl(action.slot).size());
+  }
+  state.counters["rules_prepended"] = prepended;
+  state.counters["rules_net_added"] = net_added;
   state.SetLabel(std::string(bench::size_name(state.range(0))) + "/" +
                  std::to_string(state.range(1)) + "pct");
 }

@@ -188,8 +188,12 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
 
   // Phase 2: solve a placement problem per neighborhood.
   (void)lap(stopwatch);
-  std::unordered_map<topo::AclSlot, std::vector<net::AclRule>, topo::AclSlotHash> prepends;
-  for (auto& report : result.neighborhoods) {
+  // Per slot, in neighborhood order: each neighborhood whose solved
+  // decision differs there, and whether it must now permit.
+  std::unordered_map<topo::AclSlot, std::vector<std::pair<std::size_t, bool>>, topo::AclSlotHash>
+      changes;
+  for (std::size_t index = 0; index < result.neighborhoods.size(); ++index) {
+    auto& report = result.neighborhoods[index];
     const obs::TraceSpan place_span{obs::Span::FixPlace};
     const net::PacketSet& neighborhood = report.set;
     const net::Packet& h = report.representative;
@@ -238,25 +242,37 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
       const bool updated_decision = after.acl(slot).permits(h);
       const bool solved_decision =
           z3::eq(model->eval(decision.at(slot), true), ctx.bool_val(true));
-      if (solved_decision == updated_decision) continue;
-      const auto action = solved_decision ? net::Action::Permit : net::Action::Deny;
-      for (const auto& rule : net::rules_for_set(report.set, action)) {
-        prepends[slot].push_back(rule);
-      }
+      if (solved_decision != updated_decision) changes[slot].emplace_back(index, solved_decision);
     }
   }
 
   result.place_seconds = lap(stopwatch);
 
-  // Assemble the repaired update.
+  // Assemble the repaired update: one merged cover per slot. Walking the
+  // slot's neighborhoods in order, each adds only what no earlier one
+  // covers, so overlapping neighborhoods keep their first-match priority
+  // and the permit and deny blocks are disjoint.
   const obs::TraceSpan assemble_span{obs::Span::FixAssemble};
   result.fixed_update = update;
-  for (const auto& [slot, rules] : prepends) {
+  for (const auto& [slot, slot_changes] : changes) {
+    net::PacketSet covered;
+    net::PacketSet permit;
+    net::PacketSet deny;
+    for (const auto& [index, permits] : slot_changes) {
+      const net::PacketSet& set = result.neighborhoods[index].set;
+      net::PacketSet& block = permits ? permit : deny;
+      block = block | (set - covered);
+      covered = (covered | set).compact();
+    }
+    std::vector<net::AclRule> rules = net::rules_for_set(permit.compact(), net::Action::Permit);
+    for (auto& rule : net::rules_for_set(deny.compact(), net::Action::Deny)) {
+      rules.push_back(std::move(rule));
+    }
     net::Acl acl = after.acl(slot);
     acl.prepend(rules);
     if (options_.simplify_result) acl = simplify_on(acl, simplify_universe);
     result.fixed_update.insert_or_assign(slot, std::move(acl));
-    result.actions.push_back(FixAction{slot, rules});
+    result.actions.push_back(FixAction{slot, std::move(rules)});
   }
   std::sort(result.actions.begin(), result.actions.end(),
             [](const FixAction& a, const FixAction& b) {

@@ -10,8 +10,9 @@
 //  * hard constraints — every feasible path must reproduce the desired
 //    decision; interfaces outside `allow` keep their post-update decision;
 //  * soft constraints — minimize the number of interfaces changed.
-// Where the solved decision differs from the updated ACL's decision, a
-// high-priority rule covering the neighborhood is prepended to that slot.
+// Each slot whose solved decision differs from the updated ACL's for some
+// neighborhoods gets one merged block prepended: a permit cover, then a
+// deny cover, of those neighborhoods in first-match order.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,8 @@ struct FixOptions {
   bool replan_touched_only = true;
 };
 
-/// Rules to prepend (highest priority) to one slot's updated ACL.
+/// The block prepended (highest priority) to one slot's updated ACL: the
+/// compacted permit cover, then the deny cover, before simplification.
 struct FixAction {
   topo::AclSlot slot;
   std::vector<net::AclRule> rules;
@@ -59,9 +61,10 @@ struct FixResult {
   /// Plan order, then split order within an obligation; a region already
   /// covered by an earlier obligation's neighborhood is not reported again.
   std::vector<NeighborhoodReport> neighborhoods;
+  /// One merged block per touched slot (permits, then denies), by slot.
   std::vector<FixAction> actions;
-  /// The repaired update: the proposed update with fixing rules prepended
-  /// (and simplified when FixOptions::simplify_result is set).
+  /// The repaired update: the proposed update with each slot's block
+  /// prepended (and simplified when FixOptions::simplify_result is set).
   topo::AclUpdate fixed_update;
   /// Placement optimize queries (Phase 1 issues none).
   std::uint64_t smt_queries = 0;

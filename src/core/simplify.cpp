@@ -4,78 +4,40 @@
 
 namespace jinjing::core {
 
-namespace {
-
-/// One simplification pass. Computes, incrementally,
-///   remaining[i] — universe minus the matches of rules 0..i-1 (what can
-///                  still reach rule i), and
-///   tail[i]      — the permitted set of the sub-ACL rules i.. + default,
-/// then removes every redundant rule whose match overlaps no other rule
-/// removed in the same pass (overlapping removals can invalidate each
-/// other's redundancy argument — e.g. twin "permit X" rules over a deny
-/// default are each redundant alone but not jointly).
-/// Returns true when at least one rule was removed.
-bool simplify_pass(std::vector<net::AclRule>& rules, net::Action default_action,
-                   const net::PacketSet& universe) {
-  const std::size_t n = rules.size();
-  if (n == 0) return false;
-
-  std::vector<net::PacketSet> match(n);
-  for (std::size_t i = 0; i < n; ++i) match[i] = net::PacketSet{rules[i].match.cube()};
-
-  std::vector<net::PacketSet> remaining(n);
-  remaining[0] = universe;
-  for (std::size_t i = 1; i < n; ++i) {
-    remaining[i] = (remaining[i - 1] - match[i - 1]).compact();
-  }
-
-  std::vector<net::PacketSet> tail(n + 1);
-  tail[n] = default_action == net::Action::Permit ? universe : net::PacketSet::empty();
-  for (std::size_t i = n; i-- > 0;) {
-    if (rules[i].action == net::Action::Permit) {
-      tail[i] = ((match[i] & universe) | (tail[i + 1] - match[i])).compact();
-    } else {
-      tail[i] = (tail[i + 1] - match[i]).compact();
-    }
-  }
-
-  std::vector<bool> remove(n, false);
-  for (std::size_t i = n; i-- > 0;) {
-    const net::PacketSet decided = remaining[i] & match[i];
-    bool redundant = false;
-    if (decided.is_empty()) {
-      redundant = true;  // shadowed, or outside the universe of interest
-    } else if (rules[i].action == net::Action::Permit) {
-      redundant = tail[i + 1].contains(decided);
-    } else {
-      redundant = !tail[i + 1].intersects(decided);
-    }
-    if (!redundant) continue;
-    // Batch-safety: skip when overlapping an already-planned removal.
-    bool conflicts = false;
-    for (std::size_t j = i + 1; j < n && !conflicts; ++j) {
-      conflicts = remove[j] && match[i].intersects(match[j]);
-    }
-    if (!conflicts) remove[i] = true;
-  }
-
-  std::vector<net::AclRule> kept;
-  kept.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!remove[i]) kept.push_back(rules[i]);
-  }
-  const bool changed = kept.size() != rules.size();
-  rules = std::move(kept);
-  return changed;
-}
-
-}  // namespace
-
+/// One pass from the last rule to the first. Rule i decides the packets of
+/// `universe` in its match that no earlier rule matches; it is redundant
+/// when that set is empty, or when the rules kept after it plus the default
+/// decide all of it the same way. Both walks stay clipped to rule i's
+/// match, so no set grows beyond one rule's share of the universe. Every
+/// earlier rule is still present when rule i is checked and its suffix is
+/// final, so each removal keeps the permitted set on `universe`; a later
+/// removal of an earlier rule only grows a kept rule's decided set, so no
+/// kept rule becomes redundant.
 net::Acl simplify_on(const net::Acl& acl, const net::PacketSet& universe) {
-  std::vector<net::AclRule> rules = acl.rules();
-  while (simplify_pass(rules, acl.default_action(), universe)) {
+  const std::vector<net::AclRule>& rules = acl.rules();
+  std::vector<net::PacketSet> match;
+  match.reserve(rules.size());
+  for (const auto& rule : rules) match.emplace_back(rule.match.cube());
+
+  std::vector<std::size_t> tail;  // the rules kept so far, last first
+  for (std::size_t i = rules.size(); i-- > 0;) {
+    net::PacketSet decided = universe & match[i];
+    for (std::size_t j = 0; j < i && !decided.is_empty(); ++j) {
+      if (match[j].intersects(match[i])) decided = decided - match[j];
+    }
+    bool same = true;
+    for (auto it = tail.rbegin(); it != tail.rend() && same && !decided.is_empty(); ++it) {
+      if (!decided.intersects(match[*it])) continue;
+      same = rules[*it].action == rules[i].action;
+      decided = decided - match[*it];
+    }
+    if (same && !decided.is_empty()) same = acl.default_action() == rules[i].action;
+    if (!same) tail.push_back(i);
   }
-  return net::Acl{std::move(rules), acl.default_action()};
+  std::vector<net::AclRule> kept;
+  kept.reserve(tail.size());
+  for (auto it = tail.rbegin(); it != tail.rend(); ++it) kept.push_back(rules[*it]);
+  return net::Acl{std::move(kept), acl.default_action()};
 }
 
 net::Acl simplify(const net::Acl& acl) { return simplify_on(acl, net::PacketSet::all()); }

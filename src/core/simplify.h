@@ -11,12 +11,14 @@
 
 namespace jinjing::core {
 
-/// Removes every rule whose removal leaves the permitted set unchanged,
-/// iterating to a fixpoint. Exact: simplify(acl) ≡ acl on all packets.
+/// One pass from the last rule to the first. The result is exact
+/// (simplify(acl) ≡ acl on all packets) and irredundant: removing any one
+/// of its rules changes the permitted set. Of twin "permit X" rules over a
+/// deny default, exactly one stays.
 [[nodiscard]] net::Acl simplify(const net::Acl& acl);
 
-/// Same, but only behaviour on `universe` must be preserved (useful when
-/// the scope's traffic is known, e.g. from the IP management system).
+/// Same, but exact and irredundant only on `universe` (useful when the
+/// scope's traffic is known, e.g. from the IP management system).
 [[nodiscard]] net::Acl simplify_on(const net::Acl& acl, const net::PacketSet& universe);
 
 }  // namespace jinjing::core

@@ -11,6 +11,7 @@
 #include "core/generator.h"
 #include "gen/scenario.h"
 #include "net/acl_algebra.h"
+#include "reference_simplify.h"
 #include "smt/acl_encoder.h"
 #include "smt/encode.h"
 #include "topo/paths.h"
@@ -160,14 +161,83 @@ struct ReferenceFix {
   bool success = true;
 };
 
+/// The fixer's Phase 2 as it was before assembly merged its covers: the
+/// Equation 7 placement of every neighborhood at its representative (every
+/// bound slot allowed), then, at each slot whose decision changes, that
+/// neighborhood's own rules_for_set cover prepended in neighborhood order.
+/// With `simplify`, every touched ACL then goes through the fixpoint
+/// simplifier on `wan.traffic`.
+struct ReferencePlacement {
+  topo::AclUpdate fixed_update;
+  bool success = true;
+};
+
+ReferencePlacement reference_place(const core::Checker& checker, smt::SmtContext& smt,
+                                   const gen::Wan& wan, const topo::AclUpdate& update,
+                                   const std::vector<lai::ControlIntent>& controls,
+                                   const std::vector<net::PacketSet>& neighborhoods,
+                                   const std::vector<net::Packet>& representatives,
+                                   bool simplify) {
+  const auto& paths = checker.paths();
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  const auto allowed = wan.topo.bound_slots();
+  ReferencePlacement out;
+  std::unordered_map<topo::AclSlot, std::vector<net::AclRule>, topo::AclSlotHash> prepends;
+  for (std::size_t n = 0; n < neighborhoods.size(); ++n) {
+    const net::Packet& w = representatives[n];
+    const auto feasible = checker.feasible_paths(neighborhoods[n]);
+    const auto slots = slots_on(paths, feasible);
+    auto opt = smt.make_optimize();
+    std::unordered_map<topo::AclSlot, z3::expr, topo::AclSlotHash> d;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      d.emplace(slots[i], smt.ctx().bool_const(("D_" + std::to_string(i)).c_str()));
+    }
+    for (const std::size_t pi : feasible) {
+      const bool original = topo::path_permits(before, paths[pi], w);
+      z3::expr conj = smt.bool_val(true);
+      for (const auto& hop : paths[pi].hops()) conj = conj && d.at(hop.slot());
+      opt.add(conj == smt.bool_val(core::desired_decision(controls, paths[pi], w, original)));
+    }
+    for (const auto slot : slots) {
+      const z3::expr keep = d.at(slot) == smt.bool_val(after.acl(slot).permits(w));
+      if (std::find(allowed.begin(), allowed.end(), slot) != allowed.end()) {
+        opt.add_soft(keep, 1);
+      } else {
+        opt.add(keep);
+      }
+    }
+    const auto model = smt.check_optimize(opt);
+    if (!model) {
+      out.success = false;
+      continue;
+    }
+    for (const auto slot : slots) {
+      const bool solved = z3::eq(model->eval(d.at(slot), true), smt.bool_val(true));
+      if (solved == after.acl(slot).permits(w)) continue;
+      for (auto& rule :
+           net::rules_for_set(neighborhoods[n], solved ? net::Action::Permit : net::Action::Deny)) {
+        prepends[slot].push_back(std::move(rule));
+      }
+    }
+  }
+  out.fixed_update = update;
+  for (const auto& [slot, rules] : prepends) {
+    net::Acl acl = after.acl(slot);
+    acl.prepend(rules);
+    if (simplify) acl = test::reference_simplify_on(acl, wan.traffic);
+    out.fixed_update.insert_or_assign(slot, std::move(acl));
+  }
+  return out;
+}
+
 /// The fixer as it was before its search became set algebra. Phase 1 asks
 /// Z3 (whole ACLs encoded) for one violating packet of the class outside
 /// `handled`, folds it to its Equation 6 region — in-scope edges meeting
 /// the class, the before/after permitted set of every slot on the class's
 /// feasible paths, the header of every intent spanning one of them —
-/// excludes the region and asks again. Phase 2 is the fixer's Equation 7
-/// placement, without the simplification pass; every bound slot is
-/// allowed.
+/// excludes the region and asks again. Phase 2 is reference_place, without
+/// the simplification pass.
 ReferenceFix reference_fix(const gen::Wan& wan, const topo::AclUpdate& update,
                            const std::vector<lai::ControlIntent>& controls, bool per_entry) {
   smt::SmtContext smt;
@@ -244,51 +314,10 @@ ReferenceFix reference_fix(const gen::Wan& wan, const topo::AclUpdate& update,
     }
   }
 
-  const auto allowed = wan.topo.bound_slots();
-  std::unordered_map<topo::AclSlot, std::vector<net::AclRule>, topo::AclSlotHash> prepends;
-  for (std::size_t n = 0; n < out.neighborhoods.size(); ++n) {
-    const net::Packet& w = witnesses[n];
-    const auto feasible = checker.feasible_paths(out.neighborhoods[n]);
-    const auto slots = slots_on(paths, feasible);
-    auto opt = smt.make_optimize();
-    std::unordered_map<topo::AclSlot, z3::expr, topo::AclSlotHash> d;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      d.emplace(slots[i], smt.ctx().bool_const(("RD_" + std::to_string(i)).c_str()));
-    }
-    for (const std::size_t pi : feasible) {
-      const bool original = topo::path_permits(before, paths[pi], w);
-      z3::expr conj = smt.bool_val(true);
-      for (const auto& hop : paths[pi].hops()) conj = conj && d.at(hop.slot());
-      opt.add(conj == smt.bool_val(core::desired_decision(controls, paths[pi], w, original)));
-    }
-    for (const auto slot : slots) {
-      const z3::expr keep = d.at(slot) == smt.bool_val(after.acl(slot).permits(w));
-      if (std::find(allowed.begin(), allowed.end(), slot) != allowed.end()) {
-        opt.add_soft(keep, 1);
-      } else {
-        opt.add(keep);
-      }
-    }
-    const auto model = smt.check_optimize(opt);
-    if (!model) {
-      out.success = false;
-      continue;
-    }
-    for (const auto slot : slots) {
-      const bool solved = z3::eq(model->eval(d.at(slot), true), smt.bool_val(true));
-      if (solved == after.acl(slot).permits(w)) continue;
-      for (auto& rule : net::rules_for_set(out.neighborhoods[n],
-                                           solved ? net::Action::Permit : net::Action::Deny)) {
-        prepends[slot].push_back(std::move(rule));
-      }
-    }
-  }
-  out.fixed_update = update;
-  for (const auto& [slot, rules] : prepends) {
-    net::Acl acl = after.acl(slot);
-    acl.prepend(rules);
-    out.fixed_update.insert_or_assign(slot, std::move(acl));
-  }
+  const auto placed = reference_place(checker, smt, wan, update, controls, out.neighborhoods,
+                                      witnesses, false);
+  out.fixed_update = placed.fixed_update;
+  out.success = placed.success;
   return out;
 }
 
@@ -300,6 +329,9 @@ struct FixSearchCase {
   bool per_entry = true;
   bool control_open = false;  // add gen::control_open intents (k = 1)
 };
+
+// Names the case in test listings (its raw bytes hold a heap pointer).
+void PrintTo(const FixSearchCase& c, std::ostream* os) { *os << c.name; }
 
 class FixSearchMatchesExclusionLoop : public ::testing::TestWithParam<FixSearchCase> {};
 
@@ -361,6 +393,61 @@ std::vector<FixSearchCase> fix_search_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, FixSearchMatchesExclusionLoop,
+                         ::testing::ValuesIn(fix_search_cases()),
+                         [](const auto& info) { return info.param.name; });
+
+// fix's assembly — one merged cover per slot, then the single-pass
+// simplifier — against per-neighborhood prepends and the fixpoint
+// simplifier it replaced, on the same neighborhoods. The reference poses
+// the fixer's placement queries in the same order and with the same
+// variable names in its own Z3 context, so both pick the same optimum.
+class FixAssemblyMatchesPerNeighborhoodPrepends
+    : public ::testing::TestWithParam<FixSearchCase> {};
+
+TEST_P(FixAssemblyMatchesPerNeighborhoodPrepends, SameAclsOnEnteringAndNoMoreRules) {
+  const FixSearchCase& c = GetParam();
+  const auto wan = gen::make_wan(c.medium ? gen::medium_wan() : tiny_wan(800 + c.seed));
+  const auto update = gen::perturb_rules(wan, c.fraction, c.seed);
+  std::vector<lai::ControlIntent> controls;
+  if (c.control_open) controls = gen::control_open(wan, 1, c.seed).intents;
+
+  smt::SmtContext smt;
+  core::FixOptions options;
+  options.check.per_entry_fec = c.per_entry;
+  core::Fixer fixer{smt, wan.topo, wan.scope, options};
+  const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots(), controls);
+  ASSERT_TRUE(fix.success);
+  ASSERT_FALSE(fix.neighborhoods.empty()) << "the case exercises no violation";
+
+  std::vector<net::PacketSet> neighborhoods;
+  std::vector<net::Packet> representatives;
+  for (const auto& n : fix.neighborhoods) {
+    neighborhoods.push_back(n.set);
+    representatives.push_back(n.representative);
+  }
+  smt::SmtContext ref_smt;
+  core::Checker checker{ref_smt, wan.topo, wan.scope, options.check};
+  const auto ref = reference_place(checker, ref_smt, wan, update, controls, neighborhoods,
+                                   representatives, true);
+  ASSERT_TRUE(ref.success);
+
+  const topo::ConfigView fixed{wan.topo, &fix.fixed_update};
+  const topo::ConfigView reference{wan.topo, &ref.fixed_update};
+  std::size_t rules = 0;
+  std::size_t ref_rules = 0;
+  for (const auto slot : wan.topo.bound_slots()) {
+    EXPECT_TRUE(net::equivalent_on(fixed.acl(slot), reference.acl(slot), wan.traffic))
+        << "slot " << slot.iface << (slot.dir == topo::Dir::In ? " in" : " out");
+    rules += fixed.acl(slot).size();
+    ref_rules += reference.acl(slot).size();
+  }
+  EXPECT_LE(rules, ref_rules);
+  EXPECT_TRUE(oracle_consistent(wan, fix.fixed_update, controls));
+  RecordProperty("rules", static_cast<int>(rules));
+  RecordProperty("reference_rules", static_cast<int>(ref_rules));
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, FixAssemblyMatchesPerNeighborhoodPrepends,
                          ::testing::ValuesIn(fix_search_cases()),
                          [](const auto& info) { return info.param.name; });
 
