@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "core/generator.h"
+#include "obs/stats.h"
 
 namespace jinjing {
 namespace {
@@ -21,11 +22,12 @@ void BM_ControlOpen(benchmark::State& state) {
   const auto scenario = gen::control_open(wan, k, static_cast<unsigned>(41 + k));
 
   core::GenerateResult last;
+  obs::StatsRegistry registry;
+  const obs::ScopedRegistry installed{registry};
   for (auto _ : state) {
-    smt::SmtContext smt;
     core::GenerateOptions options;
     options.universe = wan.traffic;
-    core::Generator generator{smt, wan.topo, wan.scope, options};
+    core::Generator generator{wan.topo, wan.scope, options};
     last = generator.generate(scenario.spec, scenario.intents);
     benchmark::DoNotOptimize(last);
   }
@@ -34,6 +36,8 @@ void BM_ControlOpen(benchmark::State& state) {
   state.counters["emitted_rules"] = static_cast<double>(last.synthesis.emitted_rules);
   state.counters["derive_ms"] = last.derive_seconds * 1e3;
   state.counters["solve_ms"] = last.solve_seconds * 1e3;
+  state.counters["placement_nodes"] =
+      static_cast<double>(registry.gauge(obs::Gauge::PlacementNodes));
   state.counters["synthesize_ms"] = last.synth_seconds * 1e3;
   state.counters["success"] = last.success ? 1 : 0;
   state.SetLabel(std::string(bench::size_name(state.range(0))) + "/open" +

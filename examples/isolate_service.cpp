@@ -98,7 +98,7 @@ int main() {
   const auto& gen_result = *report.outcomes[0].generate;
 
   std::cout << "generate: " << (gen_result.success ? "success" : "FAILED") << " ("
-            << gen_result.aec_count << " AECs, " << gen_result.smt_queries << " SMT queries)\n\n";
+            << gen_result.aec_count << " AECs, " << gen_result.dec_count << " DECs)\n\n";
   std::cout << "Generated plan:\n";
   for (const auto& [slot, acl] : report.final_update) {
     if (acl.empty()) continue;

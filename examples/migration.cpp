@@ -51,10 +51,9 @@ int main() {
   }
 
   // Run generate.
-  smt::SmtContext smt;
   core::GenerateOptions options;
   options.universe = f.traffic;
-  core::Generator generator{smt, f.topo, f.scope, options};
+  core::Generator generator{f.topo, f.scope, options};
   core::MigrationSpec spec;
   spec.sources = f.migration_sources();
   spec.targets = f.migration_targets();
@@ -66,7 +65,6 @@ int main() {
             << " dataplane equivalence classes for the rest)\n";
   std::cout << "  sequence-encoding rows: " << result.synthesis.row_count
             << ", emitted rules: " << result.synthesis.emitted_rules << "\n";
-  std::cout << "  SMT queries: " << result.smt_queries << "\n";
 
   std::cout << "\nSynthesized ACLs (cf. Table 4b):\n";
   for (const auto slot : spec.targets) {

@@ -71,10 +71,9 @@ int main() {
   // ---- Scenario 3: migrate the middle layer's ACLs. ----------------------
   std::cout << "--- Scenario 3: migrate all aggregation-layer ACLs to the gateways ---\n";
   t0 = std::chrono::steady_clock::now();
-  smt::SmtContext smt_gen;
   core::GenerateOptions gen_options;
   gen_options.universe = wan.traffic;
-  core::Generator generator{smt_gen, wan.topo, wan.scope, gen_options};
+  core::Generator generator{wan.topo, wan.scope, gen_options};
   const auto migration = generator.generate(gen::migration_spec(wan));
   std::cout << "generate: " << (migration.success ? "success" : "FAILED") << " in "
             << seconds_since(t0) << "s\n";

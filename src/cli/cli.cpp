@@ -481,22 +481,19 @@ void write_report_json(const std::string& path, const core::EngineReport& report
       file << ", \"obligations\": " << f.obligations
            << ", \"obligations_skipped\": " << f.obligations_skipped
            << ", \"neighborhoods\": " << f.neighborhoods.size()
-           << ", \"actions\": " << f.actions.size() << ", \"smt_queries\": " << f.smt_queries
+           << ", \"actions\": " << f.actions.size()
            << ", \"search_seconds\": " << f.search_seconds
            << ", \"enlarge_seconds\": " << f.enlarge_seconds
            << ", \"place_seconds\": " << f.place_seconds
            << ", \"assemble_seconds\": " << f.assemble_seconds;
-      total_queries += f.smt_queries;
       total_solve += f.search_seconds + f.place_seconds;
     }
     if (outcome.generate) {
       const auto& g = *outcome.generate;
       file << ", \"aec_count\": " << g.aec_count << ", \"dec_count\": " << g.dec_count
-           << ", \"smt_queries\": " << g.smt_queries
            << ", \"derive_seconds\": " << g.derive_seconds
            << ", \"solve_seconds\": " << g.solve_seconds
            << ", \"synth_seconds\": " << g.synth_seconds;
-      total_queries += g.smt_queries;
       total_solve += g.solve_seconds;
     }
     file << "}";
@@ -564,8 +561,8 @@ int run_command(const Options& options, std::ostream& out) {
     out << lai::to_string(outcome.command) << ": " << (outcome.ok() ? "ok" : "FAILED");
     if (outcome.check) {
       out << " (" << (outcome.check->consistent ? "consistent" : "inconsistent") << ", "
-          << outcome.check->fec_count << " classes, " << outcome.check->smt_queries
-          << " SMT queries)";
+          << outcome.check->fec_count << " classes, " << outcome.check->obligations_executed
+          << "/" << outcome.check->obligation_count << " obligations scanned)";
     }
     if (outcome.fix) {
       out << " (" << outcome.fix->neighborhoods.size() << " neighborhoods, "

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "obs/stats.h"
 
@@ -64,6 +65,35 @@ std::vector<std::vector<std::size_t>> make_shards(const VerifyPlan& plan,
   return shards;
 }
 
+/// One feasible path of an obligation, clipped to its class: the packets
+/// it should permit and the packets it permits under the update.
+struct PathSides {
+  const net::PacketSet& before;
+  std::optional<net::PacketSet> steered;  // desired, when an intent spans the path
+  net::PacketSet updated;
+
+  [[nodiscard]] const net::PacketSet& desired() const { return steered ? *steered : before; }
+};
+
+/// Does some control intent span the path? Only then may its desired set
+/// differ from its before-set.
+bool steered(const std::vector<lai::ControlIntent>* controls, const topo::Path& path) {
+  return controls != nullptr &&
+         std::any_of(controls->begin(), controls->end(),
+                     [&](const lai::ControlIntent& intent) { return intent_spans_path(intent, path); });
+}
+
+PathSides path_sides(const BatchAlgebra& algebra, const topo::ConfigView& after,
+                     const std::vector<lai::ControlIntent>* controls, std::size_t index,
+                     std::size_t k) {
+  const Obligation& o = algebra.bundle->plan.obligations()[index];
+  const topo::Path& path = algebra.bundle->paths[o.paths[k]];
+  PathSides sides{algebra.before(index)[k], std::nullopt,
+                  topo::clipped_path_set(after, path, *o.fec)};
+  if (steered(controls, path)) sides.steered = desired_set(*controls, path, sides.before, *o.fec);
+  return sides;
+}
+
 }  // namespace
 
 const std::vector<net::PacketSet>& BatchAlgebra::before(std::size_t index) const {
@@ -118,38 +148,38 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     const std::size_t job = task_index / shards.size();
     const auto& shard = shards[task_index % shards.size()];
     const BatchItem& item = items[job];
+    const StopProbes& probes = item.probes;
     JobScratch& s = scratch[job];
     const topo::ConfigView after{topo, item.update};
     for (const std::size_t index : shard) {
       if (s.cancelled.load(std::memory_order_relaxed) ||
-          (item.cancelled && item.cancelled())) {
+          (probes.cancelled && probes.cancelled())) {
         s.cancelled.store(true, std::memory_order_relaxed);
         return;
       }
-      if (s.expired.load(std::memory_order_relaxed) || (item.expired && item.expired())) {
+      if (s.expired.load(std::memory_order_relaxed) || (probes.expired && probes.expired())) {
         s.expired.store(true, std::memory_order_relaxed);
         return;
       }
       if (stop_at_first && index > s.bound.load(std::memory_order_relaxed)) continue;
       const Obligation& o = obligations[index];
-      // No rewritten slot on any feasible path (both decision sides
-      // coincide), or a verdict already proven for this update: consistent
-      // without a scan.
-      if (!touches(o, *item.update) || (index < item.clean.size() && item.clean[index])) {
+      // No rewritten slot and no spanning intent on any feasible path (the
+      // desired and updated sides coincide), or a verdict already proven
+      // for this update: consistent without a scan.
+      const bool live = touches(o, *item.update) ||
+                        std::any_of(o.paths.begin(), o.paths.end(), [&](std::size_t p) {
+                          return steered(item.controls, bundle.paths[p]);
+                        });
+      if (!live || (index < item.clean.size() && item.clean[index])) {
         s.clean[index] = 1;
         s.skipped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       s.executed.fetch_add(1, std::memory_order_relaxed);
       bool violated = false;
-      const auto& before_sets = algebra.before(index);
-      for (std::size_t k = 0; k < o.paths.size(); ++k) {
-        const net::PacketSet after_set =
-            topo::clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
-        if (!after_set.equals(before_sets[k])) {
-          violated = true;
-          break;
-        }
+      for (std::size_t k = 0; k < o.paths.size() && !violated; ++k) {
+        const PathSides sides = path_sides(algebra, after, item.controls, index, k);
+        violated = !sides.updated.equals(sides.desired());
       }
       if (violated) {
         s.violated[index] = 1;
@@ -205,18 +235,17 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     for (std::size_t index = 0; index < count; ++index) {
       if (s.violated[index] == 0) continue;
       const Obligation& o = obligations[index];
-      const auto& before_sets = algebra.before(index);
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
-        const net::PacketSet after_set =
-            topo::clipped_path_set(after, bundle.paths[o.paths[k]], *o.fec);
+        const PathSides sides = path_sides(algebra, after, items[job].controls, index, k);
+        const net::PacketSet& desired = sides.desired();
         const net::PacketSet changed =
-            (before_sets[k] - after_set) | (after_set - before_sets[k]);
+            (desired - sides.updated) | (sides.updated - desired);
         if (changed.is_empty()) continue;
         Violation violation;
         violation.witness = changed.sample();
         violation.path_index = o.paths[k];
-        violation.decision_before = before_sets[k].contains(violation.witness);
-        violation.decision_after = after_set.contains(violation.witness);
+        violation.decision_before = desired.contains(violation.witness);
+        violation.decision_after = sides.updated.contains(violation.witness);
         explain_violation(topo, base, after, bundle.paths[o.paths[k]], violation);
         result.consistent = false;
         result.violations.push_back(std::move(violation));

@@ -8,9 +8,10 @@
 // that needs it, and kept for every later job of that version. Each job then
 // only re-walks its *after* side with net::permitted_within, clipped to the
 // obligation's FEC. An obligation is violated iff some feasible path's
-// clipped permitted set differs between the two sides — the exact
-// header-space dual of the checker's Equation 3 query (no control intents,
-// which pure checks exclude), so the verdict is identical to a fresh
+// clipped permitted set differs from its desired set — the before-set
+// itself, or, on a path a control intent spans, the before-set rewritten by
+// core::desired_set (§6). That is the exact header-space dual of the
+// checker's Equation 3 query, so the verdict is identical to a fresh
 // Checker::check, and no SMT query is issued.
 //
 // Sharding: obligations are partitioned by entry interface (the plan's
@@ -70,26 +71,27 @@ struct BatchAlgebra {
 /// One job of a dispatch unit (a batch of one or more jobs).
 struct BatchItem {
   const topo::AclUpdate* update = nullptr;
-  /// Cooperative cancellation probe, polled between obligations; may be
-  /// empty (never cancelled).
-  std::function<bool()> cancelled;
-  /// Deadline probe, polled between obligations; true = budget exhausted.
-  /// May be empty (no deadline).
-  std::function<bool()> expired;
+  /// Cancellation and deadline probes, polled between obligations; a fired
+  /// probe ends the job's scan (BatchOutcome::cancelled/deadline_expired).
+  StopProbes probes;
   /// Obligations already proven consistent for this update (indexed by
   /// Obligation::index; may be shorter or empty). They are not scanned —
   /// the incremental planner's leased verdicts, so a fully clean re-check
   /// scans nothing. Only sound bits may be passed.
   std::vector<bool> clean = {};
+  /// The job's control intents (§6); null or empty = plain consistency.
+  /// An obligation with a path some intent spans is scanned even when the
+  /// update rewrites none of its slots.
+  const std::vector<lai::ControlIntent>* controls = nullptr;
 };
 
 /// Per-job result of a batch run.
 struct BatchOutcome {
   CheckResult result;
-  /// Obligations proven consistent under the job's update (touches() ==
-  /// false, passed in as clean, or scanned without a differing path set) —
-  /// commit these to the incremental planner so identical re-checks skip
-  /// them.
+  /// Obligations proven consistent under the job's update and intents
+  /// (untouched and unsteered, passed in as clean, or scanned without a
+  /// differing path set) — for an intent-free job, commit these to the
+  /// incremental planner so identical re-checks skip them.
   std::vector<bool> clean;
   bool cancelled = false;
   bool deadline_expired = false;

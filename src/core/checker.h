@@ -14,6 +14,11 @@
 // work-stealing core::Executor (execute stage) with early-exit cancellation
 // for stop_at_first.
 //
+// The engine and the service do not run this SMT pipeline: their checks
+// are the exact set scan of core/batch over the same plan, with the same
+// verdicts. Checker::check is the paper's reproduction baseline, used by
+// the benchmarks and as the tests' reference.
+//
 // Two lowerings reproduce the paper's comparison: Basic (whole ACLs, the
 // Minesweeper-style baseline) and Differential (Theorem 4.1 reduction).
 // When control intents are present the original decision c_p is replaced by
@@ -234,6 +239,9 @@ class Checker {
   /// and self-contained: another checker adopting it never touches this
   /// checker again.
   [[nodiscard]] std::shared_ptr<const PlanBundle> share_plan(const net::PacketSet& entering);
+
+  /// Seconds the last plan() call spent building (0 when it was cached).
+  [[nodiscard]] double last_plan_seconds() const { return last_plan_seconds_; }
 
   [[nodiscard]] const std::vector<topo::Path>& paths() const {
     return adopted_ ? adopted_->paths : paths_;

@@ -41,44 +41,66 @@ Engine::Engine(const topo::Topology& topo, EngineOptions options)
   }
   if (!options_.fix.check.executor) options_.fix.check.executor = options_.check.executor;
   if (!options_.generate.executor) options_.generate.executor = options_.check.executor;
-  // The engine-wide per-query Z3 deadline (worker contexts pick it up from
-  // their CheckOptions; the shared context is configured here).
-  if (options_.check.timeout_ms > 0) smt_.set_timeout_ms(options_.check.timeout_ms);
+}
+
+void Engine::use_scope(const topo::Scope& scope) {
+  if (session_scope_ && same_scope(*session_scope_, scope)) return;
+  algebra_.reset();
+  fixer_.reset();
+  checker_.reset();
+  session_scope_ = scope;
 }
 
 Checker& Engine::checker_for(const topo::Scope& scope) {
-  if (!session_scope_ || !same_scope(*session_scope_, scope)) {
-    fixer_.reset();
-    checker_.reset();
-    session_scope_ = scope;
-  }
+  use_scope(scope);
   if (!checker_) checker_ = std::make_unique<Checker>(smt_, topo_, scope, options_.check);
   return *checker_;
 }
 
 Fixer& Engine::fixer_for(const topo::Scope& scope) {
-  if (!session_scope_ || !same_scope(*session_scope_, scope)) {
-    fixer_.reset();
-    checker_.reset();
-    session_scope_ = scope;
-  }
+  use_scope(scope);
   if (!fixer_) fixer_ = std::make_unique<Fixer>(smt_, topo_, scope, options_.fix);
   return *fixer_;
 }
 
+CheckResult Engine::check(const lai::UpdateTask& task, const topo::AclUpdate& update,
+                          const net::PacketSet& entering, const StopProbes& probes) {
+  Checker& checker = checker_for(task.scope);
+  double plan_seconds = 0;
+  if (!algebra_ || !algebra_->bundle->entering.equals(entering)) {
+    auto bundle = checker.share_plan(entering);
+    plan_seconds = checker.last_plan_seconds();
+    algebra_ = std::make_shared<const BatchAlgebra>(build_batch_algebra(topo_, std::move(bundle)));
+  }
+  BatchItem item;
+  item.update = &update;
+  item.probes = probes;
+  item.controls = &task.controls;
+  BatchRunOptions run;
+  run.stop_at_first = options_.check.stop_at_first;
+  run.executor = &checker.executor();
+  auto outcome = std::move(run_check_batch(topo_, *algebra_, {item}, run).front());
+  if (outcome.cancelled) throw Interrupted{false};
+  if (outcome.deadline_expired) throw Interrupted{true};
+  outcome.result.plan_seconds = plan_seconds;
+  return outcome.result;
+}
+
 CommandOutcome Engine::run_command(const lai::UpdateTask& task, lai::Command command,
-                                   topo::AclUpdate& current, const net::PacketSet& entering) {
+                                   topo::AclUpdate& current, const net::PacketSet& entering,
+                                   const StopProbes& probes) {
   CommandOutcome outcome;
   outcome.command = command;
   switch (command) {
     case lai::Command::Check: {
       const obs::TraceSpan span{obs::Span::EngineCheck};
-      outcome.check = checker_for(task.scope).check(current, entering, task.controls);
+      outcome.check = check(task, current, entering, probes);
       break;
     }
     case lai::Command::Fix: {
       const obs::TraceSpan span{obs::Span::EngineFix};
-      outcome.fix = fixer_for(task.scope).fix(current, entering, task.allowed, task.controls);
+      outcome.fix =
+          fixer_for(task.scope).fix(current, entering, task.allowed, task.controls, probes);
       current = outcome.fix->fixed_update;
       break;
     }
@@ -102,8 +124,8 @@ CommandOutcome Engine::run_command(const lai::UpdateTask& task, lai::Command com
       }
       GenerateOptions gen_options = options_.generate;
       gen_options.universe = gen_options.universe & entering;
-      Generator generator{smt_, topo_, task.scope, gen_options};
-      outcome.generate = generator.generate(spec, task.controls);
+      Generator generator{topo_, task.scope, gen_options};
+      outcome.generate = generator.generate(spec, task.controls, probes);
       current = outcome.generate->update;
       break;
     }

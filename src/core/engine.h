@@ -3,18 +3,21 @@
 // The engine dispatches each command of the program against the *current*
 // plan (initially the modify update; fix and generate replace it, so a
 // trailing check re-validates the final plan):
-//   check    -> Checker (Algorithm 1) on the modify update,
+//   check    -> the exact set scan of core/batch (Algorithm 1's verdict,
+//               with control intents through their desired sets) over the
+//               checker's plan,
 //   fix      -> Fixer (§4.2) constrained to the allow-listed slots,
 //   generate -> Generator (§5): modify-to-permit-all slots are migration
 //               sources, allow-listed slots are synthesis targets, control
 //               statements define the desired reachability (§6).
-// The final update of the last executed command is the deployable plan.
+// The final update of the last executed command is the deployable plan. No
+// command issues an SMT query.
 //
 // One Checker/Fixer pair is kept per scope and reused across the commands
 // of a task (and across tasks with the same scope), so repeated commands
-// reuse their verification plans and the checker's incremental Z3 base
-// frame instead of rebuilding them per command. One Executor and one
-// FecCache are installed across the whole check/fix/generate pipeline.
+// reuse their verification plans, and checks reuse one scan algebra (the
+// base-side path sets) per entering set. One Executor and one FecCache are
+// installed across the whole check/fix/generate pipeline.
 #pragma once
 
 #include <memory>
@@ -22,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/fixer.h"
 #include "core/generator.h"
 #include "lai/sema.h"
@@ -71,31 +75,37 @@ class Engine {
   /// (initialized by the caller to task.modify), advancing it in place —
   /// fix replaces it with the repaired update, generate with the
   /// synthesized one. run() is a loop over this; it is exposed separately
-  /// so a serving layer can interleave cooperative cancellation and
-  /// deadline checks between the commands of a long program.
+  /// so a serving layer can pass a job's `probes`, which every command polls
+  /// between its units of work (Interrupted when one fires).
   [[nodiscard]] CommandOutcome run_command(const lai::UpdateTask& task, lai::Command command,
                                            topo::AclUpdate& current,
-                                           const net::PacketSet& entering);
+                                           const net::PacketSet& entering,
+                                           const StopProbes& probes = {});
 
   /// Parses, resolves and executes an LAI program in one call.
   [[nodiscard]] EngineReport run_program(std::string_view source, const lai::AclLibrary& acls,
                                          const net::PacketSet& entering);
 
-  [[nodiscard]] smt::SmtContext& smt() { return smt_; }
-
  private:
+  /// Drops the per-scope state when the task scope changes.
+  void use_scope(const topo::Scope& scope);
   /// The reusable per-scope verification session (rebuilt only when the
   /// task scope changes).
   Checker& checker_for(const topo::Scope& scope);
   Fixer& fixer_for(const topo::Scope& scope);
 
+  /// The check command: one scan of `update` over the scope's plan.
+  [[nodiscard]] CheckResult check(const lai::UpdateTask& task, const topo::AclUpdate& update,
+                                  const net::PacketSet& entering, const StopProbes& probes);
+
   const topo::Topology& topo_;
   EngineOptions options_;
-  smt::SmtContext smt_;
+  smt::SmtContext smt_;  // the checker's and fixer's; no command queries it
 
   std::optional<topo::Scope> session_scope_;
   std::unique_ptr<Checker> checker_;
   std::unique_ptr<Fixer> fixer_;
+  std::shared_ptr<const BatchAlgebra> algebra_;  // for the checker's last entering set
 };
 
 }  // namespace jinjing::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/placement.h"
 #include "core/simplify.h"
 #include "net/acl_algebra.h"
 #include "obs/stats.h"
@@ -94,17 +95,58 @@ void split_pieces(std::vector<net::PacketSet>& pieces, const Inside& inside) {
 
 }  // namespace
 
+std::optional<std::vector<topo::AclSlot>> place_neighborhood(
+    const std::vector<topo::Path>& paths, const std::vector<std::size_t>& feasible,
+    const topo::ConfigView& before, const topo::ConfigView& after,
+    const std::vector<topo::AclSlot>& allowed, const std::vector<lai::ControlIntent>& controls,
+    const net::Packet& h) {
+  // One variable per allowed slot on the feasible paths, in the order they
+  // are first met, preferring the update's decision; the other slots are
+  // constants at the update's decision.
+  std::vector<topo::AclSlot> vars;
+  std::vector<bool> preferred;
+  for (const auto slot : decision_slots(paths, feasible)) {
+    if (std::find(allowed.begin(), allowed.end(), slot) == allowed.end()) continue;
+    vars.push_back(slot);
+    preferred.push_back(after.acl(slot).permits(h));
+  }
+  PlacementProblem problem{std::move(preferred)};
+  for (const std::size_t pi : feasible) {
+    const auto& path = paths[pi];
+    std::vector<std::size_t> path_vars;
+    bool blocked = false;
+    for (const auto& hop : path.hops()) {
+      const auto it = std::find(vars.begin(), vars.end(), hop.slot());
+      if (it != vars.end()) {
+        path_vars.push_back(static_cast<std::size_t>(it - vars.begin()));
+      } else if (!after.acl(hop.slot()).permits(h)) {
+        blocked = true;
+      }
+    }
+    const bool original = topo::path_permits(before, path, h);
+    problem.add_path(std::move(path_vars), blocked,
+                     desired_decision(controls, path, h, original));
+  }
+  const auto placement = solve_placement(problem);
+  if (!placement) return std::nullopt;
+  std::vector<topo::AclSlot> flipped;
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    if (placement->values[v] != problem.preferred()[v]) flipped.push_back(vars[v]);
+  }
+  return flipped;
+}
+
 Fixer::Fixer(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
              const FixOptions& options)
-    : smt_(smt), options_(options), checker_(smt, topo, scope, options.check) {}
+    : options_(options), checker_(smt, topo, scope, options.check) {}
 
 FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& entering,
                      const std::vector<topo::AclSlot>& allowed,
-                     const std::vector<lai::ControlIntent>& controls) {
+                     const std::vector<lai::ControlIntent>& controls,
+                     const StopProbes& probes) {
   // Simplification needs only preserve behaviour on traffic that exists;
   // restricting it to `entering` keeps the header-space sets small.
   const net::PacketSet& simplify_universe = entering;
-  const std::uint64_t queries_before = smt_.query_count();
   FixResult result;
 
   const auto& topo = checker_.topology();
@@ -123,6 +165,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   const VerifyPlan& plan = checker_.plan(entering);
   result.obligations = plan.size();
   for (const auto& obligation : plan.obligations()) {
+    probes.poll();
     // An obligation whose feasible paths traverse no rewritten slot cannot
     // violate (every hop decision is unchanged) — unless control intents
     // redefine the desired decision, in which case everything stays live.
@@ -193,56 +236,20 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   std::unordered_map<topo::AclSlot, std::vector<std::pair<std::size_t, bool>>, topo::AclSlotHash>
       changes;
   for (std::size_t index = 0; index < result.neighborhoods.size(); ++index) {
+    probes.poll();
     auto& report = result.neighborhoods[index];
     const obs::TraceSpan place_span{obs::Span::FixPlace};
-    const net::PacketSet& neighborhood = report.set;
     const net::Packet& h = report.representative;
-    const auto feasible = checker_.feasible_paths(neighborhood);
-    const auto slots = decision_slots(checker_.paths(), feasible);
-
-    auto opt = smt_.make_optimize();
-    z3::context& ctx = smt_.ctx();
-    std::unordered_map<topo::AclSlot, z3::expr, topo::AclSlotHash> decision;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      decision.emplace(slots[i], ctx.bool_const(("D_" + std::to_string(i)).c_str()));
-    }
-
-    // Every feasible path reproduces the desired decision (Equation 7/3).
-    for (const std::size_t pi : feasible) {
-      const auto& path = checker_.paths()[pi];
-      const bool original = topo::path_permits(before, path, h);
-      const bool desired = desired_decision(controls, path, h, original);
-      z3::expr conj = ctx.bool_val(true);
-      for (const auto& hop : path.hops()) conj = conj && decision.at(hop.slot());
-      opt.add(conj == ctx.bool_val(desired));
-    }
-
-    // Placement constraints and the minimal-change objective.
-    const auto allowed_contains = [&allowed](topo::AclSlot slot) {
-      return std::find(allowed.begin(), allowed.end(), slot) != allowed.end();
-    };
-    for (const auto slot : slots) {
-      const bool updated_decision = after.acl(slot).permits(h);
-      const z3::expr keep = decision.at(slot) == ctx.bool_val(updated_decision);
-      if (allowed_contains(slot)) {
-        opt.add_soft(keep, 1);
-      } else {
-        opt.add(keep);
-      }
-    }
-
-    const auto model = smt_.check_optimize(opt);
-    if (!model) {
+    const auto flipped =
+        place_neighborhood(checker_.paths(), checker_.feasible_paths(report.set), before, after,
+                           allowed, controls, h);
+    if (!flipped) {
       report.solved = false;
       result.success = false;
       continue;
     }
-
-    for (const auto slot : slots) {
-      const bool updated_decision = after.acl(slot).permits(h);
-      const bool solved_decision =
-          z3::eq(model->eval(decision.at(slot), true), ctx.bool_val(true));
-      if (solved_decision != updated_decision) changes[slot].emplace_back(index, solved_decision);
+    for (const auto slot : *flipped) {
+      changes[slot].emplace_back(index, !after.acl(slot).permits(h));
     }
   }
 
@@ -281,7 +288,6 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
             });
 
   result.assemble_seconds = lap(stopwatch);
-  result.smt_queries = smt_.query_count() - queries_before;
   return result;
 }
 

@@ -2,20 +2,22 @@
 //
 // Phase 1 (seeking neighborhoods): per live plan obligation, compute the
 // exact violating region ⋃_p (desired_p Δ after_p) of its class by set
-// algebra, and split it into Equation 6 cells — the neighborhoods. No SMT
-// query is issued.
+// algebra, and split it into Equation 6 cells — the neighborhoods.
 //
 // Phase 2 (fixing plan generation): for each neighborhood, solve for a
-// per-interface decision function D_[h]N (Equation 7) with Z3's optimizer:
-//  * hard constraints — every feasible path must reproduce the desired
-//    decision; interfaces outside `allow` keep their post-update decision;
-//  * soft constraints — minimize the number of interfaces changed.
+// per-interface decision function D_[h]N (Equation 7) with the exact
+// placement kernel (core/placement.h):
+//  * every feasible path must reproduce the desired decision; interfaces
+//    outside `allow` keep their post-update decision;
+//  * the number of interfaces changed is minimal.
 // Each slot whose solved decision differs from the updated ACL's for some
 // neighborhoods gets one merged block prepended: a permit cover, then a
-// deny cover, of those neighborhoods in first-match order.
+// deny cover, of those neighborhoods in first-match order. Neither phase
+// issues an SMT query.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/checker.h"
@@ -66,8 +68,6 @@ struct FixResult {
   /// The repaired update: the proposed update with each slot's block
   /// prepended (and simplified when FixOptions::simplify_result is set).
   topo::AclUpdate fixed_update;
-  /// Placement optimize queries (Phase 1 issues none).
-  std::uint64_t smt_queries = 0;
 
   /// Plan consumption: how many obligations the violation search covered,
   /// and how many were skipped as untouched by the update.
@@ -81,6 +81,17 @@ struct FixResult {
   double assemble_seconds = 0; // rule emission + simplification
 };
 
+/// Equation 7 at one neighborhood's representative `h`: the fewest slots
+/// of `allowed` whose decision on `h` must flip from the update's so that
+/// every path of `feasible` (indices into `paths`) reproduces its desired
+/// decision, every other slot keeping the update's. Nullopt when no such
+/// set exists. Ties go to the slots first met along `feasible`.
+[[nodiscard]] std::optional<std::vector<topo::AclSlot>> place_neighborhood(
+    const std::vector<topo::Path>& paths, const std::vector<std::size_t>& feasible,
+    const topo::ConfigView& before, const topo::ConfigView& after,
+    const std::vector<topo::AclSlot>& allowed, const std::vector<lai::ControlIntent>& controls,
+    const net::Packet& h);
+
 class Fixer {
  public:
   Fixer(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
@@ -88,14 +99,16 @@ class Fixer {
 
   /// Repairs `update` so that `entering` traffic keeps the desired
   /// reachability. `allowed` lists the slots fix may touch (from `allow`).
+  /// `probes` are polled before each obligation and each neighborhood
+  /// (Interrupted when one fires).
   [[nodiscard]] FixResult fix(const topo::AclUpdate& update, const net::PacketSet& entering,
                               const std::vector<topo::AclSlot>& allowed,
-                              const std::vector<lai::ControlIntent>& controls = {});
+                              const std::vector<lai::ControlIntent>& controls = {},
+                              const StopProbes& probes = {});
 
   [[nodiscard]] Checker& checker() { return checker_; }
 
  private:
-  smt::SmtContext& smt_;
   FixOptions options_;
   Checker checker_;
 };

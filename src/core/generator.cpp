@@ -1,9 +1,6 @@
 #include "core/generator.h"
 
 #include <chrono>
-#include <memory>
-#include <mutex>
-#include <optional>
 
 #include "net/acl_algebra.h"
 #include "obs/trace.h"
@@ -18,15 +15,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-Generator::Generator(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
+Generator::Generator(const topo::Topology& topo, const topo::Scope& scope,
                      const GenerateOptions& options)
-    : smt_(smt), topo_(topo), scope_(scope), options_(options) {}
+    : topo_(topo), scope_(scope), options_(options) {}
 
 GenerateResult Generator::generate(const MigrationSpec& spec,
-                                   const std::vector<lai::ControlIntent>& controls) {
+                                   const std::vector<lai::ControlIntent>& controls,
+                                   const StopProbes& probes) {
   GenerateResult result;
-  const std::uint64_t queries_before = smt_.query_count();
-  std::uint64_t worker_queries = 0;  // issued on per-worker contexts, not smt_
 
   // Phase 1: derive ACL equivalence classes (§5.1; §6 adds the control
   // headers as refinement predicates).
@@ -50,55 +46,13 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   result.derive_seconds = seconds_since(t0);
 
   // Phase 2: solve decision functions (§5.2), refine to DECs where needed
-  // (§5.3). Classes are independent placement obligations, so with a
-  // multi-threaded executor installed they fan out across per-worker
-  // solvers (each with its own Z3 context) and merge in class-index order.
+  // (§5.3), fanned out over the shared executor.
   t0 = std::chrono::steady_clock::now();
   PlacementResult placement;
   {
-  const obs::TraceSpan solve_span{obs::Span::GenSolve};
-  if (options_.executor && options_.executor->threads() > 1 && classes.size() > 1) {
-    std::vector<ClassOutcome> outcomes(classes.size());
-    struct WorkerState {
-      smt::SmtContext smt;
-      std::optional<PlacementSolver> solver;
-    };
-    std::mutex states_mutex;
-    std::vector<std::unique_ptr<WorkerState>> states;
-    const Executor::WorkerFactory factory = [&](std::size_t) -> Executor::Task {
-      auto owned = std::make_unique<WorkerState>();
-      WorkerState* state = owned.get();
-      if (smt_.timeout_ms() > 0) state->smt.set_timeout_ms(smt_.timeout_ms());
-      state->solver.emplace(state->smt, topo_, scope_, options_.path_options);
-      {
-        const std::lock_guard<std::mutex> lock{states_mutex};
-        states.push_back(std::move(owned));
-      }
-      return [&, state](std::size_t ci, const CancellationToken& token) {
-        if (token.cancelled()) return false;
-        outcomes[ci] = state->solver->solve_one(spec, classes[ci], controls);
-        return false;
-      };
-    };
-    (void)options_.executor->run(classes.size(), factory);
-    for (const auto& state : states) worker_queries += state->smt.query_count();
-    placement.smt_queries = worker_queries;
-    for (std::size_t ci = 0; ci < outcomes.size(); ++ci) {
-      auto& outcome = outcomes[ci];
-      if (outcome.aec) {
-        placement.aec_solutions.emplace(ci, std::move(*outcome.aec));
-        continue;
-      }
-      if (!outcome.decs.empty()) placement.dec_solutions[ci] = std::move(outcome.decs);
-      for (auto& dec : outcome.unsolved) {
-        placement.success = false;
-        placement.unsolved.push_back(std::move(dec));
-      }
-    }
-  } else {
-    PlacementSolver solver{smt_, topo_, scope_, options_.path_options};
-    placement = solver.solve(spec, classes, controls);
-  }
+    const obs::TraceSpan solve_span{obs::Span::GenSolve};
+    const PlacementSolver solver{topo_, scope_, options_.path_options};
+    placement = solver.solve(spec, classes, controls, options_.executor.get(), probes);
   }
   result.aec_solved = placement.aec_solutions.size();
   for (const auto& [ci, decs] : placement.dec_solutions) result.dec_count += decs.size();
@@ -115,8 +69,6 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   result.update = std::move(synthesis.acls);
   result.synthesis = synthesis.stats;
   result.synth_seconds = seconds_since(t0);
-
-  result.smt_queries = smt_.query_count() - queries_before + worker_queries;
   return result;
 }
 

@@ -38,7 +38,6 @@ struct GenerateResult {
   std::size_t dec_count = 0;      // DECs derived for the unsolved AECs
   std::size_t unsolved = 0;       // DECs with no valid decision
   SynthesisStats synthesis;
-  std::uint64_t smt_queries = 0;
 
   // Phase timing (seconds) — the Figure 4c/4d breakdown.
   double derive_seconds = 0;
@@ -48,14 +47,16 @@ struct GenerateResult {
 
 class Generator {
  public:
-  Generator(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
+  Generator(const topo::Topology& topo, const topo::Scope& scope,
             const GenerateOptions& options = {});
 
+  /// Runs the three phases; `probes` are polled before each class's
+  /// placement (Interrupted when one fires).
   [[nodiscard]] GenerateResult generate(const MigrationSpec& spec,
-                                        const std::vector<lai::ControlIntent>& controls = {});
+                                        const std::vector<lai::ControlIntent>& controls = {},
+                                        const StopProbes& probes = {});
 
  private:
-  smt::SmtContext& smt_;
   const topo::Topology& topo_;
   const topo::Scope scope_;
   GenerateOptions options_;

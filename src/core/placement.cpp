@@ -3,20 +3,189 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/stats.h"
+
 namespace jinjing::core {
+
+void PlacementProblem::add_path(std::vector<std::size_t> vars, bool blocked, bool permit) {
+  if (blocked) {
+    if (permit) blocked_permit_ = true;
+    return;
+  }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  (permit ? all_true_ : some_false_).push_back(std::move(vars));
+}
 
 namespace {
 
-bool contains_slot(const std::vector<topo::AclSlot>& slots, topo::AclSlot slot) {
-  return std::find(slots.begin(), slots.end(), slot) != slots.end();
-}
+/// Exact minimum hitting set by branch and bound: choose the fewest
+/// variables so that every set contains a chosen one.
+class HittingSet {
+ public:
+  HittingSet(std::vector<std::vector<std::size_t>> sets, std::size_t vars)
+      : sets_(std::move(sets)), chosen_(vars, 0), excluded_(vars, 0), used_(vars, 0) {}
+
+  /// The chosen variables of a minimum hitting set (nullopt when some set
+  /// cannot be hit).
+  std::optional<std::vector<std::size_t>> solve() {
+    search();
+    if (!found_) return std::nullopt;
+    return best_;
+  }
+
+  [[nodiscard]] std::size_t nodes() const { return nodes_; }
+
+ private:
+  [[nodiscard]] bool hit(const std::vector<std::size_t>& set) const {
+    return std::any_of(set.begin(), set.end(), [&](std::size_t v) { return chosen_[v] != 0; });
+  }
+
+  [[nodiscard]] std::size_t open_count(const std::vector<std::size_t>& set) const {
+    return static_cast<std::size_t>(
+        std::count_if(set.begin(), set.end(), [&](std::size_t v) { return excluded_[v] == 0; }));
+  }
+
+  /// Unhit sets sharing no open variable each need their own choice: a
+  /// greedy packing of them, smallest first, bounds the remaining cost.
+  std::size_t packing_bound(std::vector<std::size_t>& unhit) {
+    std::stable_sort(unhit.begin(), unhit.end(), [&](std::size_t a, std::size_t b) {
+      return open_count(sets_[a]) < open_count(sets_[b]);
+    });
+    std::size_t bound = 0;
+    std::vector<std::size_t> marked;
+    for (const std::size_t i : unhit) {
+      const auto& set = sets_[i];
+      const bool disjoint = std::none_of(set.begin(), set.end(), [&](std::size_t v) {
+        return excluded_[v] == 0 && used_[v] != 0;
+      });
+      if (!disjoint) continue;
+      ++bound;
+      for (const std::size_t v : set) {
+        if (excluded_[v] == 0 && used_[v] == 0) {
+          used_[v] = 1;
+          marked.push_back(v);
+        }
+      }
+    }
+    for (const std::size_t v : marked) used_[v] = 0;
+    return bound;
+  }
+
+  void search() {
+    ++nodes_;
+    std::vector<std::size_t> unhit;
+    std::size_t branch = sets_.size();
+    std::size_t branch_open = 0;
+    for (std::size_t i = 0; i < sets_.size(); ++i) {
+      if (hit(sets_[i])) continue;
+      const std::size_t open = open_count(sets_[i]);
+      if (open == 0) return;  // every variable that could hit it is excluded
+      unhit.push_back(i);
+      if (branch == sets_.size() || open < branch_open) {
+        branch = i;
+        branch_open = open;
+      }
+    }
+    if (unhit.empty()) {
+      if (!found_ || current_.size() < best_.size()) {
+        best_ = current_;
+        found_ = true;
+      }
+      return;
+    }
+    if (found_ && current_.size() + packing_bound(unhit) >= best_.size()) return;
+
+    // Branch on the smallest unhit set: choose each open variable in turn,
+    // lowest index first, excluding it from the later siblings (their
+    // solutions without it are the ones not yet explored).
+    std::vector<std::size_t> excluded_here;
+    for (const std::size_t v : sets_[branch]) {
+      if (excluded_[v] != 0) continue;
+      chosen_[v] = 1;
+      current_.push_back(v);
+      search();
+      current_.pop_back();
+      chosen_[v] = 0;
+      excluded_[v] = 1;
+      excluded_here.push_back(v);
+    }
+    for (const std::size_t v : excluded_here) excluded_[v] = 0;
+  }
+
+  std::vector<std::vector<std::size_t>> sets_;
+  std::vector<char> chosen_;
+  std::vector<char> excluded_;
+  std::vector<char> used_;  // packing_bound scratch
+  std::vector<std::size_t> current_;
+  std::vector<std::size_t> best_;
+  bool found_ = false;
+  std::size_t nodes_ = 0;
+};
 
 }  // namespace
 
-PlacementSolver::PlacementSolver(smt::SmtContext& smt, const topo::Topology& topo,
-                                 const topo::Scope& scope,
+std::optional<Placement> solve_placement(const PlacementProblem& problem) {
+  if (problem.blocked_permit()) return std::nullopt;
+  const std::vector<bool>& preferred = problem.preferred();
+  Placement out;
+  out.values = preferred;
+
+  // Permit paths force every variable on them true.
+  std::vector<char> forced(preferred.size(), 0);
+  for (const auto& set : problem.all_true()) {
+    for (const std::size_t v : set) forced[v] = 1;
+  }
+  for (std::size_t v = 0; v < preferred.size(); ++v) {
+    if (forced[v] == 0) continue;
+    if (!preferred[v]) ++out.cost;
+    out.values[v] = true;
+  }
+
+  // A deny path is satisfied for free by a variable that prefers false;
+  // the others need one of their unforced variables flipped to false.
+  std::vector<std::vector<std::size_t>> pending;
+  for (const auto& set : problem.some_false()) {
+    std::vector<std::size_t> open;
+    bool free_hit = false;
+    for (const std::size_t v : set) {
+      if (forced[v] != 0) continue;
+      if (!preferred[v]) {
+        free_hit = true;
+        break;
+      }
+      open.push_back(v);
+    }
+    if (free_hit) continue;
+    if (open.empty()) return std::nullopt;  // every slot on the path must permit
+    pending.push_back(std::move(open));
+  }
+  // A set containing another is hit whenever the smaller one is.
+  std::sort(pending.begin(), pending.end(), [](const auto& a, const auto& b) {
+    return a.size() != b.size() ? a.size() < b.size() : a < b;
+  });
+  pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
+  std::vector<std::vector<std::size_t>> sets;
+  for (auto& set : pending) {
+    const bool implied = std::any_of(sets.begin(), sets.end(), [&](const auto& smaller) {
+      return std::includes(set.begin(), set.end(), smaller.begin(), smaller.end());
+    });
+    if (!implied) sets.push_back(std::move(set));
+  }
+
+  HittingSet hitting{std::move(sets), preferred.size()};
+  const auto flipped = hitting.solve();
+  out.nodes = hitting.nodes();
+  obs::gauge_max(obs::Gauge::PlacementNodes, out.nodes);
+  if (!flipped) return std::nullopt;
+  for (const std::size_t v : *flipped) out.values[v] = false;
+  out.cost += flipped->size();
+  return out;
+}
+
+PlacementSolver::PlacementSolver(const topo::Topology& topo, const topo::Scope& scope,
                                  const topo::PathEnumOptions& path_options)
-    : smt_(smt), topo_(topo), scope_(scope) {
+    : topo_(topo), scope_(scope) {
   paths_ = topo::enumerate_paths(topo_, scope_, path_options);
   path_forwarding_.reserve(paths_.size());
   for (const auto& p : paths_) path_forwarding_.push_back(topo::forwarding_set(topo_, p));
@@ -24,16 +193,17 @@ PlacementSolver::PlacementSolver(smt::SmtContext& smt, const topo::Topology& top
 
 std::optional<ClassDecision> PlacementSolver::solve_class(
     const MigrationSpec& spec, const net::PacketSet& cls,
-    const std::vector<std::size_t>& path_set, const std::vector<lai::ControlIntent>& controls) {
+    const std::vector<std::size_t>& path_set,
+    const std::vector<lai::ControlIntent>& controls) const {
   const net::Packet h = cls.sample();
   const topo::ConfigView view{topo_};
 
-  auto opt = smt_.make_optimize();
-  z3::context& ctx = smt_.ctx();
-  std::unordered_map<topo::AclSlot, z3::expr, topo::AclSlotHash> vars;
-  for (std::size_t i = 0; i < spec.targets.size(); ++i) {
-    vars.emplace(spec.targets[i], ctx.bool_const(("D_" + std::to_string(i)).c_str()));
-  }
+  // One variable per target (in spec order), preferring permit: with no
+  // constraint a target defaults to permit, which matches operator practice
+  // and the paper's Table 4.
+  std::unordered_map<topo::AclSlot, std::size_t, topo::AclSlotHash> var_of;
+  for (std::size_t i = 0; i < spec.targets.size(); ++i) var_of.emplace(spec.targets[i], i);
+  PlacementProblem problem{std::vector<bool>(spec.targets.size(), true)};
 
   // Concrete f_ξ(h) decisions, memoized across the many paths that share
   // interfaces.
@@ -45,79 +215,58 @@ std::optional<ClassDecision> PlacementSolver::solve_class(
     decision_memo.emplace(slot, permits);
     return permits;
   };
-  const auto original_decision = [&](const topo::Path& path) {
-    for (const auto& hop : path.hops()) {
-      if (!slot_permits(hop.slot())) return false;
-    }
-    return true;
-  };
 
   // Many paths reduce to the same constraint (e.g. every core->gateway path
-  // through one gateway interface); dedupe on (target-var set, desired).
-  std::set<std::pair<std::vector<std::uint64_t>, bool>> seen_constraints;
-
+  // through one gateway interface); dedupe on (variable set, desired).
+  std::set<std::pair<std::vector<std::size_t>, bool>> seen;
   for (const std::size_t pi : path_set) {
     const auto& path = paths_[pi];
-    const bool original = original_decision(path);
-    const bool desired = desired_decision(controls, path, h, original);
-
-    // c'_p (Equations 8–9): sources permit, targets are free variables,
-    // everything else keeps its concrete decision on h.
-    std::vector<std::uint64_t> var_slots;
-    bool constant_false = false;
+    bool original = true;
     for (const auto& hop : path.hops()) {
-      const auto slot = hop.slot();
-      if (contains_slot(spec.sources, slot)) {
-        // Source slots carry their (fixed) post-update ACL — permit-all for
-        // a migration, or an explicit replacement (Equation 8, extended).
-        if (!spec.source_permits(slot, h)) {
-          constant_false = true;
-          break;
-        }
-        continue;
-      }
-      if (vars.contains(slot)) {
-        var_slots.push_back((std::uint64_t{slot.iface} << 1) | (slot.dir == topo::Dir::Out));
-      } else if (!slot_permits(slot)) {
-        constant_false = true;
+      if (!slot_permits(hop.slot())) {
+        original = false;
         break;
       }
     }
-    if (constant_false) {
-      if (desired) return std::nullopt;  // unreachable via untouched denies
-      continue;
-    }
-    std::sort(var_slots.begin(), var_slots.end());
-    var_slots.erase(std::unique(var_slots.begin(), var_slots.end()), var_slots.end());
-    if (!seen_constraints.emplace(var_slots, desired).second) continue;
+    const bool desired = desired_decision(controls, path, h, original);
 
-    z3::expr conj = ctx.bool_val(true);
-    for (const auto encoded : var_slots) {
-      const topo::AclSlot slot{static_cast<topo::InterfaceId>(encoded >> 1),
-                               (encoded & 1) != 0 ? topo::Dir::Out : topo::Dir::In};
-      conj = conj && vars.at(slot);
+    // c'_p (Equations 8–9): sources carry their fixed post-update ACL —
+    // permit-all for a migration, or an explicit replacement — targets are
+    // free variables, everything else keeps its concrete decision on h.
+    std::vector<std::size_t> vars;
+    bool blocked = false;
+    for (const auto& hop : path.hops()) {
+      const auto slot = hop.slot();
+      if (std::find(spec.sources.begin(), spec.sources.end(), slot) != spec.sources.end()) {
+        blocked = !spec.source_permits(slot, h);
+      } else if (const auto it = var_of.find(slot); it != var_of.end()) {
+        vars.push_back(it->second);
+      } else {
+        blocked = !slot_permits(slot);
+      }
+      if (blocked) break;
     }
-    opt.add(conj == ctx.bool_val(desired));
+    if (blocked && desired) return std::nullopt;  // unreachable via fixed denies
+    if (blocked) continue;
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    if (!seen.emplace(vars, desired).second) continue;
+    problem.add_path(std::move(vars), false, desired);
   }
 
-  // Prefer permitting: unconstrained targets default to permit, which
-  // matches operator practice and the paper's Table 4.
-  for (const auto& [slot, var] : vars) opt.add_soft(var, 1);
-
-  const auto model = smt_.check_optimize(opt);
-  if (!model) return std::nullopt;
-
+  const auto placement = solve_placement(problem);
+  if (!placement) return std::nullopt;
   ClassDecision result;
   result.cls = cls;
   result.representative = h;
-  for (const auto& [slot, var] : vars) {
-    result.decision.emplace(slot, z3::eq(model->eval(var, true), ctx.bool_val(true)));
+  for (std::size_t i = 0; i < spec.targets.size(); ++i) {
+    result.decision.emplace(spec.targets[i], placement->values[i]);
   }
   return result;
 }
 
 ClassOutcome PlacementSolver::solve_one(const MigrationSpec& spec, const net::PacketSet& cls,
-                                        const std::vector<lai::ControlIntent>& controls) {
+                                        const std::vector<lai::ControlIntent>& controls) const {
   ClassOutcome outcome;
 
   // AEC level: Equation 10 ranges over every path in Ω.
@@ -143,12 +292,27 @@ ClassOutcome PlacementSolver::solve_one(const MigrationSpec& spec, const net::Pa
 
 PlacementResult PlacementSolver::solve(const MigrationSpec& spec,
                                        const std::vector<net::PacketSet>& classes,
-                                       const std::vector<lai::ControlIntent>& controls) {
-  const std::uint64_t queries_before = smt_.query_count();
-  PlacementResult result;
+                                       const std::vector<lai::ControlIntent>& controls,
+                                       Executor* executor, const StopProbes& probes) const {
+  std::vector<ClassOutcome> outcomes(classes.size());
+  const auto solve_class_at = [&](std::size_t ci) {
+    probes.poll();
+    outcomes[ci] = solve_one(spec, classes[ci], controls);
+  };
+  if (executor != nullptr && executor->threads() > 1 && classes.size() > 1) {
+    (void)executor->run(classes.size(), [&](std::size_t) -> Executor::Task {
+      return [&](std::size_t ci, const CancellationToken& token) {
+        if (!token.cancelled()) solve_class_at(ci);
+        return false;
+      };
+    });
+  } else {
+    for (std::size_t ci = 0; ci < classes.size(); ++ci) solve_class_at(ci);
+  }
 
-  for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-    auto outcome = solve_one(spec, classes[ci], controls);
+  PlacementResult result;
+  for (std::size_t ci = 0; ci < outcomes.size(); ++ci) {
+    auto& outcome = outcomes[ci];
     if (outcome.aec) {
       result.aec_solutions.emplace(ci, std::move(*outcome.aec));
       continue;
@@ -159,7 +323,6 @@ PlacementResult PlacementSolver::solve(const MigrationSpec& spec,
       result.unsolved.push_back(std::move(dec));
     }
   }
-  result.smt_queries = smt_.query_count() - queries_before;
   return result;
 }
 

@@ -1,23 +1,79 @@
-// Per-class placement solving for the generate primitive (§5.2–§5.3).
+// Placement: the exact kernel behind Equation 7 (fix) and Equation 10
+// (generate), and per-class placement solving for the generate primitive
+// (§5.2–§5.3).
 //
-// For every ACL equivalence class, find a decision function D(ξ) over the
-// target interfaces so that each path reproduces the desired decision
-// (Equation 10, over *all* topological paths at the AEC level). Classes
-// that come back UNSAT are split into dataplane equivalence classes and
-// re-solved over their *feasible* paths only (Y_[h]DEC).
+// Both equations ask for one boolean decision per ACL slot such that, on
+// every path, the AND of the path's slot decisions equals the path's
+// desired decision, changing as few decisions as possible. A permit path
+// forces each of its slots true; a deny path needs one of them false. After
+// propagating the forced slots, what is left is a small minimum hitting set,
+// solved exactly by branch and bound (PlacementProblem, solve_placement).
+//
+// For every ACL equivalence class, generate finds a decision function D(ξ)
+// over the target interfaces so that each path reproduces the desired
+// decision (Equation 10, over *all* topological paths at the AEC level).
+// Classes with no such function are split into dataplane equivalence classes
+// and re-solved over their *feasible* paths only (Y_[h]DEC).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/aec.h"
 #include "core/checker.h"
-#include "smt/context.h"
 #include "topo/paths.h"
 #include "topo/topology.h"
 
 namespace jinjing::core {
+
+/// One placement instance. Variable i is a slot decision (true = permit)
+/// whose zero-cost value is `preferred[i]`; taking the other value costs 1.
+/// Each path contributes one constraint: the AND of its variables (and of
+/// its constant slots) must equal its desired decision.
+class PlacementProblem {
+ public:
+  explicit PlacementProblem(std::vector<bool> preferred) : preferred_(std::move(preferred)) {}
+
+  /// Adds one path: `vars` are its decision variables, `blocked` says a
+  /// constant slot on it denies, `permit` is its desired decision. A
+  /// blocked path is already denied: it cannot permit, and needs nothing to
+  /// deny.
+  void add_path(std::vector<std::size_t> vars, bool blocked, bool permit);
+
+  [[nodiscard]] const std::vector<bool>& preferred() const { return preferred_; }
+  /// Variable sets that must all be true (permit paths).
+  [[nodiscard]] const std::vector<std::vector<std::size_t>>& all_true() const {
+    return all_true_;
+  }
+  /// Variable sets of which one must be false (deny paths).
+  [[nodiscard]] const std::vector<std::vector<std::size_t>>& some_false() const {
+    return some_false_;
+  }
+  /// A blocked path must permit: no assignment satisfies the instance.
+  [[nodiscard]] bool blocked_permit() const { return blocked_permit_; }
+
+ private:
+  std::vector<bool> preferred_;
+  std::vector<std::vector<std::size_t>> all_true_;
+  std::vector<std::vector<std::size_t>> some_false_;
+  bool blocked_permit_ = false;
+};
+
+struct Placement {
+  std::vector<bool> values;  // one decision per variable
+  std::size_t cost = 0;      // variables off their preferred value
+  std::size_t nodes = 0;     // branch-and-bound nodes explored
+};
+
+/// Solves a placement instance exactly: nullopt when infeasible, otherwise
+/// an assignment of minimum cost. Forced-true variables are propagated,
+/// deny sets already hit by a variable that prefers false are dropped, and
+/// the rest is branch and bound on the smallest unhit set, trying lower
+/// variable indices first; the first optimum found is kept, so ties break
+/// deterministically toward low indices.
+[[nodiscard]] std::optional<Placement> solve_placement(const PlacementProblem& problem);
 
 /// What generate is asked to do: replace the ACLs at `sources` (by default
 /// with permit-all — the migration case; `replacements` pins a slot to any
@@ -55,7 +111,6 @@ struct PlacementResult {
   std::unordered_map<std::size_t, std::vector<ClassDecision>> dec_solutions;
   /// Classes (DEC level) with no valid decision function.
   std::vector<net::PacketSet> unsolved;
-  std::uint64_t smt_queries = 0;
 };
 
 /// Outcome of solving a single AEC: either an AEC-level decision, or the
@@ -68,32 +123,35 @@ struct ClassOutcome {
 
 class PlacementSolver {
  public:
-  PlacementSolver(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
+  PlacementSolver(const topo::Topology& topo, const topo::Scope& scope,
                   const topo::PathEnumOptions& path_options = {});
 
   /// Solves every class. `controls` switches the target decision from
-  /// "preserve c_p" to the §6 desired decision.
+  /// "preserve c_p" to the §6 desired decision. Classes are independent,
+  /// so a multi-threaded `executor` fans them out; outcomes merge in class
+  /// order either way. `probes` are polled before each class (Interrupted
+  /// when one fires).
   [[nodiscard]] PlacementResult solve(const MigrationSpec& spec,
                                       const std::vector<net::PacketSet>& classes,
-                                      const std::vector<lai::ControlIntent>& controls = {});
+                                      const std::vector<lai::ControlIntent>& controls = {},
+                                      Executor* executor = nullptr,
+                                      const StopProbes& probes = {}) const;
 
-  /// One class's placement obligation: AEC-level solve over all paths,
-  /// falling back to DEC refinement over feasible paths (§5.3). Classes
-  /// are mutually independent, so the generate primitive fans these out
-  /// across per-worker solvers on the shared executor.
-  [[nodiscard]] ClassOutcome solve_one(const MigrationSpec& spec, const net::PacketSet& cls,
-                                       const std::vector<lai::ControlIntent>& controls = {});
+  /// Equation 10 for one class over the given paths (indices into paths()),
+  /// at the class representative; nullopt when no decision function exists.
+  [[nodiscard]] std::optional<ClassDecision> solve_class(
+      const MigrationSpec& spec, const net::PacketSet& cls,
+      const std::vector<std::size_t>& path_set,
+      const std::vector<lai::ControlIntent>& controls) const;
 
   [[nodiscard]] const std::vector<topo::Path>& paths() const { return paths_; }
 
  private:
-  /// Tries to solve one class over the given paths; nullopt on UNSAT.
-  [[nodiscard]] std::optional<ClassDecision> solve_class(const MigrationSpec& spec,
-                                                         const net::PacketSet& cls,
-                                                         const std::vector<std::size_t>& path_set,
-                                                         const std::vector<lai::ControlIntent>& controls);
+  /// One class's placement obligation: AEC-level solve over all paths,
+  /// falling back to DEC refinement over feasible paths (§5.3).
+  [[nodiscard]] ClassOutcome solve_one(const MigrationSpec& spec, const net::PacketSet& cls,
+                                       const std::vector<lai::ControlIntent>& controls) const;
 
-  smt::SmtContext& smt_;
   const topo::Topology& topo_;
   const topo::Scope scope_;
   std::vector<topo::Path> paths_;

@@ -2,8 +2,9 @@
 // plan/compile/execute pipeline.
 //
 // Every Jinjing primitive (check §4.1, fix §5, generate §5.2) reduces to
-// the same unit of work: one SMT query per (entry, FEC, feasible-path-set)
-// triple. A VerifyPlan makes that decomposition explicit: it is built once
+// the same unit of work: one proof obligation per (entry, FEC,
+// feasible-path-set) triple, scanned by set algebra (core/batch, the fix
+// search) or, in the SMT baseline, lowered to one query. A VerifyPlan makes that decomposition explicit: it is built once
 // per UpdateTask from path enumeration + equivalence-class refinement and
 // does NOT depend on the ACL update under test, so checkers, fixer
 // candidate loops and repeated engine commands all execute against the

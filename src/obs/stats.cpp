@@ -44,6 +44,7 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
 
 constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
     "svc_cached_obligations",
+    "placement_nodes",
 };
 
 constexpr std::array<std::string_view, kHistogramCount> kHistogramNames = {

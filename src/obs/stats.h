@@ -59,8 +59,9 @@ inline constexpr std::size_t kCounterCount = 39;
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
   SvcCachedObligations,  // peak obligations held by the incremental planner
+  PlacementNodes,        // peak branch-and-bound nodes of one placement solve
 };
-inline constexpr std::size_t kGaugeCount = 1;
+inline constexpr std::size_t kGaugeCount = 2;
 
 // Histograms use power-of-two buckets: bucket i counts values whose bit
 // width is i, i.e. cumulative(le = 2^i - 1) is exact.

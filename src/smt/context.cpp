@@ -25,9 +25,9 @@ PacketVars::PacketVars(z3::context& ctx, const std::string& prefix)
     : fields_(make_fields(ctx, prefix)) {}
 
 z3::solver SmtContext::make_solver() {
-  z3::solver solver{ctx_};
+  z3::solver solver{ctx()};
   if (timeout_ms_ > 0) {
-    z3::params params{ctx_};
+    z3::params params{ctx()};
     params.set("timeout", timeout_ms_);
     solver.set(params);
   }
@@ -35,9 +35,9 @@ z3::solver SmtContext::make_solver() {
 }
 
 z3::optimize SmtContext::make_optimize() {
-  z3::optimize opt{ctx_};
+  z3::optimize opt{ctx()};
   if (timeout_ms_ > 0) {
-    z3::params params{ctx_};
+    z3::params params{ctx()};
     params.set("timeout", timeout_ms_);
     opt.set(params);
   }

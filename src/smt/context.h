@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -41,17 +42,21 @@ class PacketVars {
 };
 
 /// Owns the z3::context and provides solver helpers. Not thread-safe (Z3
-/// contexts are single-threaded); create one per worker.
+/// contexts are single-threaded); create one per worker. The z3::context is
+/// created on first use, so a holder that never queries pays nothing.
 class SmtContext {
  public:
   SmtContext() = default;
   SmtContext(const SmtContext&) = delete;
   SmtContext& operator=(const SmtContext&) = delete;
 
-  [[nodiscard]] z3::context& ctx() { return ctx_; }
+  [[nodiscard]] z3::context& ctx() {
+    if (!ctx_) ctx_ = std::make_unique<z3::context>();
+    return *ctx_;
+  }
 
   [[nodiscard]] PacketVars packet_vars(const std::string& prefix = "h") {
-    return PacketVars{ctx_, prefix};
+    return PacketVars{ctx(), prefix};
   }
 
   [[nodiscard]] z3::solver make_solver();
@@ -62,7 +67,7 @@ class SmtContext {
   void set_timeout_ms(unsigned ms) { timeout_ms_ = ms; }
   [[nodiscard]] unsigned timeout_ms() const { return timeout_ms_; }
 
-  [[nodiscard]] z3::expr bool_val(bool b) { return ctx_.bool_val(b); }
+  [[nodiscard]] z3::expr bool_val(bool b) { return ctx().bool_val(b); }
 
   /// Extracts the concrete packet a model assigns to `vars`.
   [[nodiscard]] net::Packet extract_packet(const z3::model& model, const PacketVars& vars);
@@ -88,7 +93,7 @@ class SmtContext {
  private:
   void accumulate_stats(const z3::stats& stats);
 
-  z3::context ctx_;
+  std::unique_ptr<z3::context> ctx_;
   unsigned timeout_ms_ = 0;
   std::uint64_t query_count_ = 0;
   double solve_seconds_ = 0;

@@ -84,7 +84,7 @@ std::vector<JobPtr> Scheduler::next_batch(std::size_t max) {
   std::unique_lock<std::mutex> lock{mutex_};
   while (true) {
     work_cv_.wait(lock, [&] {
-      return draining_ || !queues_[0].empty() || !queues_[1].empty();
+      return draining_ || (!held_ && (!queues_[0].empty() || !queues_[1].empty()));
     });
     JobPtr job;
     std::size_t priority = 0;
@@ -285,9 +285,21 @@ std::optional<JobStatus> Scheduler::wait_started(
   return status_locked(*job);
 }
 
+void Scheduler::hold() {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  held_ = true;
+}
+
+void Scheduler::release() {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  held_ = false;
+  work_cv_.notify_all();
+}
+
 void Scheduler::drain() {
   const std::lock_guard<std::mutex> lock{mutex_};
   draining_ = true;
+  held_ = false;
   work_cv_.notify_all();
 }
 

@@ -12,10 +12,10 @@
 //    compatible job *together with* an earlier one, but never reorders the
 //    jobs it leaves queued.
 //  * Deadlines — a job whose deadline expires while queued fails at
-//    dispatch without running; the remaining budget of a running job is
-//    mapped onto the per-query SmtTimeout by the worker.
+//    dispatch without running; a running job's engine polls the deadline
+//    between its units of work (obligations, neighborhoods, classes).
 //  * Cancellation is cooperative — a queued job cancels immediately; a
-//    running job observes its cancel flag between program commands.
+//    running job observes its cancel flag at the same polls.
 //  * Retention — terminal jobs are kept (for status/result queries) only
 //    up to a bound; beyond it the oldest-finished are evicted, releasing
 //    their pinned snapshot and outcome. A finished job keeps only a
@@ -203,6 +203,13 @@ class Scheduler {
   std::optional<JobStatus> wait_started(std::uint64_t id,
                                         std::optional<std::chrono::milliseconds> timeout = {});
 
+  /// A gate on dispatch: while held, next()/next_batch() hand out nothing
+  /// and admitted jobs stay queued (their deadlines keep running). Tests
+  /// use it to queue work behind a busy dispatcher deterministically.
+  /// drain() lifts it.
+  void hold();
+  void release();
+
   /// Stops admission; next() drains the backlog then returns nullptr.
   void drain();
   [[nodiscard]] bool draining() const;
@@ -241,6 +248,7 @@ class Scheduler {
   std::uint64_t next_id_ = 1;
   std::size_t running_ = 0;
   bool draining_ = false;
+  bool held_ = false;
 };
 
 }  // namespace jinjing::svc

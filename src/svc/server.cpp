@@ -109,11 +109,22 @@ Json outcome_json(JobState state, const JobOutcome& outcome) {
 
 /// A program is a pure check — answered by the exact set scan, alone or
 /// coalesced — when it is pure verification: at least one command, all of
-/// them `check`, and no control intents (§6 rewrites need the SMT path).
+/// them `check`. Control intents ride along into the scan (§6 desired sets).
 bool pure_check(const lai::UpdateTask& task) {
-  return !task.commands.empty() && task.controls.empty() &&
+  return !task.commands.empty() &&
          std::all_of(task.commands.begin(), task.commands.end(),
                      [](lai::Command c) { return c == lai::Command::Check; });
+}
+
+/// The job's cancellation and deadline probes, as the engine polls them.
+core::StopProbes stop_probes(const Job& job) {
+  core::StopProbes probes;
+  probes.cancelled = [&job] { return job.cancel_requested(); };
+  probes.expired = [&job] {
+    const auto remaining = job.remaining_ms();
+    return remaining && *remaining == 0;
+  };
+  return probes;
 }
 
 /// The coalesce family fingerprint: snapshot version + sorted scope devices
@@ -1054,7 +1065,7 @@ void Server::dispatch_loop() {
       return;
     }
     // Every pure check — a unit of one included — runs the exact set scan;
-    // fix, generate and control-intent jobs run the full engine.
+    // fix and generate jobs run the full engine.
     if (unit.front()->spec().coalesce_key != 0) {
       execute_batch(unit);
     } else if (options_.overlap) {
@@ -1170,12 +1181,11 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
     const lai::UpdateTask& task = *job->spec().task;
     core::BatchItem item;
     item.update = &task.modify;
-    item.cancelled = [raw = job.get()] { return raw->cancel_requested(); };
-    item.expired = [raw = job.get()] {
-      const auto remaining = raw->remaining_ms();
-      return remaining && *remaining == 0;
-    };
-    if (incremental_) {
+    item.probes = stop_probes(*job);
+    item.controls = &task.controls;
+    // Leased verdicts were proven without intents, so only an intent-free
+    // job may use them (and commit its own).
+    if (incremental_ && task.controls.empty()) {
       core::IncrementalLease lease =
           incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify);
       leased[i] = lease.bundle == algebra->bundle;
@@ -1246,15 +1256,11 @@ void Server::execute_job(const JobPtr& job) {
 
     core::EngineReport report;
     report.final_update = task.modify;
-    bool cancelled = false;
     // One fresh engine per job, over the server-wide FEC cache. The cache
     // is what makes the service warm — equivalence classes derived for a
     // snapshot by any worker are reused by every later job on that
-    // snapshot — while a fresh SMT session per job keeps answers
-    // reproducible: the same request gets the same verdict and the same
-    // repair plan regardless of what the server ran before (a reused
-    // incremental session can steer Z3 to a different, equally valid,
-    // model).
+    // snapshot. Answers are reproducible because every engine stage is
+    // deterministic, placement ties included.
     core::EngineOptions engine_options = job_engine_options();
     // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
     // plan bundle for (version, scope, traffic) so the engine's checker
@@ -1270,41 +1276,25 @@ void Server::execute_job(const JobPtr& job) {
       }
     }
     core::Engine engine{*snapshot->topo, engine_options};
-    const unsigned default_timeout = engine.smt().timeout_ms();
-
+    // Cancellation and the deadline are cooperative: every command polls
+    // the job's probes between its units of work.
+    const core::StopProbes probes = stop_probes(*job);
     for (const lai::Command command : task.commands) {
-      // Cooperative cancellation and the deadline budget are both checked
-      // between commands; the remaining budget caps every Z3 query of the
-      // next command via the per-query timeout.
-      if (job->cancel_requested()) {
-        cancelled = true;
-        break;
-      }
-      if (const auto remaining = job->remaining_ms()) {
-        if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
-        const auto budget = static_cast<unsigned>(
-            std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
-        engine.smt().set_timeout_ms(
-            default_timeout == 0 ? budget : std::min(budget, default_timeout));
-      }
+      probes.poll();
       report.outcomes.push_back(
-          engine.run_command(task, command, report.final_update, snapshot->traffic));
+          engine.run_command(task, command, report.final_update, snapshot->traffic, probes));
     }
-    if (cancelled || job->cancel_requested()) {
+    if (job->cancel_requested()) {
       state = JobState::Cancelled;
     } else {
       outcome = done_outcome(*snapshot->topo, std::move(report));
     }
-  } catch (const smt::SmtTimeout& e) {
-    state = JobState::Failed;
-    // SmtTimeout is thrown both by the per-query --timeout-ms budget and
-    // by an exhausted job deadline; only blame the deadline when the job
-    // actually has one and it has expired.
-    const auto remaining = job->remaining_ms();
-    if (remaining && *remaining == 0) {
-      outcome.error = "deadline exceeded: " + std::string(e.what());
+  } catch (const core::Interrupted& e) {
+    if (e.deadline()) {
+      state = JobState::Failed;
+      outcome.error = "deadline exceeded while running the job";
     } else {
-      outcome.error = "solver timeout: " + std::string(e.what());
+      state = JobState::Cancelled;
     }
   } catch (const std::exception& e) {
     state = JobState::Failed;

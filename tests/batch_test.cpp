@@ -250,7 +250,7 @@ TEST(BatchRunTest, CancellationDropsOneJobWithoutPoisoningBatchmates) {
       subprefix_perturbation(fx.f),
   };
   std::vector<BatchItem> items = items_for(updates);
-  items[1].cancelled = [] { return true; };
+  items[1].probes.cancelled = [] { return true; };
   const auto outcomes = run_check_batch(fx.f.topo, fx.algebra, items);
 
   EXPECT_TRUE(outcomes[1].cancelled);
@@ -266,7 +266,7 @@ TEST(BatchRunTest, DeadlineExpiryIsPerJobAndFlagged) {
   Fixture fx;
   const std::vector<topo::AclUpdate> updates = {fx.f.running_example_update(), {}};
   std::vector<BatchItem> items = items_for(updates);
-  items[0].expired = [] { return true; };
+  items[0].probes.expired = [] { return true; };
   Executor executor{2};
   BatchRunOptions options;
   options.executor = &executor;
@@ -362,7 +362,7 @@ TEST(BatchRunTest, CleanBitFilterPreservesOutcomesOnRandomWanUpdates) {
       }
       for (const auto& filter : filters) {
         const auto outcome = run_check_batch(
-            wan.topo, algebra, {BatchItem{&updates[i], {}, {}, filter}}, options);
+            wan.topo, algebra, {BatchItem{&updates[i], {}, filter}}, options);
         expect_identical(outcome[0], unfiltered[i], tag);
         EXPECT_LE(outcome[0].result.obligations_executed,
                   unfiltered[i].result.obligations_executed)
@@ -373,11 +373,11 @@ TEST(BatchRunTest, CleanBitFilterPreservesOutcomesOnRandomWanUpdates) {
 
   // A fully clean re-check scans nothing: the verbatim rebind touches
   // obligations, all proven consistent by the first run.
-  const auto first = run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}, {}}});
+  const auto first = run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}}});
   ASSERT_TRUE(first[0].result.consistent);
   ASSERT_GT(first[0].result.obligations_executed, 0u);
   const auto recheck =
-      run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}, {}, first[0].clean}});
+      run_check_batch(wan.topo, algebra, {BatchItem{&updates[0], {}, first[0].clean}});
   EXPECT_TRUE(recheck[0].result.consistent);
   EXPECT_EQ(recheck[0].result.obligations_executed, 0u);
   EXPECT_EQ(recheck[0].result.obligations_cancelled, 0u);

@@ -378,10 +378,17 @@ TEST_F(CliTest, ReportJsonEmbedsObservabilityCounters) {
   EXPECT_NE(json.find("\"observability\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  // The pipeline ran: plan/compile/solve counters must be nonzero.
-  for (const char* key : {"\"smt_queries\": 0", "\"plan_builds\": 0",
-                          "\"smt_sessions_built\": 0", "\"obligations_planned\": 0"}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << "zero counter " << key;
+  // The pipeline ran: the plan and scan counters must be nonzero, and no
+  // stage issued an SMT query.
+  const std::string counters = json.substr(json.find("\"observability\""));
+  for (const char* key : {"\"plan_builds\": 0", "\"obligations_planned\": 0",
+                          "\"obligations_executed\": 0"}) {
+    EXPECT_EQ(counters.find(key), std::string::npos) << "zero counter " << key;
+  }
+  for (const char* key : {"\"smt_queries\": 0,", "\"smt_sessions_built\": 0,",
+                          "\"smt_optimize_queries\": 0,"}) {
+    EXPECT_NE(counters.find(key), std::string::npos) << "nonzero counter " << key << ":\n"
+                                                     << counters;
   }
 }
 
@@ -399,9 +406,14 @@ TEST_F(CliTest, MetricsWritesPrometheusText) {
   std::stringstream content;
   content << file.rdbuf();
   const auto text = content.str();
-  EXPECT_NE(text.find("# TYPE jinjing_smt_queries_total counter"), std::string::npos);
-  EXPECT_EQ(text.find("jinjing_smt_queries_total 0\n"), std::string::npos)
-      << "pipeline ran, smt_queries must be nonzero:\n" << text;
+  // The pipeline ran on the plan and the scan, without one SMT query.
+  for (const char* nonzero : {"jinjing_plan_builds_total 0\n",
+                              "jinjing_obligations_executed_total 0\n"}) {
+    EXPECT_EQ(text.find(nonzero), std::string::npos) << nonzero << "in:\n" << text;
+  }
+  EXPECT_NE(text.find("# TYPE jinjing_smt_queries_total counter\njinjing_smt_queries_total 0\n"),
+            std::string::npos)
+      << "the running example must issue no SMT query:\n" << text;
   EXPECT_NE(text.find("jinjing_smt_solve_micros_bucket{le=\"+Inf\"}"), std::string::npos);
   EXPECT_NE(text.find("# TYPE jinjing_svc_cached_obligations gauge"), std::string::npos);
 }
@@ -422,8 +434,11 @@ TEST_F(CliTest, TraceWritesChromeTraceJson) {
   const auto text = content.str();
   EXPECT_EQ(text.find("{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["), 0u);
   for (const char* span : {"\"engine.check\"", "\"engine.fix\"", "\"checker.plan\"",
-                           "\"checker.compile\"", "\"smt.query\"", "\"fix.search\""}) {
+                           "\"fix.search\"", "\"fix.place\""}) {
     EXPECT_NE(text.find(span), std::string::npos) << "missing span " << span;
+  }
+  for (const char* span : {"\"checker.compile\"", "\"smt.query\"", "\"smt.optimize\""}) {
+    EXPECT_EQ(text.find(span), std::string::npos) << "SMT span " << span;
   }
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/fixtures.h"
+#include "lai/parser.h"
 #include "net/acl_algebra.h"
 #include "topo/paths.h"
 
@@ -180,6 +181,41 @@ TEST(Engine, ConsistentCheckReportsSuccess) {
   const auto report = engine.run_program("scope A:*, B:*, C:*, D:*\ncheck", {}, f.traffic);
   EXPECT_TRUE(report.success());
   EXPECT_TRUE(report.final_update.empty());
+}
+
+// Deadlines are cooperative: every command polls the job's probes between
+// its units of work, so an already-expired budget stops a fix (or a
+// generate, or a check) with the deadline diagnostic — there is no solver
+// whose timeout could fire instead.
+TEST(Engine, ExpiredProbeFailsEveryCommandWithDeadlineExceeded) {
+  const auto f = gen::make_figure1();
+  const auto task =
+      lai::resolve(lai::parse(kCheckFixProgram), f.topo, running_example_library());
+  StopProbes expired;
+  expired.expired = [] { return true; };
+  StopProbes cancelled;
+  cancelled.cancelled = [] { return true; };
+  for (const auto command : {lai::Command::Fix, lai::Command::Generate, lai::Command::Check}) {
+    Engine engine{f.topo};
+    topo::AclUpdate current = task.modify;
+    try {
+      (void)engine.run_command(task, command, current, f.traffic, expired);
+      ADD_FAILURE() << lai::to_string(command) << " ran past an expired deadline";
+    } catch (const Interrupted& e) {
+      EXPECT_TRUE(e.deadline());
+      const std::string what = e.what();
+      EXPECT_NE(what.find("deadline exceeded"), std::string::npos) << what;
+      EXPECT_EQ(what.find("solver timeout"), std::string::npos) << what;
+    }
+    try {
+      (void)engine.run_command(task, command, current, f.traffic, cancelled);
+      ADD_FAILURE() << lai::to_string(command) << " ran past a cancellation";
+    } catch (const Interrupted& e) {
+      EXPECT_FALSE(e.deadline());
+    }
+    // The update under work is left as it was.
+    EXPECT_EQ(current, task.modify);
+  }
 }
 
 }  // namespace

@@ -28,8 +28,7 @@ std::vector<net::PacketSet> table3_classes() {
 
 TEST(Placement, Figure1MigrationMatchesTable4Decisions) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  PlacementSolver solver{smt, f.topo, f.scope};
+  PlacementSolver solver{f.topo, f.scope};
   const auto result = solver.solve(figure1_migration(f), table3_classes());
 
   ASSERT_TRUE(result.success);
@@ -79,8 +78,7 @@ TEST(Placement, Figure1MigrationMatchesTable4Decisions) {
 TEST(Placement, EmptyTargetsUnsolvableWhenChangeNeeded) {
   // Removing A1's ACL with no targets cannot preserve traffic 6 isolation.
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  PlacementSolver solver{smt, f.topo, f.scope};
+  PlacementSolver solver{f.topo, f.scope};
   MigrationSpec spec;
   spec.sources = {topo::AclSlot{f.A1, topo::Dir::In}};
   const auto result = solver.solve(spec, {Figure1::traffic_class(6)});
@@ -92,8 +90,7 @@ TEST(Placement, NoOpMigrationSolvesTrivially) {
   // No sources, no targets, classes already consistent: nothing to solve,
   // success with empty decisions.
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  PlacementSolver solver{smt, f.topo, f.scope};
+  PlacementSolver solver{f.topo, f.scope};
   const auto result = solver.solve({}, table3_classes());
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.aec_solutions.size(), 4u);
@@ -103,8 +100,7 @@ TEST(Placement, ControlOpenForcesPermitOnTargets) {
   // generate with control (§6): open traffic 6 from A1 to C3, with targets
   // on the egress side; A1's deny moves out of the way as a source.
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  PlacementSolver solver{smt, f.topo, f.scope};
+  PlacementSolver solver{f.topo, f.scope};
 
   lai::ControlIntent open6;
   open6.from = {f.A1};
@@ -132,6 +128,42 @@ TEST(Placement, ControlOpenForcesPermitOnTargets) {
   // the original deny on p0.
   EXPECT_TRUE(sol.decision.at({f.A3, topo::Dir::Out}));
   EXPECT_FALSE(sol.decision.at({f.A4, topo::Dir::Out}));
+}
+
+TEST(Placement, ParallelSolveMatchesSequentialAndPollsProbes) {
+  // Classes fan out over a multi-threaded executor and merge in class
+  // order: the result equals the sequential one decision for decision. An
+  // expired probe interrupts either way, from inside a pool task too.
+  const auto f = gen::make_figure1();
+  const PlacementSolver solver{f.topo, f.scope};
+  const auto spec = figure1_migration(f);
+  Executor executor{4};
+  const auto sequential = solver.solve(spec, table3_classes());
+  const auto parallel = solver.solve(spec, table3_classes(), {}, &executor);
+  ASSERT_EQ(parallel.success, sequential.success);
+  ASSERT_EQ(parallel.aec_solutions.size(), sequential.aec_solutions.size());
+  for (const auto& [ci, solution] : sequential.aec_solutions) {
+    EXPECT_EQ(parallel.aec_solutions.at(ci).decision, solution.decision) << "AEC " << ci;
+  }
+  ASSERT_EQ(parallel.dec_solutions.size(), sequential.dec_solutions.size());
+  for (const auto& [ci, decs] : sequential.dec_solutions) {
+    ASSERT_EQ(parallel.dec_solutions.at(ci).size(), decs.size());
+    for (std::size_t d = 0; d < decs.size(); ++d) {
+      EXPECT_TRUE(parallel.dec_solutions.at(ci)[d].cls.equals(decs[d].cls));
+      EXPECT_EQ(parallel.dec_solutions.at(ci)[d].decision, decs[d].decision);
+    }
+  }
+
+  StopProbes expired;
+  expired.expired = [] { return true; };
+  for (Executor* pool : {static_cast<Executor*>(nullptr), &executor}) {
+    try {
+      (void)solver.solve(spec, table3_classes(), {}, pool, expired);
+      ADD_FAILURE() << "solve ran past an expired deadline";
+    } catch (const Interrupted& e) {
+      EXPECT_TRUE(e.deadline());
+    }
+  }
 }
 
 }  // namespace

@@ -87,10 +87,9 @@ TEST(Scenario, MigrationSpecMovesMiddleToLower) {
 
 TEST(Scenario, MigrationGenerateIsValidOnSmallWan) {
   const auto wan = make_wan(small_wan());
-  smt::SmtContext smt;
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{smt, wan.topo, wan.scope, options};
+  core::Generator generator{wan.topo, wan.scope, options};
   const auto result = generator.generate(migration_spec(wan));
   ASSERT_TRUE(result.success);
 
@@ -118,10 +117,9 @@ TEST(Scenario, ControlOpenGenerateSatisfiesIntents) {
   const auto wan = make_wan(small_wan());
   const auto sc = control_open(wan, 2, 13);
 
-  smt::SmtContext smt;
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{smt, wan.topo, wan.scope, options};
+  core::Generator generator{wan.topo, wan.scope, options};
   const auto result = generator.generate(sc.spec, sc.intents);
   ASSERT_TRUE(result.success);
 

@@ -934,8 +934,8 @@ class BatchedServerEquivalence : public ::testing::Test {
 };
 
 TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
-  // The batched server coalesces everything queued behind a slow fix job;
-  // a second server (workers=1, coalesce=1) runs every program twice as a
+  // The batched server coalesces everything queued behind its held
+  // dispatcher (a fix job waits there too); a second server (workers=1, coalesce=1) runs every program twice as a
   // batch of one — the second time through the delta cache's clean-bit
   // filter. The oracle is a fresh core::Engine per program. A cancellation
   // lands mid-batch, and an apply advances the head between coalesce and
@@ -951,9 +951,10 @@ TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   Client solo_client{solo.socket};
   const SnapshotPtr pinned = batched.server->store().head();
 
+  // The gate holds the dispatcher until every job below is queued.
+  batched.server->scheduler().hold();
   CheckProgram blocker{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
   const std::uint64_t blocker_id = submit_program(batched_client, blocker);
-  wait_until_dispatcher_busy(*batched.server, blocker_id);
 
   const auto matrix = equivalence_matrix();
   std::vector<std::uint64_t> batched_ids;
@@ -966,9 +967,10 @@ TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
     cancel.emplace("job", doomed);
     EXPECT_TRUE(batched_client.call("cancel", Json{std::move(cancel)}).at("cancelled").as_bool());
   }
-  // An apply landing between coalesce and dispatch: the queued jobs keep
-  // their pinned snapshot and must verify against it, not the new head.
+  // An apply landing before dispatch: the queued jobs keep their pinned
+  // snapshot and must verify against it, not the new head.
   (void)batched.server->store().apply_update({});
+  batched.server->scheduler().release();
 
   EXPECT_TRUE(wait_result(batched_client, blocker_id)
                   .at("status").at("outcome").at("success").as_bool());
@@ -996,7 +998,7 @@ TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   EXPECT_EQ(fresh.at("status").at("snapshot").as_u64(), 2u);
   EXPECT_TRUE(fresh.at("status").at("outcome").at("success").as_bool());
 
-  // The unit really was coalesced (the five checks queued behind the fix).
+  // The unit really was coalesced (the checks queued behind the gate).
   const std::string metrics =
       batched_client.call("metrics").at("prometheus").as_string();
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 2u)
@@ -1044,23 +1046,25 @@ TEST(RetainedOutcomeTest, FinishedFixJobAnswersAndAppliesLikeTheEngine) {
 }
 
 TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
-  // A job whose deadline expires while it waits behind a slow blocker —
-  // whether caught at dispatch or inside the coalesced unit — must fail
+  // A job whose deadline expires while it waits behind a held dispatcher
+  // — whether caught at dispatch or inside the coalesced unit — must fail
   // with the queued-deadline diagnostic, never a solver-timeout one.
   ServerOptions options;
   options.workers = 1;
   options.coalesce = 16;
-  options.overlap = false;  // the blocker must hold the dispatch loop itself
+  options.overlap = false;
   ScopedServer scoped{options, "deadline_batch"};
   Client client{scoped.socket};
 
-  CheckProgram blocker{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
-  const std::uint64_t blocker_id = submit_program(client, blocker);
-  wait_until_dispatcher_busy(*scoped.server, blocker_id);
-
+  scoped.server->scheduler().hold();
   const std::uint64_t doomed =
       submit_program(client, {kCheckOnly, {}}, /*deadline_ms=*/std::uint64_t{1});
   const std::uint64_t healthy = submit_program(client, {kCheckOnly, {}});
+  // Release the gate only once the doomed job's budget is gone.
+  const JobPtr doomed_job = scoped.server->scheduler().find(doomed);
+  ASSERT_NE(doomed_job, nullptr);
+  while (doomed_job->remaining_ms() != std::optional<std::uint64_t>{0}) std::this_thread::yield();
+  scoped.server->scheduler().release();
 
   const Json doomed_status = wait_result(client, doomed).at("status");
   EXPECT_EQ(doomed_status.at("state").as_string(), "failed") << doomed_status.dump();
@@ -1078,15 +1082,16 @@ TEST(BatchedServerTest, CoalesceOneDisablesBatchingEntirely) {
   ServerOptions options;
   options.workers = 2;
   options.coalesce = 1;
-  options.overlap = false;  // serialize: the blocker must precede the checks
+  options.overlap = false;
   ScopedServer scoped{options, "no_batch"};
   Client client{scoped.socket};
 
-  CheckProgram blocker{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
-  const std::uint64_t blocker_id = submit_program(client, blocker);
-  wait_until_dispatcher_busy(*scoped.server, blocker_id);
+  // Four compatible checks queue behind the held dispatcher; at coalesce 1
+  // they must still dispatch one by one.
+  scoped.server->scheduler().hold();
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 4; ++i) ids.push_back(submit_program(client, {kCheckOnly, {}}));
+  scoped.server->scheduler().release();
   for (const std::uint64_t id : ids) {
     EXPECT_TRUE(wait_result(client, id).at("status").at("outcome").at("success").as_bool());
   }
@@ -1282,17 +1287,9 @@ TEST(LeaseTest, ExpiredLeaseIsSweptAndItsVersionCollected) {
   acquire.emplace("lease_ms", std::uint64_t{300});
   (void)client.call("lease", Json{std::move(acquire)});
 
-  // Park a fix in the dispatcher, then queue a check pinned to v1 behind
-  // it — the lease will lapse while the check is still queued.
-  Json::Object blocker;
-  blocker.emplace("program", kCheckFix);
-  Json::Object acls;
-  acls.emplace("A1_new", kA1New);
-  acls.emplace("A3_new", kA3New);
-  blocker.emplace("acls", Json{std::move(acls)});
-  const std::uint64_t blocker_id =
-      client.call("submit", Json{std::move(blocker)}).at("job").as_u64();
-  wait_until_dispatcher_busy(*scoped.server, blocker_id);
+  // Hold the dispatcher, then queue a check pinned to v1 behind the gate —
+  // the lease will lapse while the check is still queued.
+  scoped.server->scheduler().hold();
   Json::Object pinned;
   pinned.emplace("program", kCheckOnly);
   pinned.emplace("snapshot", 1);
@@ -1311,6 +1308,7 @@ TEST(LeaseTest, ExpiredLeaseIsSweptAndItsVersionCollected) {
   }
   EXPECT_EQ(scoped.server->store().snapshot(1), nullptr) << "expired lease never swept";
   EXPECT_EQ(scoped.server->store().lease_count(), 0u);
+  scoped.server->scheduler().release();
 
   // The in-flight job is unharmed: its own snapshot pin (not the lease)
   // keeps v1 alive until it finishes, and it answers against v1.
@@ -1319,7 +1317,6 @@ TEST(LeaseTest, ExpiredLeaseIsSweptAndItsVersionCollected) {
       << queued_result.dump();
   EXPECT_EQ(queued_result.at("status").at("snapshot").as_u64(), 1u);
   EXPECT_TRUE(queued_result.at("status").at("outcome").at("success").as_bool());
-  (void)wait_result(client, blocker_id);
 
   const std::string metrics = client.call("metrics").at("prometheus").as_string();
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_leases_expired_total"), 1u);
