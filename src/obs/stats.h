@@ -49,7 +49,7 @@ enum class Counter : std::size_t {
   SvcLeasesReleased,    // leases released explicitly by the holder
   SvcLeasesExpired,     // leases collected by the sweeper after expiry
   SvcReplRecordsStreamed, // replication records written to subscribers
-  SvcOverlapDispatches, // non-coalescable jobs run on the dispatcher overlap slot
+  SvcOverlapDispatches, // fix/generate jobs handed to an engine lane
   FecDeltaSplits,       // partition atoms re-split by delta FEC refinement
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
   FecDeltaRebuilds,     // delta refinements abandoned for a from-scratch rebuild

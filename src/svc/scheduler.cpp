@@ -44,9 +44,11 @@ std::optional<std::uint64_t> Job::remaining_ms() const {
   return used >= spec_.deadline_ms ? 0 : spec_.deadline_ms - used;
 }
 
-Scheduler::Scheduler(std::size_t queue_depth, std::size_t retain_terminal)
+Scheduler::Scheduler(std::size_t queue_depth, std::size_t retain_terminal,
+                     std::size_t engine_lanes)
     : queue_depth_(queue_depth == 0 ? 1 : queue_depth),
-      retain_terminal_(retain_terminal == 0 ? 1 : retain_terminal) {}
+      retain_terminal_(retain_terminal == 0 ? 1 : retain_terminal),
+      engine_lanes_(engine_lanes == 0 ? 1 : engine_lanes) {}
 
 Scheduler::Admission Scheduler::submit(JobSpec spec, SnapshotPtr snapshot) {
   const std::lock_guard<std::mutex> lock{mutex_};
@@ -83,23 +85,19 @@ std::vector<JobPtr> Scheduler::next_batch(std::size_t max) {
   std::vector<JobPtr> batch;
   std::unique_lock<std::mutex> lock{mutex_};
   while (true) {
+    // A key-0 head waiting for an engine lane holds back the queue behind
+    // it: nothing overtakes it, so FIFO within a priority holds.
     work_cv_.wait(lock, [&] {
-      return draining_ || (!held_ && (!queues_[0].empty() || !queues_[1].empty()));
+      const JobPtr* head = head_locked();
+      if (head == nullptr) return draining_;
+      return !held_ &&
+             ((*head)->spec_.coalesce_key != 0 || engine_running_ < engine_lanes_);
     });
-    JobPtr job;
-    std::size_t priority = 0;
-    for (std::size_t p = 0; p < 2; ++p) {
-      if (!queues_[p].empty()) {
-        job = std::move(queues_[p].front());
-        queues_[p].pop_front();
-        priority = p;
-        break;
-      }
-    }
-    if (!job) {
-      if (draining_) return {};
-      continue;
-    }
+    const JobPtr* head = head_locked();
+    if (head == nullptr) return {};  // draining and nothing left
+    const std::size_t priority = static_cast<std::size_t>((*head)->spec_.priority);
+    JobPtr job = std::move(queues_[priority].front());
+    queues_[priority].pop_front();
     if (job->cancel_requested()) {
       finish_locked(*job, JobState::Cancelled, {}, evicted);
       continue;
@@ -143,10 +141,18 @@ std::vector<JobPtr> Scheduler::next_batch(std::size_t max) {
   }
 }
 
+const JobPtr* Scheduler::head_locked() const {
+  for (const auto& queue : queues_) {
+    if (!queue.empty()) return &queue.front();
+  }
+  return nullptr;
+}
+
 void Scheduler::start_locked(Job& job) {
   job.state_ = JobState::Running;
   job.started_at_ = std::chrono::steady_clock::now();
   ++running_;
+  if (job.spec_.coalesce_key == 0) ++engine_running_;
   obs::observe(obs::Histogram::SvcQueueWaitMicros,
                static_cast<std::uint64_t>(
                    seconds_between(job.submitted_at_, job.started_at_) * 1e6));
@@ -158,7 +164,14 @@ void Scheduler::start_locked(Job& job) {
 void Scheduler::finish(const JobPtr& job, JobState state, JobOutcome outcome) {
   std::vector<JobPtr> evicted;  // destroyed after the lock; see finish_locked
   const std::lock_guard<std::mutex> lock{mutex_};
-  if (job->state_ == JobState::Running) --running_;
+  if (job->state_ == JobState::Running) {
+    --running_;
+    if (job->spec_.coalesce_key == 0) {
+      // The job's engine lane is free: a key-0 head may dispatch now.
+      --engine_running_;
+      work_cv_.notify_all();
+    }
+  }
   finish_locked(*job, state, std::move(outcome), evicted);
 }
 
@@ -220,6 +233,8 @@ bool Scheduler::cancel(std::uint64_t id) {
       }
     }
     finish_locked(job, JobState::Cancelled, {}, evicted);
+    // The cancelled job may have been a head waiting for an engine lane.
+    work_cv_.notify_all();
   }
   // A running job finishes as Cancelled when the worker observes the flag.
   return true;

@@ -11,6 +11,11 @@
 //    but never reorder it. Batch coalescing (next_batch) may run a later
 //    compatible job *together with* an earlier one, but never reorders the
 //    jobs it leaves queued.
+//  * Engine lanes — fix/generate jobs (coalesce key 0) run one per engine
+//    lane, and at most `engine_lanes` of them run at once. A key-0 head
+//    waits in the queue for a free lane (and holds back everything behind
+//    it, so FIFO holds); while it waits it is still Queued, so its queue
+//    time and a deadline lapsing in that wait read as queueing.
 //  * Deadlines — a job whose deadline expires while queued fails at
 //    dispatch without running; a running job's engine polls the deadline
 //    between its units of work (obligations, neighborhoods, classes).
@@ -35,6 +40,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,9 +97,11 @@ struct JobOutcome {
   bool success = false;                 // EngineReport::success() for Done
   std::string error;                    // Failed: the diagnostic
   std::vector<CommandSummary> commands; // Done: one per executed command
-  /// Done and successful: the update `apply` installs.
-  std::optional<topo::AclUpdate> final_update;
-  std::string plan_text;                // Done: the formatted deployable plan
+  /// Done (successful or not): the job's final update, the one retained
+  /// copy. `status`/`result` render it as the plan text against the job's
+  /// pinned topology; `apply` installs it when `success`. Shared, so a
+  /// status copy is a pointer copy.
+  std::shared_ptr<const topo::AclUpdate> final_update;
 };
 
 class Job {
@@ -159,7 +167,10 @@ class Scheduler {
 
   /// `retain_terminal` bounds how many finished jobs stay queryable; the
   /// oldest-finished beyond it are forgotten entirely (404 thereafter).
-  explicit Scheduler(std::size_t queue_depth, std::size_t retain_terminal = 1024);
+  /// `engine_lanes` bounds how many key-0 (fix/generate) jobs may be
+  /// Running at once; the default leaves them unbounded.
+  explicit Scheduler(std::size_t queue_depth, std::size_t retain_terminal = 1024,
+                     std::size_t engine_lanes = std::numeric_limits<std::size_t>::max());
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_depth_; }
   [[nodiscard]] std::size_t retain_terminal() const { return retain_terminal_; }
@@ -169,9 +180,11 @@ class Scheduler {
   Admission submit(JobSpec spec, SnapshotPtr snapshot);
 
   /// Blocks until a job is available; transitions it Queued -> Running.
-  /// Queued jobs that were cancelled or whose deadline expired are finished
-  /// inline (Cancelled / Failed) without being returned. Returns nullptr
-  /// once draining and the queue is empty.
+  /// A key-0 head is not available while `engine_lanes` key-0 jobs are
+  /// Running; it stays queued until one finishes. Queued jobs that were
+  /// cancelled or whose deadline expired are finished inline (Cancelled /
+  /// Failed) without being returned. Returns nullptr once draining and the
+  /// queue is empty.
   JobPtr next();
 
   /// Like next(), but when the lead job carries a nonzero coalesce key,
@@ -182,7 +195,8 @@ class Scheduler {
   /// mixes priorities. Empty once draining and the queue is empty.
   std::vector<JobPtr> next_batch(std::size_t max);
 
-  /// Terminal transition; wakes result waiters.
+  /// Terminal transition; wakes result waiters, and the dispatcher when a
+  /// key-0 job frees its lane.
   void finish(const JobPtr& job, JobState state, JobOutcome outcome);
 
   /// True when the cancellation took hold (job was queued or running).
@@ -227,6 +241,8 @@ class Scheduler {
 
  private:
   [[nodiscard]] JobStatus status_locked(const Job& job) const;
+  /// The job next_batch would take next (highest priority, FIFO), or null.
+  [[nodiscard]] const JobPtr* head_locked() const;
   /// Retention eviction appends the dropped JobPtrs to `evicted` instead of
   /// destroying them: releasing a job may drop the last pin on its snapshot
   /// and fire the store's release hooks (FEC-cache / delta-cache eviction),
@@ -238,6 +254,7 @@ class Scheduler {
 
   const std::size_t queue_depth_;
   const std::size_t retain_terminal_;
+  const std::size_t engine_lanes_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // new work or drain
@@ -247,6 +264,7 @@ class Scheduler {
   std::deque<std::uint64_t> terminal_order_;  // finish order, oldest first
   std::uint64_t next_id_ = 1;
   std::size_t running_ = 0;
+  std::size_t engine_running_ = 0;  // Running key-0 jobs, <= engine_lanes_
   bool draining_ = false;
   bool held_ = false;
 };

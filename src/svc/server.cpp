@@ -74,25 +74,28 @@ std::uint64_t u64_param(const Json& params, std::string_view key) {
   }
 }
 
-/// The retained outcome of a job that ran to completion.
-JobOutcome done_outcome(const topo::Topology& topo, core::EngineReport report) {
+/// The retained outcome of a job that ran to completion: the command
+/// verdicts and the one copy of its final update.
+JobOutcome done_outcome(core::EngineReport report) {
   JobOutcome outcome;
   outcome.success = report.success();
-  outcome.plan_text = core::format_plan(topo, report.final_update);
   for (const auto& cmd : report.outcomes) {
     CommandSummary summary{cmd.command, cmd.ok(), std::nullopt};
     if (cmd.check) summary.consistent = cmd.check->consistent;
     outcome.commands.push_back(summary);
   }
-  if (outcome.success) outcome.final_update = std::move(report.final_update);
+  outcome.final_update =
+      std::make_shared<const topo::AclUpdate>(std::move(report.final_update));
   return outcome;
 }
 
-Json outcome_json(JobState state, const JobOutcome& outcome) {
+/// `topo` is the job's pinned snapshot topology, which names the plan's
+/// interfaces.
+Json outcome_json(const topo::Topology& topo, JobState state, const JobOutcome& outcome) {
   Json::Object obj;
   obj.emplace("success", outcome.success);
   if (!outcome.error.empty()) obj.emplace("error", outcome.error);
-  if (!outcome.plan_text.empty()) obj.emplace("plan", outcome.plan_text);
+  if (outcome.final_update) obj.emplace("plan", core::format_plan(topo, *outcome.final_update));
   if (state == JobState::Done) {
     Json::Array commands;
     for (const auto& cmd : outcome.commands) {
@@ -154,7 +157,7 @@ std::uint64_t coalesce_key_for(Version version, const topo::Scope& scope,
   return h == 0 ? 1 : h;
 }
 
-Json status_json(const JobStatus& status) {
+Json status_json(const Job& job, const JobStatus& status) {
   Json::Object obj;
   obj.emplace("job", status.id);
   obj.emplace("state", to_string(status.state));
@@ -163,7 +166,7 @@ Json status_json(const JobStatus& status) {
   obj.emplace("queue_seconds", status.queue_seconds);
   obj.emplace("run_seconds", status.run_seconds);
   if (is_terminal(status.state)) {
-    obj.emplace("outcome", outcome_json(status.state, status.outcome));
+    obj.emplace("outcome", outcome_json(*job.snapshot()->topo, status.state, status.outcome));
   }
   return Json{std::move(obj)};
 }
@@ -177,7 +180,8 @@ Server::Server(config::NetworkFile network, ServerOptions options)
       repl_hash_(network_fingerprint(network)),
       base_fingerprint_(repl_hash_),
       store_(std::move(network)),
-      scheduler_(options_.queue_depth, options_.retain_jobs) {
+      scheduler_(options_.queue_depth, options_.retain_jobs,
+                 std::max(options_.workers, 1u)) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.coalesce == 0) options_.coalesce = 1;
   if (options_.keep_versions == 0) options_.keep_versions = 1;
@@ -785,9 +789,12 @@ Json Server::handle_submit(const Json& params) {
 
 Json Server::handle_status(const Json& params) {
   const std::uint64_t id = u64_param(params, "job");
-  const auto status = scheduler_.status(id);
+  // The JobPtr keeps the pinned snapshot the plan is rendered against alive
+  // even if retention evicts the job meanwhile.
+  const JobPtr job = scheduler_.find(id);
+  const auto status = job ? scheduler_.status(id) : std::nullopt;
   if (!status) fail(kNotFound, "unknown job " + std::to_string(id));
-  return status_json(*status);
+  return status_json(*job, *status);
 }
 
 Json Server::handle_result(const Json& params) {
@@ -796,19 +803,18 @@ Json Server::handle_result(const Json& params) {
   if (params.get("timeout_ms") != nullptr) {
     timeout = std::chrono::milliseconds(u64_param(params, "timeout_ms"));
   }
+  const JobPtr job = scheduler_.find(id);
+  if (!job) fail(kNotFound, "unknown job " + std::to_string(id));
   auto status = scheduler_.wait(id, timeout);
-  if (!status) {
-    // Distinguish "no such job" from "still running when the timeout hit".
+  const bool done = status.has_value();
+  if (!done) {
+    // Distinguish "evicted meanwhile" from "still running when the timeout hit".
     status = scheduler_.status(id);
     if (!status) fail(kNotFound, "unknown job " + std::to_string(id));
-    Json::Object obj;
-    obj.emplace("done", false);
-    obj.emplace("status", status_json(*status));
-    return Json{std::move(obj)};
   }
   Json::Object obj;
-  obj.emplace("done", true);
-  obj.emplace("status", status_json(*status));
+  obj.emplace("done", done);
+  obj.emplace("status", status_json(*job, *status));
   return Json{std::move(obj)};
 }
 
@@ -834,7 +840,8 @@ Json Server::handle_apply(const Json& params) {
     fail(kConflict, "job " + std::to_string(id) + " is still " +
                         std::string(to_string(status->state)));
   }
-  if (status->state != JobState::Done || !status->outcome.final_update) {
+  if (status->state != JobState::Done || !status->outcome.success ||
+      !status->outcome.final_update) {
     fail(kConflict, "job " + std::to_string(id) + " did not produce a deployable plan");
   }
 
@@ -1046,36 +1053,58 @@ Json Server::handle_metrics() {
 
 void Server::dispatch_loop() {
   const std::size_t max = std::max<std::size_t>(options_.coalesce, 1);
-  // One overlap slot: a non-coalescable fix/generate job may run on this
-  // side thread while the loop keeps draining batch units behind it — a
-  // slow repair no longer serializes the interactive queue. The slot is
-  // joined before a second non-coalescable job claims it and before the
-  // loop exits, so at most two dispatch units are ever in flight. This is
-  // safe because a per-job engine is single-threaded (no shared executor),
-  // and every structure it touches (FEC cache, incremental planner,
-  // scheduler, batch-algebra map) is internally locked.
-  std::thread overlap;
-  const auto join_overlap = [&overlap] {
-    if (overlap.joinable()) overlap.join();
-  };
+  // Engine lanes: fix/generate jobs run one per lane while this loop keeps
+  // draining check units, so neither repairs nor checks wait on each
+  // other. The scheduler hands out at most `workers` key-0 jobs at once (a
+  // job waiting for a lane stays queued), so a handed-off job never waits
+  // here for long. Safe because each per-job engine is single-threaded (no
+  // shared executor), and every structure it touches (FEC cache,
+  // incremental planner, scheduler, batch-algebra map) is internally
+  // locked. The lanes are joined before this loop returns, once every
+  // handed-off job has finished.
+  std::mutex lane_mutex;
+  std::condition_variable lane_cv;
+  std::deque<JobPtr> handoff;
+  bool closing = false;
+  std::vector<std::thread> lanes;
+  lanes.reserve(options_.workers);
+  for (unsigned i = 0; i < options_.workers; ++i) {
+    lanes.emplace_back([&] {
+      while (true) {
+        JobPtr job;
+        {
+          std::unique_lock<std::mutex> lock{lane_mutex};
+          lane_cv.wait(lock, [&] { return closing || !handoff.empty(); });
+          if (handoff.empty()) return;
+          job = std::move(handoff.front());
+          handoff.pop_front();
+        }
+        execute_job(job);
+      }
+    });
+  }
   while (true) {
     std::vector<JobPtr> unit = scheduler_.next_batch(max);
-    if (unit.empty()) {
-      join_overlap();
-      return;
-    }
+    if (unit.empty()) break;
     // Every pure check — a unit of one included — runs the exact set scan;
-    // fix and generate jobs run the full engine.
+    // fix and generate jobs run the full engine on a lane.
     if (unit.front()->spec().coalesce_key != 0) {
       execute_batch(unit);
-    } else if (options_.overlap) {
-      join_overlap();
-      obs::count(obs::Counter::SvcOverlapDispatches);
-      overlap = std::thread([this, job = unit.front()] { execute_job(job); });
-    } else {
-      execute_job(unit.front());
+      continue;
     }
+    obs::count(obs::Counter::SvcOverlapDispatches);
+    {
+      const std::lock_guard<std::mutex> lock{lane_mutex};
+      handoff.push_back(std::move(unit.front()));
+    }
+    lane_cv.notify_one();
   }
+  {
+    const std::lock_guard<std::mutex> lock{lane_mutex};
+    closing = true;
+  }
+  lane_cv.notify_all();
+  for (std::thread& lane : lanes) lane.join();
 }
 
 core::CheckOptions Server::job_check_options() const {
@@ -1233,7 +1262,7 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
       incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
                            bo.clean);
     }
-    scheduler_.finish(job, JobState::Done, done_outcome(*snapshot->topo, std::move(report)));
+    scheduler_.finish(job, JobState::Done, done_outcome(std::move(report)));
   }
 }
 
@@ -1287,7 +1316,7 @@ void Server::execute_job(const JobPtr& job) {
     if (job->cancel_requested()) {
       state = JobState::Cancelled;
     } else {
-      outcome = done_outcome(*snapshot->topo, std::move(report));
+      outcome = done_outcome(std::move(report));
     }
   } catch (const core::Interrupted& e) {
     if (e.deadline()) {

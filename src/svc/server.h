@@ -5,10 +5,16 @@
 // cross-version plan/verdict cache, and per-version batch algebras for
 // coalesced check execution — and serves a stream of check/fix/generate
 // programs over a Unix domain socket. Execution is a dispatcher thread
-// pulling dispatch units (one full-engine job, or a coalesced unit of
-// compatible pure-check jobs) off the scheduler and running them on the
-// server-wide work-stealing core::Executor; see docs/INTERNALS.md
-// "Batched + sharded execution".
+// pulling dispatch units off the scheduler: a coalesced unit of compatible
+// pure-check jobs (a unit of one included) runs on the dispatcher over the
+// server-wide work-stealing core::Executor, and a fix/generate job goes to
+// one of `workers` engine lanes, each running one single-threaded
+// core::Engine, so up to `workers` repairs run side by side with the check
+// units; see docs/INTERNALS.md "Batched + sharded execution".
+//
+// A finished job keeps a JobOutcome: its command verdicts and one shared
+// copy of its final update, which `status`/`result` render as plan text
+// against the job's pinned snapshot and `apply` installs.
 //
 // Wire protocol: newline-delimited JSON-RPC. One request per line,
 //   {"id": 1, "method": "submit", "params": {...}}
@@ -82,19 +88,17 @@ struct ServerOptions {
   std::string writer_endpoint;
   /// Upper bound on any client-requested lease window.
   std::uint64_t max_lease_ms = 60000;
-  /// Let one queued non-coalescable fix/generate job run on a side thread
-  /// while the dispatcher keeps draining batch units (one overlap slot).
-  /// Off pins the PR-7 behaviour: strictly one dispatch unit at a time.
-  bool overlap = true;
   /// Extra Prometheus lines appended to the metrics export (the replica
   /// adds its lag gauges here).
   std::function<void(std::ostream&)> extra_metrics;
   std::size_t queue_depth = 64;
-  /// Executor threads of the server-wide pool. A small dispatcher thread
-  /// pulls dispatch units (single jobs or coalesced batches) off the
-  /// scheduler and fans their obligations out over the pool; the
-  /// dispatcher itself participates as pool worker 0, so `workers` is the
-  /// total execution thread count.
+  /// Executor threads of the server-wide pool, and the number of engine
+  /// lanes. A small dispatcher thread pulls dispatch units off the
+  /// scheduler: check units fan their obligations out over the pool (the
+  /// dispatcher participates as pool worker 0, so `workers` is the pool's
+  /// total thread count), and each fix/generate job runs on one of
+  /// `workers` lane threads, so at most `workers` engine jobs run at once
+  /// and a job waiting for a lane stays queued.
   unsigned workers = 2;
   /// Most jobs one dispatch unit may coalesce (same snapshot version,
   /// scope family, pure check program). 1 disables coalescing.
@@ -105,16 +109,18 @@ struct ServerOptions {
   /// the last pin is released).
   std::size_t keep_versions = 8;
   /// Finished jobs kept queryable via status/result; the oldest-finished
-  /// beyond this are evicted (404), releasing their snapshot and report.
+  /// beyond this are evicted (404), releasing their snapshot and outcome.
+  /// A retained outcome is the command verdicts plus one copy of the final
+  /// update; the plan text is rendered per request, not stored.
   std::size_t retain_jobs = 1024;
   /// Rebase budget for the incremental planner: how many applies a cached
   /// verification plan may be carried across before the next job rebuilds
   /// it from scratch. 0 disables incremental cross-version verification
   /// (every check-only job builds a fresh engine, the seed behaviour).
   std::size_t max_delta_chain = 16;
-  /// Template for the per-worker engines (threads are forced to 1 — the
-  /// workers themselves are the parallelism; the FEC cache is replaced by
-  /// the server-wide shared one).
+  /// Template for the per-job engines (threads are forced to 1 — the lanes
+  /// and the pool are the parallelism; the FEC cache is replaced by the
+  /// server-wide shared one).
   core::EngineOptions engine;
 };
 
@@ -187,6 +193,9 @@ class Server {
 
   void accept_loop();
   void connection_loop(int fd, bool needs_auth);
+  /// Pulls dispatch units until the drain empties the queue: check units
+  /// run here, fix/generate jobs on the `workers` engine lanes it starts
+  /// and joins before returning.
   void dispatch_loop();
   /// Streams replication records with version > `from` until the peer
   /// disconnects or the server drains.

@@ -257,12 +257,12 @@ std::uint64_t prometheus_counter(const std::string& text, const std::string& nam
 }
 
 /// The coalescing soak at workers=4: clients burst-submit pure-check jobs
-/// (no per-job wait) so the queue backs up behind the first plan build and
-/// the dispatcher forms real batches, a mid-burst apply advances the head
-/// between coalesce and dispatch, and cancellations race execution. Every
-/// completed job must match a fresh single-engine oracle on its pinned
-/// snapshot — coalesced set-algebra execution is not allowed to change any
-/// client-visible answer.
+/// (no per-job wait) behind a held dispatcher so it forms real batches, a
+/// mid-burst apply advances the head between coalesce and dispatch, queued
+/// jobs are cancelled, and a check+fix runs on an engine lane beside the
+/// batches. Every completed job must match a fresh single-engine oracle on
+/// its pinned snapshot — neither coalesced set-algebra execution nor a lane
+/// is allowed to change any client-visible answer.
 TEST(SvcStressTest, CoalescedBatchesMatchOracleAtFourWorkers) {
   const gen::Wan wan = gen::make_wan(gen::small_wan());
   config::NetworkFile network;
@@ -278,31 +278,29 @@ TEST(SvcStressTest, CoalescedBatchesMatchOracleAtFourWorkers) {
   options.queue_depth = 128;
   options.workers = 4;
   options.coalesce = 16;
-  // The blocker below must hold the dispatch loop itself so the burst
-  // provably coalesces behind it; the overlap slot would run the fix on a
-  // side thread and drain the burst job by job instead.
-  options.overlap = false;
   options.keep_versions = 64;  // every snapshot stays resolvable for the oracle
   Server server{std::move(network), options};
   server.start();
 
-  // Occupy the dispatcher before bursting: a fix job holds the (serial)
-  // dispatch loop for a full plan-build-and-repair, so every burst job below
-  // is provably queued when the dispatcher next calls next_batch — batches
+  // Hold the dispatcher until the whole burst is queued: every burst job is
+  // provably queued when the dispatcher first calls next_batch, so batches
   // form by construction, not by racing submission against the first plan
-  // build (the old flake: a fast dispatcher drained the burst one by one).
-  Client blocker_client{socket_path};
-  const Workload blocker = perturb_workload(wan, 0.12, 997);
-  const Json blocker_submitted =
-      submit_job(blocker_client, blocker.program, blocker.acl_bodies);
-  const auto blocker_status = server.scheduler().wait_started(
-      blocker_submitted.at("job").as_u64(), std::chrono::minutes(5));
-  ASSERT_TRUE(blocker_status.has_value()) << "blocker never left the queue";
-
+  // build. A 12%-perturbation check+fix queues first and runs on an engine
+  // lane beside the coalesced units once the gate lifts.
+  server.scheduler().hold();
   constexpr int kClients = 3;
   constexpr int kJobsPerClient = 6;
   std::mutex records_mutex;
   std::vector<JobRecord> records;
+  {
+    Client fix_client{socket_path};
+    const Workload fix = perturb_workload(wan, 0.12, 997);
+    JobRecord record;
+    record.program = fix.program;
+    record.acl_bodies = fix.acl_bodies;
+    record.id = submit_job(fix_client, record.program, record.acl_bodies).at("job").as_u64();
+    records.push_back(std::move(record));
+  }
 
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -341,6 +339,7 @@ TEST(SvcStressTest, CoalescedBatchesMatchOracleAtFourWorkers) {
   (void)server.store().apply_update({});
 
   for (auto& thread : clients) thread.join();
+  server.scheduler().release();
 
   Client checker{socket_path};
   struct Completed {
@@ -370,8 +369,8 @@ TEST(SvcStressTest, CoalescedBatchesMatchOracleAtFourWorkers) {
   }
   EXPECT_GE(completed.size(), static_cast<std::size_t>(kClients * (kJobsPerClient - 1)));
 
-  // The burst actually coalesced: the queue backed up behind the first plan
-  // build, so at least one multi-job dispatch unit formed.
+  // The burst actually coalesced: it queued behind the held dispatcher, so
+  // at least one multi-job dispatch unit formed.
   const std::string metrics = checker.call("metrics").at("prometheus").as_string();
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 2u)
       << metrics;

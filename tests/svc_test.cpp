@@ -287,6 +287,37 @@ TEST(SchedulerTest, ExpiredDeadlineFailsAtDispatch) {
   EXPECT_NE(status->outcome.error.find("deadline"), std::string::npos);
 }
 
+TEST(SchedulerTest, KeyZeroJobWaitsQueuedForAFreeEngineLane) {
+  // One engine lane: while fix/generate job A runs, job B (key 0) stays
+  // Queued — its deadline lapsing in that wait is a queueing failure, not a
+  // running one — and the coalescable job C behind it does not overtake.
+  Scheduler scheduler{8, /*retain_terminal=*/16, /*engine_lanes=*/1};
+  const auto snapshot = dummy_snapshot();
+  const auto a = scheduler.submit(spec_with(Priority::Batch), snapshot).job;
+  const auto b = scheduler.submit(spec_with(Priority::Batch, /*deadline_ms=*/1), snapshot).job;
+  JobSpec coalescable = spec_with(Priority::Batch);
+  coalescable.coalesce_key = 7;
+  const auto c = scheduler.submit(std::move(coalescable), snapshot).job;
+  ASSERT_TRUE(a && b && c);
+
+  ASSERT_EQ(scheduler.next(), a);  // A takes the only lane
+  while (b->remaining_ms() != std::optional<std::uint64_t>{0}) std::this_thread::yield();
+  JobPtr dispatched;
+  std::thread dispatcher{[&] { dispatched = scheduler.next(); }};
+  EXPECT_FALSE(scheduler.wait_started(b->id(), std::chrono::milliseconds(50)))
+      << "B left the queue while the only lane was busy";
+  EXPECT_EQ(scheduler.status(c->id())->state, JobState::Queued) << "C overtook B";
+
+  scheduler.finish(a, JobState::Done, {});
+  dispatcher.join();
+  EXPECT_EQ(dispatched, c);  // B was reaped first, then C dispatched
+  const auto status_b = scheduler.status(b->id());
+  EXPECT_EQ(status_b->state, JobState::Failed);
+  EXPECT_EQ(status_b->outcome.error, "deadline exceeded while queued");
+  EXPECT_EQ(status_b->run_seconds, 0.0);
+  EXPECT_GE(status_b->queue_seconds, scheduler.status(a->id())->run_seconds);
+}
+
 TEST(SchedulerTest, TerminalJobsAreEvictedBeyondRetention) {
   Scheduler scheduler{8, /*retain_terminal=*/2};
   const auto snapshot = dummy_snapshot();
@@ -441,6 +472,10 @@ constexpr const char* kCheckFix =
 constexpr const char* kA1New =
     "deny dst 1.0.0.0/8\ndeny dst 2.0.0.0/8\ndeny dst 6.0.0.0/8\npermit all\n";
 constexpr const char* kA3New = "deny dst 7.0.0.0/8\npermit all\n";
+// Check then fix, where the fix fails: with only B's slots allowed, no
+// placement restores the traffic A:1-in used to deny.
+constexpr const char* kFailingFix =
+    "scope A:*, B:*, C:*, D:*\nallow B:*\nmodify A:1-in to permit_all\ncheck\nfix\n";
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -925,18 +960,15 @@ class BatchedServerEquivalence : public ::testing::Test {
     ServerOptions options;
     options.workers = workers;
     options.coalesce = coalesce;
-    // These tests park a fix job in the dispatcher so the checks behind it
-    // provably coalesce; the overlap slot would run the fix on the side and
-    // drain the queue one by one instead. Overlap has its own test below.
-    options.overlap = false;
     return options;
   }
 };
 
 TEST_F(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // The batched server coalesces everything queued behind its held
-  // dispatcher (a fix job waits there too); a second server (workers=1, coalesce=1) runs every program twice as a
-  // batch of one — the second time through the delta cache's clean-bit
+  // dispatcher (a fix job waits there too, and runs on an engine lane once
+  // released); a second server (workers=1, coalesce=1) runs every program
+  // twice as a batch of one — the second time through the delta cache's clean-bit
   // filter. The oracle is a fresh core::Engine per program. A cancellation
   // lands mid-batch, and an apply advances the head between coalesce and
   // dispatch — client-visible outcomes must still match the oracle job for
@@ -1045,6 +1077,33 @@ TEST(RetainedOutcomeTest, FinishedFixJobAnswersAndAppliesLikeTheEngine) {
   }
 }
 
+TEST(RetainedOutcomeTest, FailedFixJobKeepsItsPlanButCannotBeApplied) {
+  // A Done job whose fix failed still answers with its plan (the engine's
+  // final update, rendered like the fresh engine renders it), and apply
+  // refuses it with 409.
+  ScopedServer scoped{ServerOptions{}, "failed_fix"};
+  Client client{scoped.socket};
+  const SnapshotPtr pinned = scoped.server->store().head();
+  const CheckProgram program{kFailingFix, {}};
+  const std::uint64_t id = submit_program(client, program);
+
+  const Json status = wait_result(client, id).at("status");
+  ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+  EXPECT_FALSE(status.at("outcome").at("success").as_bool());
+  EXPECT_NE(status.at("outcome").at("plan").as_string().find("acl A:1-in"), std::string::npos);
+  EXPECT_EQ(status.at("outcome").dump(), engine_outcome(*pinned, program).dump());
+
+  Json::Object apply;
+  apply.emplace("job", id);
+  try {
+    (void)client.call("apply", Json{std::move(apply)});
+    FAIL() << "apply of a failed fix must be rejected";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), 409);
+  }
+  EXPECT_EQ(scoped.server->store().head_version(), 1u);
+}
+
 TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
   // A job whose deadline expires while it waits behind a held dispatcher
   // — whether caught at dispatch or inside the coalesced unit — must fail
@@ -1052,7 +1111,6 @@ TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
   ServerOptions options;
   options.workers = 1;
   options.coalesce = 16;
-  options.overlap = false;
   ScopedServer scoped{options, "deadline_batch"};
   Client client{scoped.socket};
 
@@ -1082,7 +1140,6 @@ TEST(BatchedServerTest, CoalesceOneDisablesBatchingEntirely) {
   ServerOptions options;
   options.workers = 2;
   options.coalesce = 1;
-  options.overlap = false;
   ScopedServer scoped{options, "no_batch"};
   Client client{scoped.socket};
 
@@ -1276,7 +1333,6 @@ TEST(LeaseTest, ExpiredLeaseIsSweptAndItsVersionCollected) {
   ServerOptions options;
   options.workers = 1;
   options.coalesce = 1;
-  options.overlap = false;
   options.keep_versions = 1;
   ScopedServer scoped{options, "lease_expiry"};
   Client client{scoped.socket};
@@ -1326,21 +1382,20 @@ TEST(LeaseTest, ExpiredLeaseIsSweptAndItsVersionCollected) {
 
 TEST(OverlapTest, FixRunsOnTheSideSlotWithoutChangingAnswers) {
   // Oracle first (its registry is then replaced as the global sink by the
-  // overlap server, whose metrics the test asserts on).
+  // lane server, whose metrics the test asserts on). The oracle server has
+  // one engine lane, the other two.
   ServerOptions serial_options;
-  serial_options.workers = 2;
+  serial_options.workers = 1;
   serial_options.coalesce = 16;
-  serial_options.overlap = false;
   ScopedServer serial{serial_options, "overlap_oracle"};
   ServerOptions options;
   options.workers = 2;
   options.coalesce = 16;
-  options.overlap = true;
   ScopedServer overlapped{options, "overlap_on"};
   Client client{overlapped.socket};
   Client oracle_client{serial.socket};
 
-  // The fix claims the overlap slot; the checks behind it drain as batch
+  // The fix runs on an engine lane; the checks behind it drain as batch
   // units while it runs instead of queueing until it finishes.
   CheckProgram fix{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
   const std::uint64_t fix_id = submit_program(client, fix);
@@ -1354,8 +1409,8 @@ TEST(OverlapTest, FixRunsOnTheSideSlotWithoutChangingAnswers) {
   const Json fixed = wait_result(client, fix_id);
   ASSERT_EQ(fixed.at("status").at("state").as_string(), "done") << fixed.dump();
 
-  // Overlapped execution must not perturb the fix's answer: the serial
-  // oracle produces the byte-identical outcome.
+  // Lane execution must not perturb the fix's answer: the one-lane oracle
+  // produces the byte-identical outcome.
   const Json oracle_fixed = wait_result(oracle_client, submit_program(oracle_client, fix));
   EXPECT_EQ(fixed.at("status").at("outcome").dump(),
             oracle_fixed.at("status").at("outcome").dump());
@@ -1363,6 +1418,108 @@ TEST(OverlapTest, FixRunsOnTheSideSlotWithoutChangingAnswers) {
   const std::string metrics = client.call("metrics").at("prometheus").as_string();
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_overlap_dispatches_total"), 1u)
       << metrics;
+}
+
+/// Fix and generate programs on Figure 1: two repairs that succeed, one
+/// that fails, and the three generate shapes (migration, isolate intent,
+/// replacement ACL).
+std::vector<CheckProgram> engine_programs() {
+  return {
+      {kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}},
+      {"scope A:*, B:*, C:*, D:*\nallow C:1-in, C:2-in, D:1-in\n"
+       "modify A:1-in to permit_all, D:2-in to permit_all\ngenerate\n",
+       {}},
+      {"scope A:*, B:*, C:*, D:*\nallow A:*\nmodify A:1-in to permit_all\ncheck\nfix\n", {}},
+      {"scope A:*, B:*, C:*, D:*\nallow A:2-out, A:3-out, A:4-out\n"
+       "control A:1 -> D:3 isolate dst 4.0.0.0/8\ngenerate\n",
+       {}},
+      {kFailingFix, {}},
+      {"scope A:*, B:*, C:*, D:*\nallow C:1-in, C:2-in, D:1-in\n"
+       "modify D:2-in to D2_tight\ngenerate\n",
+       {{"D2_tight", "deny dst 2.0.0.0/8\npermit all\n"}}},
+  };
+}
+
+TEST(EngineLaneTest, SixEngineJobsOnThreeLanesMatchFreshEnginesAndOverlap) {
+  ServerOptions options;
+  options.workers = 3;
+  ScopedServer scoped{options, "lanes"};
+  Client client{scoped.socket};
+  const SnapshotPtr pinned = scoped.server->store().head();
+  const auto programs = engine_programs();
+
+  // Every job is queued before any runs; each submit call brackets the
+  // server's submission time between two client clock reads.
+  using Clock = std::chrono::steady_clock;
+  struct Submitted {
+    std::uint64_t id = 0;
+    Clock::time_point before, after;
+  };
+  std::vector<Submitted> jobs;
+  scoped.server->scheduler().hold();
+  for (const CheckProgram& p : programs) {
+    Submitted job;
+    job.before = Clock::now();
+    job.id = submit_program(client, p);
+    job.after = Clock::now();
+    jobs.push_back(job);
+  }
+  scoped.server->scheduler().release();
+
+  // [earliest, latest] start and end of each job's run, from its submission
+  // bracket plus its queue_seconds and run_seconds.
+  struct Span {
+    Clock::time_point latest_start, earliest_end;
+  };
+  std::vector<Span> spans;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const Json status = wait_result(client, jobs[i].id).at("status");
+    ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+    EXPECT_EQ(status.at("outcome").dump(), engine_outcome(*pinned, programs[i]).dump())
+        << "program " << i;
+    const auto seconds = [](double s) {
+      return std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(s));
+    };
+    const auto queued = seconds(status.at("queue_seconds").as_number());
+    const auto ran = seconds(status.at("run_seconds").as_number());
+    spans.push_back({jobs[i].after + queued, jobs[i].before + queued + ran});
+  }
+  std::size_t overlapping_pairs = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    for (std::size_t j = i + 1; j < spans.size(); ++j) {
+      if (spans[i].latest_start < spans[j].earliest_end &&
+          spans[j].latest_start < spans[i].earliest_end) {
+        ++overlapping_pairs;
+      }
+    }
+  }
+  EXPECT_GE(overlapping_pairs, 1u) << "no two engine jobs provably ran at once";
+
+  const std::string metrics = client.call("metrics").at("prometheus").as_string();
+  EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_overlap_dispatches_total"), 6u)
+      << metrics;
+}
+
+TEST(EngineLaneTest, JobWaitingForTheOnlyLaneIsStillQueued) {
+  // One lane: B cannot start until A has finished, and that wait is
+  // queueing time, not running time.
+  ServerOptions options;
+  options.workers = 1;
+  ScopedServer scoped{options, "one_lane"};
+  Client client{scoped.socket};
+  const CheckProgram fix{kCheckFix, {{"A1_new", kA1New}, {"A3_new", kA3New}}};
+
+  scoped.server->scheduler().hold();
+  const std::uint64_t a = submit_program(client, fix);
+  const std::uint64_t b = submit_program(client, fix);
+  scoped.server->scheduler().release();
+
+  const Json status_a = wait_result(client, a).at("status");
+  const Json status_b = wait_result(client, b).at("status");
+  ASSERT_EQ(status_a.at("state").as_string(), "done") << status_a.dump();
+  ASSERT_EQ(status_b.at("state").as_string(), "done") << status_b.dump();
+  EXPECT_GE(status_b.at("queue_seconds").as_number(), status_a.at("run_seconds").as_number());
+  EXPECT_EQ(status_b.at("outcome").dump(), status_a.at("outcome").dump());
 }
 
 // ------------------------------------------------- Client reconnection
