@@ -27,7 +27,8 @@ void BM_ControlOpen(benchmark::State& state) {
   for (auto _ : state) {
     core::GenerateOptions options;
     options.universe = wan.traffic;
-    core::Generator generator{wan.topo, wan.scope, options};
+    core::Planner planner{wan.topo, wan.scope};
+    core::Generator generator{planner, options};
     last = generator.generate(scenario.spec, scenario.intents);
     benchmark::DoNotOptimize(last);
   }

@@ -34,8 +34,8 @@ void BM_Fix(benchmark::State& state) {
   obs::StatsRegistry registry;
   const obs::ScopedRegistry installed{registry};
   for (auto _ : state) {
-    smt::SmtContext smt;
-    core::Fixer fixer{smt, wan.topo, wan.scope};
+    core::Planner planner{wan.topo, wan.scope};
+    core::Fixer fixer{planner};
     last = fixer.fix(update, wan.traffic, allowed);
     benchmark::DoNotOptimize(last);
     neighborhoods = last.neighborhoods.size();

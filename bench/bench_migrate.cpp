@@ -27,7 +27,8 @@ void BM_Migrate(benchmark::State& state) {
     options.synthesis.group_rules = optimized;
     options.synthesis.minimize_rules = optimized;
     options.synthesis.use_search_tree = optimized;
-    core::Generator generator{wan.topo, wan.scope, options};
+    core::Planner planner{wan.topo, wan.scope};
+    core::Generator generator{planner, options};
     last = generator.generate(spec);
     benchmark::DoNotOptimize(last);
   }

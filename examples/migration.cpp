@@ -53,7 +53,8 @@ int main() {
   // Run generate.
   core::GenerateOptions options;
   options.universe = f.traffic;
-  core::Generator generator{f.topo, f.scope, options};
+  core::Planner planner{f.topo, f.scope};
+  core::Generator generator{planner, options};
   core::MigrationSpec spec;
   spec.sources = f.migration_sources();
   spec.targets = f.migration_targets();

@@ -7,6 +7,7 @@
 // clean.
 #include <iostream>
 
+#include "core/checker.h"
 #include "core/engine.h"
 #include "gen/fixtures.h"
 #include "lai/parser.h"

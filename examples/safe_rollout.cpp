@@ -33,8 +33,8 @@ int main() {
   std::cout << "=== Safe rollout of the repaired running-example plan ===\n\n";
 
   // Repair the buggy update first (as in examples/quickstart).
-  smt::SmtContext smt;
-  core::Fixer fixer{smt, f.topo, f.scope};
+  core::Planner planner{f.topo, f.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(f.running_example_update(), f.traffic, [&] {
     std::vector<topo::AclSlot> allowed;
     for (const auto iface : {f.A1, f.A2, f.A3, f.A4, f.B1, f.B2}) {

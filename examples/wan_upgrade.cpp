@@ -53,8 +53,8 @@ int main() {
   }
 
   t0 = std::chrono::steady_clock::now();
-  smt::SmtContext smt_fix;
-  core::Fixer fixer{smt_fix, wan.topo, wan.scope};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(relocation, wan.traffic, gen::gateway_layer_allow(wan));
   std::size_t fix_rules = 0;
   for (const auto& a : fix.actions) fix_rules += a.rules.size();
@@ -73,7 +73,7 @@ int main() {
   t0 = std::chrono::steady_clock::now();
   core::GenerateOptions gen_options;
   gen_options.universe = wan.traffic;
-  core::Generator generator{wan.topo, wan.scope, gen_options};
+  core::Generator generator{planner, gen_options};  // the fix's planner: same scope
   const auto migration = generator.generate(gen::migration_spec(wan));
   std::cout << "generate: " << (migration.success ? "success" : "FAILED") << " in "
             << seconds_since(t0) << "s\n";

@@ -33,7 +33,7 @@ namespace {
 constexpr const char* kUsage = R"(usage:
   jinjing run   --network FILE --program FILE [--acl NAME=FILE]...
                 [--diff] [--rollback] [--stage availability|security]
-                [--out FILE] [--threads N] [--timeout-ms N]
+                [--out FILE] [--threads N]
                 [--report-json FILE] [--metrics FILE] [--trace FILE]
   jinjing show  --network FILE
   jinjing audit --network FILE
@@ -44,7 +44,7 @@ constexpr const char* kUsage = R"(usage:
   jinjing serve  --network FILE [--socket PATH] [--listen HOST:PORT --token SECRET]
                  [--queue-depth N] [--workers N]
                  [--coalesce N] [--keep-versions N] [--retain-jobs N]
-                 [--max-delta-chain N] [--max-lease-ms N] [--timeout-ms N]
+                 [--max-delta-chain N] [--max-lease-ms N]
   jinjing replica --network FILE --writer ENDPOINT [--token SECRET]
                  [--socket PATH] [--listen HOST:PORT] [--lease-ms N]
                  [--queue-depth N] [--workers N] [--coalesce N]
@@ -66,11 +66,8 @@ run      execute an LAI program (check / fix / generate) and print the plan
          --rollback  also print the plan that restores the current ACLs
          --stage M   also print a transient-safe two-phase push sequence
          --out FILE  write the plan as reusable 'acl ... end' blocks
-         --threads N          worker threads for classification and the
-                              per-class SMT queries
-         --timeout-ms N       per-query Z3 deadline in milliseconds (0, the
-                              default, means none); a query hitting the
-                              deadline is an error, never a pass
+         --threads N          worker threads for classification, the
+                              obligation scan and generate's placements
          --report-json FILE   write per-stage timings (plan/compile/solve/
                               execute), obligation counts and the full
                               observability counter dump to FILE
@@ -91,8 +88,7 @@ gen      write a synthetic layered WAN (the benchmark workloads) to stdout
 serve    run the long-lived verification service on a Unix domain socket
          and/or a TCP listener: versioned network snapshots, a prioritized
          job queue (interactive check ahead of batch fix/generate), pure
-         checks answered by an exact set scan (no SMT query, so
-         --timeout-ms does not apply to them) and warm fix/generate engines
+         checks answered by an exact set scan and warm fix/generate engines
          --listen HOST:PORT   also accept authenticated TCP connections
                               (port 0 binds an ephemeral port); requires
                               --token
@@ -153,7 +149,6 @@ struct Options {
   std::string acl_a_path;
   std::string acl_b_path;
   unsigned threads = 1;
-  unsigned timeout_ms = 0;
   std::string report_json_path;
   std::string metrics_path;
   std::string trace_path;
@@ -294,9 +289,6 @@ Options parse_args(const std::vector<std::string>& args) {
       options.out_path = value();
     } else if (arg == "--threads") {
       options.threads = static_cast<unsigned>(parse_unsigned("--threads", value(), 1, 1024));
-    } else if (arg == "--timeout-ms") {
-      options.timeout_ms =
-          static_cast<unsigned>(parse_unsigned("--timeout-ms", value(), 0, 3600000));
     } else if (arg == "--report-json") {
       options.report_json_path = value();
     } else if (arg == "--metrics") {
@@ -522,10 +514,7 @@ int run_command(const Options& options, std::ostream& out) {
   }
 
   core::EngineOptions engine_options;
-  for (core::CheckOptions* check : {&engine_options.check, &engine_options.fix.check}) {
-    check->threads = options.threads;
-    check->timeout_ms = options.timeout_ms;
-  }
+  engine_options.plan.threads = options.threads;
   // Observability is on whenever any export wants its data; the registry
   // lives on the stack and is uninstalled before the outputs are written.
   const bool want_observability = !options.report_json_path.empty() ||
@@ -831,7 +820,7 @@ int soak_command(const Options& options, std::ostream& out) {
   // soak default stays far below serve's 1024.
   soak_options.server.retain_jobs = options.retain_jobs_set ? options.retain_jobs : 64;
   soak_options.server.max_delta_chain = options.max_delta_chain;
-  // The engine knobs (--threads, --timeout-ms) are deliberately not wired: the
+  // The engine knob (--threads) is deliberately not wired: the
   // soak's oracle runs default options, and the service must agree with it.
 
   if (options.soak_dump_stream) {
@@ -880,10 +869,6 @@ svc::ServerOptions server_options_for(const Options& options) {
   server_options.keep_versions = options.keep_versions;
   server_options.retain_jobs = options.retain_jobs;
   server_options.max_delta_chain = options.max_delta_chain;
-  for (core::CheckOptions* check :
-       {&server_options.engine.check, &server_options.engine.fix.check}) {
-    check->timeout_ms = options.timeout_ms;
-  }
   return server_options;
 }
 

@@ -246,7 +246,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
         violation.path_index = o.paths[k];
         violation.decision_before = desired.contains(violation.witness);
         violation.decision_after = sides.updated.contains(violation.witness);
-        explain_violation(topo, base, after, bundle.paths[o.paths[k]], violation);
+        explain_violation(base, after, bundle.paths[o.paths[k]], violation);
         result.consistent = false;
         result.violations.push_back(std::move(violation));
         break;

@@ -34,9 +34,9 @@
 #include <mutex>
 #include <vector>
 
-#include "core/checker.h"
 #include "core/executor.h"
 #include "core/plan.h"
+#include "core/verdict.h"
 #include "topo/topology.h"
 
 namespace jinjing::core {

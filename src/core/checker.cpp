@@ -38,145 +38,10 @@ bool same_controls(const std::vector<lai::ControlIntent>& a,
 
 }  // namespace
 
-bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path) {
-  const auto has = [](const std::vector<topo::InterfaceId>& list, topo::InterfaceId i) {
-    return std::find(list.begin(), list.end(), i) != list.end();
-  };
-  return has(intent.from, path.entry()) && has(intent.to, path.exit());
-}
-
-bool desired_decision(const std::vector<lai::ControlIntent>& controls, const topo::Path& path,
-                      const net::Packet& h, bool original_decision) {
-  for (const auto& intent : controls) {
-    if (!intent_spans_path(intent, path)) continue;
-    if (!intent.header.contains(h)) continue;
-    switch (intent.verb) {
-      case lai::ControlVerb::Open: return true;
-      case lai::ControlVerb::Isolate: return false;
-      case lai::ControlVerb::Maintain: return original_decision;
-    }
-  }
-  return original_decision;
-}
-
-net::PacketSet desired_set(const std::vector<lai::ControlIntent>& controls,
-                           const topo::Path& path, const net::PacketSet& original,
-                           const net::PacketSet& clip) {
-  net::PacketSet desired;
-  net::PacketSet unmatched = clip;  // not yet claimed by an earlier intent
-  for (const auto& intent : controls) {
-    if (!intent_spans_path(intent, path)) continue;
-    const net::PacketSet matched = unmatched & intent.header;
-    if (matched.is_empty()) continue;
-    switch (intent.verb) {
-      case lai::ControlVerb::Open: desired = desired | matched; break;
-      case lai::ControlVerb::Isolate: break;
-      case lai::ControlVerb::Maintain: desired = desired | (matched & original); break;
-    }
-    unmatched = unmatched - matched;
-  }
-  return (desired | (unmatched & original)).compact();
-}
-
-namespace {
-
-/// The rule text an ACL uses to decide `h`.
-std::string deciding_rule(const net::Acl& acl, const net::Packet& h) {
-  const auto index = acl.first_match(h);
-  if (index) return net::to_string(acl.rules()[*index]);
-  return "default " + std::string(net::to_string(acl.default_action()));
-}
-
-}  // namespace
-
-void explain_violation(const topo::Topology& topo, const topo::ConfigView& before,
-                       const topo::ConfigView& after, const topo::Path& path,
-                       Violation& violation) {
-  (void)topo;
-  for (const auto& hop : path.hops()) {
-    const bool b = before.acl(hop.slot()).permits(violation.witness);
-    const bool a = after.acl(hop.slot()).permits(violation.witness);
-    if (b != a) {
-      violation.changed_slot = hop.slot();
-      violation.before_rule = deciding_rule(before.acl(hop.slot()), violation.witness);
-      violation.after_rule = deciding_rule(after.acl(hop.slot()), violation.witness);
-      return;
-    }
-  }
-}
-
 Checker::Checker(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
                  const CheckOptions& options)
-    : smt_(smt),
-      topo_(topo),
-      scope_(scope),
-      options_(options),
-      fec_cache_(options.fec_cache ? options.fec_cache : std::make_shared<topo::FecCache>()) {
+    : Planner(topo, scope, options), smt_(smt), options_(options) {
   if (options_.timeout_ms > 0) smt_.set_timeout_ms(options_.timeout_ms);
-  if (options_.adopted_plan) {
-    // The bundle carries paths, forwarding sets and the plan verbatim; the
-    // caller guarantees it was built over the same structure (see
-    // CheckOptions::adopted_plan).
-    adopted_ = options_.adopted_plan;
-    return;
-  }
-  paths_ = topo::enumerate_paths(topo_, scope_, options_.path_options);
-  path_forwarding_.reserve(paths_.size());
-  for (const auto& p : paths_) path_forwarding_.push_back(topo::forwarding_set(topo_, p));
-}
-
-std::shared_ptr<const std::vector<topo::EntryClasses>> Checker::entry_classes(
-    const net::PacketSet& entering) {
-  return fec_cache_->entry_classes(topo_, scope_, entering, fec_options());
-}
-
-std::shared_ptr<const std::vector<net::PacketSet>> Checker::global_classes(
-    const net::PacketSet& entering) {
-  return fec_cache_->global_classes(topo_, scope_, entering, fec_options());
-}
-
-std::vector<std::size_t> Checker::feasible_paths(const net::PacketSet& traffic) const {
-  const auto& forwarding = path_forwarding();
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < forwarding.size(); ++i) {
-    if (forwarding[i].intersects(traffic)) out.push_back(i);
-  }
-  return out;
-}
-
-const VerifyPlan& Checker::plan(const net::PacketSet& entering) {
-  if (adopted_ && adopted_->entering.equals(entering)) {
-    last_plan_seconds_ = 0;  // served from the adopted bundle
-    obs::count(obs::Counter::PlanCacheHits);
-    return adopted_->plan;
-  }
-  if (plan_entering_ && plan_entering_->equals(entering)) {
-    last_plan_seconds_ = 0;  // served from cache
-    obs::count(obs::Counter::PlanCacheHits);
-    return plan_;
-  }
-  const obs::TraceSpan span{obs::Span::CheckerPlan};
-  const Lowering mode = options_.use_differential ? Lowering::Differential : Lowering::Basic;
-  if (options_.per_entry_fec) {
-    plan_ = build_verify_plan(paths(), path_forwarding(), entry_classes(entering), mode);
-  } else {
-    plan_ = build_verify_plan(paths(), path_forwarding(), global_classes(entering), mode);
-  }
-  plan_entering_ = entering;
-  last_plan_seconds_ = plan_.stats().plan_seconds;
-  obs::count(obs::Counter::PlanBuilds);
-  obs::count(obs::Counter::ObligationsPlanned, plan_.obligations().size());
-  return plan_;
-}
-
-std::shared_ptr<const PlanBundle> Checker::share_plan(const net::PacketSet& entering) {
-  if (adopted_ && adopted_->entering.equals(entering)) return adopted_;
-  auto bundle = std::make_shared<PlanBundle>();
-  bundle->plan = plan(entering);  // builds (or reuses) first; copies share class storage
-  bundle->paths = paths();
-  bundle->path_forwarding = path_forwarding();
-  bundle->entering = entering;
-  return bundle;
 }
 
 CheckSession& Checker::session(const topo::AclUpdate& update,
@@ -196,29 +61,23 @@ CheckSession& Checker::session(const topo::AclUpdate& update,
   return *session_;
 }
 
-Executor& Checker::executor() {
-  if (options_.executor) return *options_.executor;
-  if (!own_executor_) own_executor_ = std::make_shared<Executor>(options_.threads);
-  return *own_executor_;
-}
-
 CheckSession::CheckSession(Checker& checker, const topo::AclUpdate& update,
                            const std::vector<lai::ControlIntent>& controls)
-    : CheckSession(checker, checker.smt_, update, controls) {}
+    : CheckSession(checker, checker.smt(), update, controls) {}
 
 CheckSession::CheckSession(Checker& checker, smt::SmtContext& smt,
                            const topo::AclUpdate& update,
                            const std::vector<lai::ControlIntent>& controls)
     : checker_(checker),
       smt_(smt),
-      before_(checker.topo_),
-      after_(checker.topo_, &update),
+      before_(checker.topology()),
+      after_(checker.topology(), &update),
       controls_(controls),
       vars_(smt.packet_vars()) {
   const obs::TraceSpan span{obs::Span::CheckerCompile};
   obs::count(obs::Counter::SmtSessionsBuilt);
   const auto start = std::chrono::steady_clock::now();
-  if (checker.options_.use_differential) {
+  if (checker.options().use_differential) {
     const auto slots = after_.bound_slots();
     auto reduced = reduce_by_differential(before_, after_, slots);
     // §6: traffic named by control intents can legitimately change decision,
@@ -257,7 +116,7 @@ const z3::expr& CheckSession::acl_expr(topo::AclSlot slot, bool after_side) {
   const auto it = expr_cache_.find(key);
   if (it != expr_cache_.end()) return it->second;
   const z3::expr expr =
-      smt::acl_permits(vars_, encoded_acl(slot, after_side), checker_.options_.encoder);
+      smt::acl_permits(vars_, encoded_acl(slot, after_side), checker_.options().encoder);
   return expr_cache_.emplace(key, expr).first->second;
 }
 
@@ -340,7 +199,7 @@ std::optional<Violation> CheckSession::find_violation(const net::PacketSet& fec,
     const bool updated = topo::path_permits(after_, path, *witness);
     if (desired != updated) {
       Violation violation{*witness, pi, desired, updated, std::nullopt, {}, {}};
-      explain_violation(checker_.topo_, before_, after_, path, violation);
+      explain_violation(before_, after_, path, violation);
       return violation;
     }
   }
@@ -358,8 +217,8 @@ CheckResult Checker::check_monolithic(const topo::AclUpdate& update,
   result.path_count = all_paths.size();
   result.fec_count = 1;  // the whole entering traffic, unclassified
 
-  const topo::ConfigView before{topo_};
-  const topo::ConfigView after{topo_, &update};
+  const topo::ConfigView before{topology()};
+  const topo::ConfigView after{topology(), &update};
   const auto h = smt_.packet_vars("m");
   auto solver = smt_.make_solver();
 
@@ -400,7 +259,7 @@ CheckResult Checker::check_monolithic(const topo::AclUpdate& update,
       const bool a = topo::path_permits(after, all_paths[pi], *witness);
       if (b != a) {
         Violation violation{*witness, pi, b, a, std::nullopt, {}, {}};
-        explain_violation(topo_, before, after, all_paths[pi], violation);
+        explain_violation(before, after, all_paths[pi], violation);
         result.violations.push_back(std::move(violation));
         break;
       }
@@ -420,7 +279,7 @@ CheckResult Checker::check(const topo::AclUpdate& update, const net::PacketSet& 
   const auto& obligations = verify_plan.obligations();
   result.fec_count = verify_plan.stats().fec_count;
   result.obligation_count = obligations.size();
-  result.plan_seconds = last_plan_seconds_;
+  result.plan_seconds = last_plan_seconds();
 
   Executor& exec = executor();
   const bool stop_at_first = options_.stop_at_first;

@@ -14,10 +14,12 @@
 // work-stealing core::Executor (execute stage) with early-exit cancellation
 // for stop_at_first.
 //
-// The engine and the service do not run this SMT pipeline: their checks
-// are the exact set scan of core/batch over the same plan, with the same
-// verdicts. Checker::check is the paper's reproduction baseline, used by
-// the benchmarks and as the tests' reference.
+// The engine and the service do not run this SMT pipeline: they plan with
+// a core::Planner and check with the exact set scan of core/batch over the
+// same plan, with the same verdicts. Checker is a Planner plus the Z3
+// compile/execute stages — the paper's reproduction baseline, built into
+// the only library that links Z3 and used by the benchmarks, the workload
+// replay and as the tests' reference.
 //
 // Two lowerings reproduce the paper's comparison: Basic (whole ACLs, the
 // Minesweeper-style baseline) and Differential (Theorem 4.1 reduction).
@@ -28,116 +30,28 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/diff.h"
-#include "core/executor.h"
-#include "core/plan.h"
+#include "core/planner.h"
+#include "core/verdict.h"
 #include "lai/sema.h"
 #include "smt/acl_encoder.h"
 #include "smt/context.h"
-#include "topo/fec.h"
-#include "topo/fec_cache.h"
-#include "topo/paths.h"
-#include "topo/topology.h"
 
 namespace jinjing::core {
 
-struct CheckOptions {
+/// The plan options plus the knobs of the SMT lowering.
+struct CheckOptions : PlanOptions {
   /// Theorem 4.1 preprocessing (off = the paper's "basic version").
   bool use_differential = true;
   /// ACL decision-model encoding (§4.1 optimization; Sequential = baseline).
   smt::EncoderStrategy encoder = smt::EncoderStrategy::Tree;
-  /// Return on the first violated FEC (the paper's check behaviour). Off =
-  /// report one witness per violated FEC.
-  bool stop_at_first = true;
-  /// Classify entering traffic per entry interface against only the edges
-  /// reachable from that entry (structured-topology fast path). Covers the
-  /// same (class, feasible path) combinations as the global FECs.
-  bool per_entry_fec = true;
-  /// Worker threads for obligation execution and equivalence-class
-  /// refinement. 1 = sequential (obligations run inline in plan order,
-  /// which is the byte-deterministic mode). Ignored for execution when an
-  /// explicit `executor` is installed.
-  unsigned threads = 1;
   /// Per-query Z3 deadline in milliseconds (0 = none). A query that hits
   /// the deadline surfaces as smt::SmtTimeout — never as "consistent".
   unsigned timeout_ms = 0;
-  /// Shared equivalence-class cache. When unset the checker creates a
-  /// private one, which still serves repeated check() calls on the same
-  /// checker (fixer-style candidate loops). The Engine installs one cache
-  /// across all its checkers/fixers.
-  std::shared_ptr<topo::FecCache> fec_cache;
-  /// Shared obligation executor. When unset the checker lazily creates a
-  /// private pool of `threads` workers. The Engine installs one executor
-  /// across its whole check/fix/generate pipeline.
-  std::shared_ptr<Executor> executor;
-  /// A complete planning bundle exported by an earlier checker over the
-  /// same (topology structure, scope) — path enumeration is skipped and
-  /// plan() for the bundle's entering set is a lookup. The caller owns the
-  /// structural-compatibility guarantee (core::IncrementalPlanner keys
-  /// bundles so only structurally identical problems match).
-  std::shared_ptr<const PlanBundle> adopted_plan;
-  topo::PathEnumOptions path_options;
 };
-
-/// One witnessed inconsistency, with the blame assignment operators ask
-/// for first: the hop whose ACL decision on the witness changed, and the
-/// rule each side used.
-struct Violation {
-  net::Packet witness;          // a concrete packet whose reachability changed
-  std::size_t path_index = 0;   // index into Checker::paths()
-  bool decision_before = false; // desired decision on that path
-  bool decision_after = false;  // decision under the update
-
-  /// First hop on the path whose decision on the witness flipped (unset
-  /// when the change is purely intent-driven, i.e. the ACLs agree but a
-  /// control verb demands otherwise).
-  std::optional<topo::AclSlot> changed_slot;
-  std::string before_rule;  // rule text (or "default <action>") each side
-  std::string after_rule;
-};
-
-/// Fills Violation::changed_slot/before_rule/after_rule by walking the
-/// path's hops with both configuration views.
-void explain_violation(const topo::Topology& topo, const topo::ConfigView& before,
-                       const topo::ConfigView& after, const topo::Path& path,
-                       Violation& violation);
-
-struct CheckResult {
-  bool consistent = true;
-  std::vector<Violation> violations;  // one witness per violated FEC
-  std::size_t fec_count = 0;
-  std::size_t path_count = 0;
-  std::uint64_t smt_queries = 0;
-
-  // Per-stage breakdown of the pipeline.
-  std::size_t obligation_count = 0;        // plan size
-  std::size_t obligations_executed = 0;    // obligations whose query ran
-  std::size_t obligations_cancelled = 0;   // skipped by stop_at_first early exit
-  double plan_seconds = 0;     // plan build (0 when served from cache)
-  double compile_seconds = 0;  // session build + formula lowering
-  double solve_seconds = 0;    // inside Z3 check() calls
-  double execute_seconds = 0;  // executor wall time for the obligation batch
-};
-
-/// Does a control intent span this path's endpoints (entry in `from`,
-/// exit in `to`)? Only spanning intents rewrite the path's decision.
-[[nodiscard]] bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path);
-
-/// The desired decision for a path/packet after applying control intents:
-/// open => permit, isolate => deny, maintain (or no matching intent) =>
-/// keep the original decision. First matching intent wins (§6).
-[[nodiscard]] bool desired_decision(const std::vector<lai::ControlIntent>& controls,
-                                    const topo::Path& path, const net::Packet& h,
-                                    bool original_decision);
-
-/// The set dual of desired_decision over a region: the packets of `clip`
-/// the path should permit, given `original` (the packets of `clip` it
-/// permits before the update).
-[[nodiscard]] net::PacketSet desired_set(const std::vector<lai::ControlIntent>& controls,
-                                         const topo::Path& path, const net::PacketSet& original,
-                                         const net::PacketSet& clip);
 
 class Checker;
 
@@ -195,7 +109,7 @@ class CheckSession {
   std::unordered_map<std::size_t, z3::expr> path_flags_;
 };
 
-class Checker {
+class Checker : public Planner {
  public:
   /// Binds the checker to a network and scope. Paths are enumerated once.
   Checker(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
@@ -218,78 +132,18 @@ class Checker {
   [[nodiscard]] CheckResult check_monolithic(const topo::AclUpdate& update,
                                              const net::PacketSet& entering);
 
-  /// The verification plan for `entering` traffic: the obligation DAG built
-  /// from path enumeration + FEC refinement. Cached — the plan does not
-  /// depend on the ACL update, so checker re-runs, fixer candidate loops
-  /// and repeated engine commands reuse it.
-  [[nodiscard]] const VerifyPlan& plan(const net::PacketSet& entering);
-
   /// The compile-stage session for (update, controls), cached so repeated
   /// checks of the same update keep their incremental Z3 base frame.
   /// Invalidated when either differs from the cached pair.
   [[nodiscard]] CheckSession& session(const topo::AclUpdate& update,
                                       const std::vector<lai::ControlIntent>& controls);
 
-  /// The obligation executor: the installed shared one, or a lazily created
-  /// private pool of options().threads workers.
-  [[nodiscard]] Executor& executor();
-
-  /// Exports this checker's planning state for `entering` as a shareable
-  /// bundle (building the plan first if needed). The bundle is immutable
-  /// and self-contained: another checker adopting it never touches this
-  /// checker again.
-  [[nodiscard]] std::shared_ptr<const PlanBundle> share_plan(const net::PacketSet& entering);
-
-  /// Seconds the last plan() call spent building (0 when it was cached).
-  [[nodiscard]] double last_plan_seconds() const { return last_plan_seconds_; }
-
-  [[nodiscard]] const std::vector<topo::Path>& paths() const {
-    return adopted_ ? adopted_->paths : paths_;
-  }
   [[nodiscard]] const CheckOptions& options() const { return options_; }
-  [[nodiscard]] const topo::Topology& topology() const { return topo_; }
-  [[nodiscard]] const topo::Scope& scope() const { return scope_; }
   [[nodiscard]] smt::SmtContext& smt() { return smt_; }
 
-  /// Paths whose forwarding predicates can carry `traffic` (the set Y).
-  [[nodiscard]] std::vector<std::size_t> feasible_paths(const net::PacketSet& traffic) const;
-
-  /// Per-entry classes of `entering` under this checker's scope, derived
-  /// with the configured backend and served from the FEC cache (classes do
-  /// not depend on the update, so candidate loops hit).
-  [[nodiscard]] std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes(
-      const net::PacketSet& entering);
-
-  /// Global FECs of `entering`, cached likewise.
-  [[nodiscard]] std::shared_ptr<const std::vector<net::PacketSet>> global_classes(
-      const net::PacketSet& entering);
-
-  [[nodiscard]] topo::FecCache& fec_cache() { return *fec_cache_; }
-
  private:
-  friend class CheckSession;
-
-  [[nodiscard]] topo::FecOptions fec_options() const {
-    return topo::FecOptions{options_.threads};
-  }
-
-  [[nodiscard]] const std::vector<net::PacketSet>& path_forwarding() const {
-    return adopted_ ? adopted_->path_forwarding : path_forwarding_;
-  }
-
   smt::SmtContext& smt_;
-  const topo::Topology& topo_;
-  const topo::Scope scope_;
   CheckOptions options_;
-  std::shared_ptr<topo::FecCache> fec_cache_;
-  std::shared_ptr<const PlanBundle> adopted_;    // set: paths_/path_forwarding_ stay empty
-  std::vector<topo::Path> paths_;
-  std::vector<net::PacketSet> path_forwarding_;  // forwarding set per path
-
-  // Plan cache (keyed by the entering traffic).
-  std::optional<net::PacketSet> plan_entering_;
-  VerifyPlan plan_;
-  double last_plan_seconds_ = 0;  // 0 on cache hit
 
   // Session cache. The session's ConfigView points at session_update_, so
   // the stored copies must outlive (and be rebuilt before) the session.
@@ -297,8 +151,6 @@ class Checker {
   std::vector<lai::ControlIntent> session_controls_;
   std::unique_ptr<CheckSession> session_;
   double last_session_seconds_ = 0;  // 0 on cache hit
-
-  std::shared_ptr<Executor> own_executor_;  // lazily created when none installed
 };
 
 }  // namespace jinjing::core

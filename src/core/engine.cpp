@@ -29,47 +29,31 @@ bool EngineReport::success() const { return !outcomes.empty() && outcomes.back()
 
 Engine::Engine(const topo::Topology& topo, EngineOptions options)
     : topo_(topo), options_(std::move(options)) {
-  // One equivalence-class cache across every checker/fixer the engine
-  // creates: a check → fix → check pipeline derives each partition once.
-  if (!options_.check.fec_cache) options_.check.fec_cache = std::make_shared<topo::FecCache>();
-  if (!options_.fix.check.fec_cache) options_.fix.check.fec_cache = options_.check.fec_cache;
-  if (!options_.generate.fec_cache) options_.generate.fec_cache = options_.check.fec_cache;
-  // One executor likewise: check obligations, fix searches and generate
-  // placements all draw from the same worker pool.
-  if (!options_.check.executor) {
-    options_.check.executor = std::make_shared<Executor>(options_.check.threads);
+  // One equivalence-class cache and one executor across every planner the
+  // engine creates: a check → fix → check pipeline derives each partition
+  // once, and check scans, fix searches and generate placements draw from
+  // the same worker pool.
+  if (!options_.plan.fec_cache) options_.plan.fec_cache = std::make_shared<topo::FecCache>();
+  if (!options_.plan.executor) {
+    options_.plan.executor = std::make_shared<Executor>(options_.plan.threads);
   }
-  if (!options_.fix.check.executor) options_.fix.check.executor = options_.check.executor;
-  if (!options_.generate.executor) options_.generate.executor = options_.check.executor;
 }
 
-void Engine::use_scope(const topo::Scope& scope) {
-  if (session_scope_ && same_scope(*session_scope_, scope)) return;
-  algebra_.reset();
-  fixer_.reset();
-  checker_.reset();
-  session_scope_ = scope;
-}
-
-Checker& Engine::checker_for(const topo::Scope& scope) {
-  use_scope(scope);
-  if (!checker_) checker_ = std::make_unique<Checker>(smt_, topo_, scope, options_.check);
-  return *checker_;
-}
-
-Fixer& Engine::fixer_for(const topo::Scope& scope) {
-  use_scope(scope);
-  if (!fixer_) fixer_ = std::make_unique<Fixer>(smt_, topo_, scope, options_.fix);
-  return *fixer_;
+Planner& Engine::planner_for(const topo::Scope& scope) {
+  if (!planner_ || !same_scope(planner_->scope(), scope)) {
+    algebra_.reset();
+    planner_ = std::make_unique<Planner>(topo_, scope, options_.plan);
+  }
+  return *planner_;
 }
 
 CheckResult Engine::check(const lai::UpdateTask& task, const topo::AclUpdate& update,
                           const net::PacketSet& entering, const StopProbes& probes) {
-  Checker& checker = checker_for(task.scope);
+  Planner& planner = planner_for(task.scope);
   double plan_seconds = 0;
   if (!algebra_ || !algebra_->bundle->entering.equals(entering)) {
-    auto bundle = checker.share_plan(entering);
-    plan_seconds = checker.last_plan_seconds();
+    auto bundle = planner.share_plan(entering);
+    plan_seconds = planner.last_plan_seconds();
     algebra_ = std::make_shared<const BatchAlgebra>(build_batch_algebra(topo_, std::move(bundle)));
   }
   BatchItem item;
@@ -77,8 +61,8 @@ CheckResult Engine::check(const lai::UpdateTask& task, const topo::AclUpdate& up
   item.probes = probes;
   item.controls = &task.controls;
   BatchRunOptions run;
-  run.stop_at_first = options_.check.stop_at_first;
-  run.executor = &checker.executor();
+  run.stop_at_first = options_.plan.stop_at_first;
+  run.executor = &planner.executor();
   auto outcome = std::move(run_check_batch(topo_, *algebra_, {item}, run).front());
   if (outcome.cancelled) throw Interrupted{false};
   if (outcome.deadline_expired) throw Interrupted{true};
@@ -99,8 +83,8 @@ CommandOutcome Engine::run_command(const lai::UpdateTask& task, lai::Command com
     }
     case lai::Command::Fix: {
       const obs::TraceSpan span{obs::Span::EngineFix};
-      outcome.fix =
-          fixer_for(task.scope).fix(current, entering, task.allowed, task.controls, probes);
+      Fixer fixer{planner_for(task.scope), options_.fix};
+      outcome.fix = fixer.fix(current, entering, task.allowed, task.controls, probes);
       current = outcome.fix->fixed_update;
       break;
     }
@@ -124,7 +108,7 @@ CommandOutcome Engine::run_command(const lai::UpdateTask& task, lai::Command com
       }
       GenerateOptions gen_options = options_.generate;
       gen_options.universe = gen_options.universe & entering;
-      Generator generator{topo_, task.scope, gen_options};
+      Generator generator{planner_for(task.scope), gen_options};
       outcome.generate = generator.generate(spec, task.controls, probes);
       current = outcome.generate->update;
       break;

@@ -5,7 +5,7 @@
 // trailing check re-validates the final plan):
 //   check    -> the exact set scan of core/batch (Algorithm 1's verdict,
 //               with control intents through their desired sets) over the
-//               checker's plan,
+//               planner's plan,
 //   fix      -> Fixer (§4.2) constrained to the allow-listed slots,
 //   generate -> Generator (§5): modify-to-permit-all slots are migration
 //               sources, allow-listed slots are synthesis targets, control
@@ -13,11 +13,12 @@
 // The final update of the last executed command is the deployable plan. No
 // command issues an SMT query.
 //
-// One Checker/Fixer pair is kept per scope and reused across the commands
-// of a task (and across tasks with the same scope), so repeated commands
-// reuse their verification plans, and checks reuse one scan algebra (the
-// base-side path sets) per entering set. One Executor and one FecCache are
-// installed across the whole check/fix/generate pipeline.
+// One Planner is kept per scope and reused across the commands of a task
+// (and across tasks with the same scope): check, fix and generate read its
+// paths, enumerated once, and its plan, built once per entering set, and
+// checks reuse one scan algebra (the base-side path sets) per entering set.
+// One Executor and one FecCache are installed across the whole
+// check/fix/generate pipeline.
 #pragma once
 
 #include <memory>
@@ -33,7 +34,9 @@
 namespace jinjing::core {
 
 struct EngineOptions {
-  CheckOptions check;
+  /// Planning, the check command's early exit and the pipeline's shared
+  /// executor and FEC cache (the engine creates whichever is unset).
+  PlanOptions plan;
   FixOptions fix;
   GenerateOptions generate;
 };
@@ -87,12 +90,9 @@ class Engine {
                                          const net::PacketSet& entering);
 
  private:
-  /// Drops the per-scope state when the task scope changes.
-  void use_scope(const topo::Scope& scope);
-  /// The reusable per-scope verification session (rebuilt only when the
-  /// task scope changes).
-  Checker& checker_for(const topo::Scope& scope);
-  Fixer& fixer_for(const topo::Scope& scope);
+  /// The scope's planner, rebuilt (with the scan algebra dropped) only
+  /// when the task scope changes.
+  Planner& planner_for(const topo::Scope& scope);
 
   /// The check command: one scan of `update` over the scope's plan.
   [[nodiscard]] CheckResult check(const lai::UpdateTask& task, const topo::AclUpdate& update,
@@ -100,12 +100,9 @@ class Engine {
 
   const topo::Topology& topo_;
   EngineOptions options_;
-  smt::SmtContext smt_;  // the checker's and fixer's; no command queries it
 
-  std::optional<topo::Scope> session_scope_;
-  std::unique_ptr<Checker> checker_;
-  std::unique_ptr<Fixer> fixer_;
-  std::shared_ptr<const BatchAlgebra> algebra_;  // for the checker's last entering set
+  std::unique_ptr<Planner> planner_;
+  std::shared_ptr<const BatchAlgebra> algebra_;  // for the planner's last entering set
 };
 
 }  // namespace jinjing::core

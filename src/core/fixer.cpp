@@ -7,6 +7,7 @@
 
 #include "core/placement.h"
 #include "core/simplify.h"
+#include "core/verdict.h"
 #include "net/acl_algebra.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -47,14 +48,14 @@ bool rewrites_any_hop(const topo::AclUpdate& update, const topo::Path& path) {
 /// The obligation's violating region: ⋃_p (desired_p Δ after_p) over its
 /// feasible paths, each side the class-clipped first-match walk. A path no
 /// rewritten slot and no control intent touches has desired_p = after_p.
-net::PacketSet violating_region(const Checker& checker, const topo::ConfigView& before,
+net::PacketSet violating_region(const Planner& planner, const topo::ConfigView& before,
                                 const topo::ConfigView& after, const topo::AclUpdate& update,
                                 const std::vector<lai::ControlIntent>& controls,
                                 const Obligation& obligation) {
   const net::PacketSet& cls = *obligation.fec;
   net::PacketSet violating;
   for (const std::size_t pi : obligation.paths) {
-    const topo::Path& path = checker.paths()[pi];
+    const topo::Path& path = planner.paths()[pi];
     const bool rewritten = rewrites_any_hop(update, path);
     const bool steered = std::any_of(controls.begin(), controls.end(), [&](const auto& intent) {
       return intent_spans_path(intent, path);
@@ -136,9 +137,8 @@ std::optional<std::vector<topo::AclSlot>> place_neighborhood(
   return flipped;
 }
 
-Fixer::Fixer(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
-             const FixOptions& options)
-    : options_(options), checker_(smt, topo, scope, options.check) {}
+Fixer::Fixer(Planner& planner, const FixOptions& options)
+    : planner_(planner), options_(options) {}
 
 FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& entering,
                      const std::vector<topo::AclSlot>& allowed,
@@ -149,7 +149,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   const net::PacketSet& simplify_universe = entering;
   FixResult result;
 
-  const auto& topo = checker_.topology();
+  const auto& topo = planner_.topology();
   const topo::ConfigView before{topo};
   const topo::ConfigView after{topo, &update};
 
@@ -162,7 +162,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   // global `handled` set dedupes cells across overlapping per-entry classes.
   net::PacketSet handled;
   auto stopwatch = std::chrono::steady_clock::now();
-  const VerifyPlan& plan = checker_.plan(entering);
+  const VerifyPlan& plan = planner_.plan(entering);
   result.obligations = plan.size();
   for (const auto& obligation : plan.obligations()) {
     probes.poll();
@@ -181,7 +181,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     {
       const obs::TraceSpan span{obs::Span::FixSearch};
       net::PacketSet violating =
-          violating_region(checker_, before, after, update, controls, obligation);
+          violating_region(planner_, before, after, update, controls, obligation);
       if (!violating.is_empty()) cells.push_back(std::move(violating));
     }
     result.search_seconds += lap(stopwatch);
@@ -189,8 +189,8 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
 
     const obs::TraceSpan enlarge_span{obs::Span::FixEnlarge};
     for (const auto& edge : topo.edges()) {
-      if (checker_.scope().contains_interface(topo, edge.from) &&
-          checker_.scope().contains_interface(topo, edge.to) &&
+      if (planner_.scope().contains_interface(topo, edge.from) &&
+          planner_.scope().contains_interface(topo, edge.to) &&
           edge.predicate.intersects(cls)) {
         split_pieces(cells, [&](const net::PacketSet& piece) { return piece & edge.predicate; });
       }
@@ -201,8 +201,8 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
         return net::permitted_within(acl, piece);
       });
     };
-    const auto feasible = checker_.feasible_paths(cls);
-    for (const auto slot : decision_slots(checker_.paths(), feasible)) {
+    const auto feasible = planner_.feasible_paths(cls);
+    for (const auto slot : decision_slots(planner_.paths(), feasible)) {
       const net::Acl& original = before.acl(slot);
       const net::Acl& updated = after.acl(slot);
       split_by_acl(original);
@@ -210,7 +210,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     }
     for (const auto& intent : controls) {
       const bool spans = std::any_of(feasible.begin(), feasible.end(), [&](std::size_t pi) {
-        return intent_spans_path(intent, checker_.paths()[pi]);
+        return intent_spans_path(intent, planner_.paths()[pi]);
       });
       if (!spans) continue;
       split_pieces(cells, [&](const net::PacketSet& piece) { return piece & intent.header; });
@@ -241,7 +241,7 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
     const obs::TraceSpan place_span{obs::Span::FixPlace};
     const net::Packet& h = report.representative;
     const auto flipped =
-        place_neighborhood(checker_.paths(), checker_.feasible_paths(report.set), before, after,
+        place_neighborhood(planner_.paths(), planner_.feasible_paths(report.set), before, after,
                            allowed, controls, h);
     if (!flipped) {
       report.solved = false;

@@ -20,12 +20,12 @@
 #include <optional>
 #include <vector>
 
-#include "core/checker.h"
+#include "core/planner.h"
+#include "lai/sema.h"
 
 namespace jinjing::core {
 
 struct FixOptions {
-  CheckOptions check;
   /// Run the §4.2 simplification pass on every ACL the fix touches.
   bool simplify_result = true;
   /// Guard against runaway neighborhood enumeration.
@@ -94,8 +94,9 @@ struct FixResult {
 
 class Fixer {
  public:
-  Fixer(smt::SmtContext& smt, const topo::Topology& topo, const topo::Scope& scope,
-        const FixOptions& options = {});
+  /// Repairs updates over `planner`'s scope, reading its paths and plans
+  /// (borrowed; it must outlive the fixer).
+  explicit Fixer(Planner& planner, const FixOptions& options = {});
 
   /// Repairs `update` so that `entering` traffic keeps the desired
   /// reachability. `allowed` lists the slots fix may touch (from `allow`).
@@ -106,11 +107,9 @@ class Fixer {
                               const std::vector<lai::ControlIntent>& controls = {},
                               const StopProbes& probes = {});
 
-  [[nodiscard]] Checker& checker() { return checker_; }
-
  private:
+  Planner& planner_;
   FixOptions options_;
-  Checker checker_;
 };
 
 }  // namespace jinjing::core

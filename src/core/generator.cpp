@@ -15,9 +15,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-Generator::Generator(const topo::Topology& topo, const topo::Scope& scope,
-                     const GenerateOptions& options)
-    : topo_(topo), scope_(scope), options_(options) {}
+Generator::Generator(Planner& planner, const GenerateOptions& options)
+    : planner_(planner), options_(options) {}
 
 GenerateResult Generator::generate(const MigrationSpec& spec,
                                    const std::vector<lai::ControlIntent>& controls,
@@ -27,10 +26,11 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   // Phase 1: derive ACL equivalence classes (§5.1; §6 adds the control
   // headers as refinement predicates).
   auto t0 = std::chrono::steady_clock::now();
-  const topo::ConfigView view{topo_};
+  const topo::Topology& topo = planner_.topology();
+  const topo::ConfigView view{topo};
   std::vector<topo::AclSlot> slots;
-  for (const auto slot : topo_.bound_slots()) {
-    if (scope_.contains_interface(topo_, slot.iface)) slots.push_back(slot);
+  for (const auto slot : topo.bound_slots()) {
+    if (planner_.scope().contains_interface(topo, slot.iface)) slots.push_back(slot);
   }
   std::vector<net::PacketSet> replacement_predicates;
   for (const auto& [slot, acl] : spec.replacements) {
@@ -40,7 +40,7 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   {
     const obs::TraceSpan span{obs::Span::GenDerive};
     classes = acl_equivalence_classes(view, slots, options_.universe, controls,
-                                      replacement_predicates, options_.fec_cache.get());
+                                      replacement_predicates, &planner_.fec_cache());
   }
   result.aec_count = classes.size();
   result.derive_seconds = seconds_since(t0);
@@ -51,8 +51,8 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   PlacementResult placement;
   {
     const obs::TraceSpan solve_span{obs::Span::GenSolve};
-    const PlacementSolver solver{topo_, scope_, options_.path_options};
-    placement = solver.solve(spec, classes, controls, options_.executor.get(), probes);
+    const PlacementSolver solver{planner_};
+    placement = solver.solve(spec, classes, controls, &planner_.executor(), probes);
   }
   result.aec_solved = placement.aec_solutions.size();
   for (const auto& [ci, decs] : placement.dec_solutions) result.dec_count += decs.size();
@@ -64,8 +64,8 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   // Phase 3: synthesize ACLs (§5.4 + §5.5).
   t0 = std::chrono::steady_clock::now();
   const obs::TraceSpan synth_span{obs::Span::GenSynth};
-  auto synthesis = synthesize(topo_, scope_, spec, classes, placement, options_.synthesis,
-                              controls);
+  auto synthesis = synthesize(topo, planner_.scope(), spec, classes, placement,
+                              options_.synthesis, controls);
   result.update = std::move(synthesis.acls);
   result.synthesis = synthesis.stats;
   result.synth_seconds = seconds_since(t0);

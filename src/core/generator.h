@@ -4,27 +4,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "core/executor.h"
+#include "core/planner.h"
 #include "core/synthesizer.h"
-#include "topo/fec_cache.h"
 
 namespace jinjing::core {
 
 struct GenerateOptions {
   SynthesisOptions synthesis;
-  topo::PathEnumOptions path_options;
   /// The traffic to classify and preserve. Defaults to every packet.
   net::PacketSet universe = net::PacketSet::all();
-  /// Shared obligation executor for the per-class placement solving
-  /// (phase 2). Unset or single-threaded = the sequential seed path.
-  std::shared_ptr<Executor> executor;
-  /// Shared partition cache: phase 1's AEC overlay is memoized by the exact
-  /// cubes of (universe, refinement regions), so warm generate jobs whose
-  /// scoped ACLs match an earlier derivation skip the overlay while
-  /// producing bit-identical classes. Unset = always derive.
-  std::shared_ptr<topo::FecCache> fec_cache;
 };
 
 struct GenerateResult {
@@ -47,8 +36,12 @@ struct GenerateResult {
 
 class Generator {
  public:
-  Generator(const topo::Topology& topo, const topo::Scope& scope,
-            const GenerateOptions& options = {});
+  /// Generates over `planner`'s scope (borrowed; it must outlive the
+  /// generator). Phase 1's AEC overlay is memoized in the planner's FEC
+  /// cache, so warm jobs whose scoped ACLs match an earlier derivation skip
+  /// it; phase 2 solves on the planner's paths and fans its classes out over
+  /// the planner's executor (single-threaded = in class order).
+  explicit Generator(Planner& planner, const GenerateOptions& options = {});
 
   /// Runs the three phases; `probes` are polled before each class's
   /// placement (Interrupted when one fires).
@@ -57,8 +50,7 @@ class Generator {
                                         const StopProbes& probes = {});
 
  private:
-  const topo::Topology& topo_;
-  const topo::Scope scope_;
+  Planner& planner_;
   GenerateOptions options_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/verdict.h"
 #include "obs/stats.h"
 
 namespace jinjing::core {
@@ -183,20 +184,14 @@ std::optional<Placement> solve_placement(const PlacementProblem& problem) {
   return out;
 }
 
-PlacementSolver::PlacementSolver(const topo::Topology& topo, const topo::Scope& scope,
-                                 const topo::PathEnumOptions& path_options)
-    : topo_(topo), scope_(scope) {
-  paths_ = topo::enumerate_paths(topo_, scope_, path_options);
-  path_forwarding_.reserve(paths_.size());
-  for (const auto& p : paths_) path_forwarding_.push_back(topo::forwarding_set(topo_, p));
-}
+PlacementSolver::PlacementSolver(const Planner& planner) : planner_(planner) {}
 
 std::optional<ClassDecision> PlacementSolver::solve_class(
     const MigrationSpec& spec, const net::PacketSet& cls,
     const std::vector<std::size_t>& path_set,
     const std::vector<lai::ControlIntent>& controls) const {
   const net::Packet h = cls.sample();
-  const topo::ConfigView view{topo_};
+  const topo::ConfigView view{planner_.topology()};
 
   // One variable per target (in spec order), preferring permit: with no
   // constraint a target defaults to permit, which matches operator practice
@@ -220,7 +215,7 @@ std::optional<ClassDecision> PlacementSolver::solve_class(
   // through one gateway interface); dedupe on (variable set, desired).
   std::set<std::pair<std::vector<std::size_t>, bool>> seen;
   for (const std::size_t pi : path_set) {
-    const auto& path = paths_[pi];
+    const auto& path = planner_.paths()[pi];
     bool original = true;
     for (const auto& hop : path.hops()) {
       if (!slot_permits(hop.slot())) {
@@ -270,17 +265,14 @@ ClassOutcome PlacementSolver::solve_one(const MigrationSpec& spec, const net::Pa
   ClassOutcome outcome;
 
   // AEC level: Equation 10 ranges over every path in Ω.
-  std::vector<std::size_t> all_paths(paths_.size());
+  std::vector<std::size_t> all_paths(planner_.paths().size());
   for (std::size_t i = 0; i < all_paths.size(); ++i) all_paths[i] = i;
   if ((outcome.aec = solve_class(spec, cls, all_paths, controls))) return outcome;
 
   // DEC refinement (§5.3): split by routing, solve on feasible paths.
-  for (const auto& dec : dataplane_equivalence_classes(topo_, scope_, cls)) {
-    std::vector<std::size_t> feasible;
-    for (std::size_t pi = 0; pi < paths_.size(); ++pi) {
-      if (path_forwarding_[pi].intersects(dec)) feasible.push_back(pi);
-    }
-    if (auto solved = solve_class(spec, dec, feasible, controls)) {
+  for (const auto& dec :
+       dataplane_equivalence_classes(planner_.topology(), planner_.scope(), cls)) {
+    if (auto solved = solve_class(spec, dec, planner_.feasible_paths(dec), controls)) {
       solved->dec_level = true;
       outcome.decs.push_back(std::move(*solved));
     } else {

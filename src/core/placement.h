@@ -22,7 +22,8 @@
 #include <vector>
 
 #include "core/aec.h"
-#include "core/checker.h"
+#include "core/planner.h"
+#include "lai/sema.h"
 #include "topo/paths.h"
 #include "topo/topology.h"
 
@@ -123,8 +124,9 @@ struct ClassOutcome {
 
 class PlacementSolver {
  public:
-  PlacementSolver(const topo::Topology& topo, const topo::Scope& scope,
-                  const topo::PathEnumOptions& path_options = {});
+  /// Solves over `planner`'s paths and forwarding sets (borrowed; the
+  /// planner must outlive the solver).
+  explicit PlacementSolver(const Planner& planner);
 
   /// Solves every class. `controls` switches the target decision from
   /// "preserve c_p" to the §6 desired decision. Classes are independent,
@@ -137,14 +139,13 @@ class PlacementSolver {
                                       Executor* executor = nullptr,
                                       const StopProbes& probes = {}) const;
 
-  /// Equation 10 for one class over the given paths (indices into paths()),
-  /// at the class representative; nullopt when no decision function exists.
+  /// Equation 10 for one class over the given paths (indices into the
+  /// planner's paths()), at the class representative; nullopt when no
+  /// decision function exists.
   [[nodiscard]] std::optional<ClassDecision> solve_class(
       const MigrationSpec& spec, const net::PacketSet& cls,
       const std::vector<std::size_t>& path_set,
       const std::vector<lai::ControlIntent>& controls) const;
-
-  [[nodiscard]] const std::vector<topo::Path>& paths() const { return paths_; }
 
  private:
   /// One class's placement obligation: AEC-level solve over all paths,
@@ -152,10 +153,7 @@ class PlacementSolver {
   [[nodiscard]] ClassOutcome solve_one(const MigrationSpec& spec, const net::PacketSet& cls,
                                        const std::vector<lai::ControlIntent>& controls) const;
 
-  const topo::Topology& topo_;
-  const topo::Scope scope_;
-  std::vector<topo::Path> paths_;
-  std::vector<net::PacketSet> path_forwarding_;
+  const Planner& planner_;
 };
 
 }  // namespace jinjing::core

@@ -57,8 +57,7 @@ std::size_t VerifyPlan::live_count(const topo::AclUpdate& update, bool has_contr
 
 VerifyPlan build_verify_plan(const std::vector<topo::Path>& paths,
                              const std::vector<net::PacketSet>& path_forwarding,
-                             std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes,
-                             Lowering mode) {
+                             std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes) {
   const auto start = std::chrono::steady_clock::now();
   VerifyPlan plan;
   plan.entry_classes_ = std::move(entry_classes);
@@ -70,7 +69,6 @@ VerifyPlan build_verify_plan(const std::vector<topo::Path>& paths,
       o.fec = &cls;
       o.paths = feasible_paths(paths, path_forwarding, cls, entry);
       o.slots = slot_union(paths, o.paths);
-      o.mode = mode;
       plan.obligations_.push_back(std::move(o));
     }
   }
@@ -83,8 +81,7 @@ VerifyPlan build_verify_plan(const std::vector<topo::Path>& paths,
 
 VerifyPlan build_verify_plan(const std::vector<topo::Path>& paths,
                              const std::vector<net::PacketSet>& path_forwarding,
-                             std::shared_ptr<const std::vector<net::PacketSet>> global_classes,
-                             Lowering mode) {
+                             std::shared_ptr<const std::vector<net::PacketSet>> global_classes) {
   const auto start = std::chrono::steady_clock::now();
   VerifyPlan plan;
   plan.global_classes_ = std::move(global_classes);
@@ -94,7 +91,6 @@ VerifyPlan build_verify_plan(const std::vector<topo::Path>& paths,
     o.fec = &cls;
     o.paths = feasible_paths(paths, path_forwarding, cls, std::nullopt);
     o.slots = slot_union(paths, o.paths);
-    o.mode = mode;
     plan.obligations_.push_back(std::move(o));
   }
   plan.stats_.fec_count = plan.obligations_.size();

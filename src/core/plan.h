@@ -4,15 +4,13 @@
 // Every Jinjing primitive (check §4.1, fix §5, generate §5.2) reduces to
 // the same unit of work: one proof obligation per (entry, FEC,
 // feasible-path-set) triple, scanned by set algebra (core/batch, the fix
-// search) or, in the SMT baseline, lowered to one query. A VerifyPlan makes that decomposition explicit: it is built once
-// per UpdateTask from path enumeration + equivalence-class refinement and
-// does NOT depend on the ACL update under test, so checkers, fixer
-// candidate loops and repeated engine commands all execute against the
-// same plan. Obligations carry the lowering strategy (differential /
-// basic, §4.1 vs Thm. 4.1) the compile stage uses to produce their Z3
-// formula, plus the precomputed ACL slots their paths traverse, which is
-// what lets an incremental re-execution skip obligations an update cannot
-// affect.
+// search) or, in the SMT baseline, lowered to one query. A VerifyPlan makes
+// that decomposition explicit: it is built once per UpdateTask from path
+// enumeration + equivalence-class refinement (core::Planner) and does NOT
+// depend on the ACL update under test, so check scans, fix searches and
+// repeated engine commands all execute against the same plan. Obligations carry the precomputed ACL slots their paths
+// traverse, which is what lets an incremental re-execution skip
+// obligations an update cannot affect.
 //
 // The obligation graph is a (currently edge-free) DAG: obligations are
 // mutually independent, so the executor may run them in any order or in
@@ -31,25 +29,15 @@
 
 namespace jinjing::core {
 
-/// How the compile stage lowers an obligation to its Z3 formula: encode the
-/// Theorem 4.1 reduced rule groups, or the whole ACLs (the paper's "basic
-/// version"). Control intents layer on either as the §6 decision rewrite.
-enum class Lowering : std::uint8_t { Differential, Basic };
-
-[[nodiscard]] constexpr std::string_view to_string(Lowering l) {
-  return l == Lowering::Differential ? "differential" : "basic";
-}
-
 /// One proof obligation: "no packet of `fec` changes its (desired)
 /// decision on any path in `paths`". `fec` points into class storage owned
-/// by the plan; `paths` indexes the checker's path enumeration.
+/// by the plan; `paths` indexes the planner's path enumeration.
 struct Obligation {
   std::size_t index = 0;                   // position in deterministic plan order
   std::optional<topo::InterfaceId> entry;  // set in per-entry classification mode
   const net::PacketSet* fec = nullptr;
   std::vector<std::size_t> paths;          // feasible paths (the set Y), ascending
   std::vector<topo::AclSlot> slots;        // ACL slots on those paths, sorted unique
-  Lowering mode = Lowering::Differential;
 };
 
 /// Does the update rewrite any ACL slot this obligation's paths traverse?
@@ -79,11 +67,11 @@ class VerifyPlan {
   friend VerifyPlan build_verify_plan(
       const std::vector<topo::Path>& paths,
       const std::vector<net::PacketSet>& path_forwarding,
-      std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes, Lowering mode);
+      std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes);
   friend VerifyPlan build_verify_plan(
       const std::vector<topo::Path>& paths,
       const std::vector<net::PacketSet>& path_forwarding,
-      std::shared_ptr<const std::vector<net::PacketSet>> global_classes, Lowering mode);
+      std::shared_ptr<const std::vector<net::PacketSet>> global_classes);
 
   // Class storage the obligations point into.
   std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes_;
@@ -95,8 +83,8 @@ class VerifyPlan {
 /// The complete update-independent planning state of one (topology
 /// structure, scope, entering traffic) verification problem: the enumerated
 /// paths, their forwarding sets, and the obligation plan for one entering
-/// set. A Checker exports its state as a bundle (Checker::share_plan) and
-/// can adopt one instead of re-enumerating (CheckOptions::adopted_plan);
+/// set. A Planner exports its state as a bundle (Planner::share_plan) and
+/// can adopt one instead of re-enumerating (PlanOptions::adopted_plan);
 /// core::IncrementalPlanner carries bundles across svc::StateStore versions
 /// — an ACL-only apply copies the topology but never changes edges or
 /// forwarding predicates, so paths and FEC refinements stay valid verbatim.
@@ -112,12 +100,12 @@ struct PlanBundle {
 /// entry (the per-entry fast path of Algorithm 1).
 [[nodiscard]] VerifyPlan build_verify_plan(
     const std::vector<topo::Path>& paths, const std::vector<net::PacketSet>& path_forwarding,
-    std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes, Lowering mode);
+    std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes);
 
 /// Builds the global-FEC plan: one obligation per class over all feasible
 /// paths (Equation 2 without the per-entry restriction).
 [[nodiscard]] VerifyPlan build_verify_plan(
     const std::vector<topo::Path>& paths, const std::vector<net::PacketSet>& path_forwarding,
-    std::shared_ptr<const std::vector<net::PacketSet>> global_classes, Lowering mode);
+    std::shared_ptr<const std::vector<net::PacketSet>> global_classes);
 
 }  // namespace jinjing::core

@@ -21,7 +21,7 @@ enum class Counter : std::size_t {
   SmtSessionsBuilt,     // CheckSession compiles (base frame asserted from scratch)
   SmtOptimizeQueries,   // z3 optimize calls during fixer placement
   PlanBuilds,           // VerifyPlan constructions
-  PlanCacheHits,        // Checker::plan() reuses (same entering set)
+  PlanCacheHits,        // Planner::plan() reuses (same entering set)
   FecCacheHits,         // topo::FecCache lookups served from memo
   FecCacheMisses,       // topo::FecCache lookups that derived classes
   ObligationsPlanned,   // obligations materialized into VerifyPlans

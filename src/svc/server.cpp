@@ -20,7 +20,6 @@
 #include "core/deploy.h"
 #include "lai/parser.h"
 #include "obs/trace.h"
-#include "smt/context.h"
 #include "svc/endpoint.h"
 #include "svc/repl_wire.h"
 
@@ -185,8 +184,7 @@ Server::Server(config::NetworkFile network, ServerOptions options)
   if (options_.workers == 0) options_.workers = 1;
   if (options_.coalesce == 0) options_.coalesce = 1;
   if (options_.keep_versions == 0) options_.keep_versions = 1;
-  fec_cache_ = options_.engine.check.fec_cache;
-  if (!fec_cache_) fec_cache_ = std::make_shared<topo::FecCache>();
+  fec_cache_ = std::make_shared<topo::FecCache>();
   if (options_.max_delta_chain > 0) {
     core::IncrementalOptions inc;
     inc.max_delta_chain = options_.max_delta_chain;
@@ -263,9 +261,8 @@ void Server::prewarm() {
     // deriving it here fills the shared FEC cache and seeds the planner so
     // those jobs start warm instead of paying refinement serially.
     const topo::Scope scope = topo::Scope::whole_network(*head->topo);
-    smt::SmtContext smt;
-    core::Checker checker{smt, *head->topo, scope, job_check_options()};
-    auto bundle = checker.share_plan(head->traffic);
+    core::Planner planner{*head->topo, scope, job_plan_options()};
+    auto bundle = planner.share_plan(head->traffic);
     if (incremental_) incremental_->install(head->version, scope, std::move(bundle));
   } catch (const std::exception&) {
     // Best-effort: a failed pre-warm only means the first jobs derive cold.
@@ -1107,26 +1104,14 @@ void Server::dispatch_loop() {
   for (std::thread& lane : lanes) lane.join();
 }
 
-core::CheckOptions Server::job_check_options() const {
-  core::CheckOptions check = options_.engine.check;
+core::PlanOptions Server::job_plan_options() const {
   // The pool is the parallelism; each per-job engine must stay
   // single-threaded (Executor::run is serialized, not reentrant — a nested
   // run from inside a pool task would deadlock).
-  check.threads = 1;
-  check.executor = nullptr;
-  check.fec_cache = fec_cache_;
-  return check;
-}
-
-core::EngineOptions Server::job_engine_options() const {
-  core::EngineOptions engine = options_.engine;
-  engine.check = job_check_options();
-  engine.fix.check.threads = 1;
-  engine.fix.check.executor = nullptr;
-  engine.fix.check.fec_cache = fec_cache_;
-  engine.generate.executor = nullptr;
-  engine.generate.fec_cache = fec_cache_;
-  return engine;
+  core::PlanOptions plan;
+  plan.threads = 1;
+  plan.fec_cache = fec_cache_;
+  return plan;
 }
 
 std::shared_ptr<const core::BatchAlgebra> Server::batch_algebra_for(const JobPtr& job) {
@@ -1148,9 +1133,8 @@ std::shared_ptr<const core::BatchAlgebra> Server::batch_algebra_for(const JobPtr
                  .bundle;
   }
   if (!bundle) {
-    smt::SmtContext smt;
-    core::Checker checker{smt, *snapshot->topo, task.scope, job_check_options()};
-    bundle = checker.share_plan(snapshot->traffic);
+    core::Planner planner{*snapshot->topo, task.scope, job_plan_options()};
+    bundle = planner.share_plan(snapshot->traffic);
     if (incremental_) incremental_->install(snapshot->version, task.scope, bundle);
   }
   auto algebra = std::make_shared<const core::BatchAlgebra>(
@@ -1223,7 +1207,6 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
     items.push_back(std::move(item));
   }
   core::BatchRunOptions run;
-  run.stop_at_first = options_.engine.check.stop_at_first;
   // A lone job scans inline: one job's scan takes a few milliseconds, and
   // waking the pool costs more than it saves at that size.
   run.executor = batch.size() > 1 ? executor_.get() : nullptr;
@@ -1290,18 +1273,18 @@ void Server::execute_job(const JobPtr& job) {
     // snapshot by any worker are reused by every later job on that
     // snapshot. Answers are reproducible because every engine stage is
     // deterministic, placement ties included.
-    core::EngineOptions engine_options = job_engine_options();
+    core::EngineOptions engine_options;
+    engine_options.plan = job_plan_options();
     // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
-    // plan bundle for (version, scope, traffic) so the engine's checker
-    // and the fixer's candidate loop skip path enumeration and planning.
+    // plan bundle for (version, scope, traffic) so the engine's planner
+    // skips path enumeration and planning.
     // Control intents change the obligation set, so only intent-free
     // tasks may adopt.
     if (incremental_ && task.controls.empty()) {
       const core::IncrementalLease lease = incremental_->acquire(
           snapshot->version, task.scope, snapshot->traffic, task.modify);
       if (lease.bundle) {
-        engine_options.check.adopted_plan = lease.bundle;
-        engine_options.fix.check.adopted_plan = lease.bundle;
+        engine_options.plan.adopted_plan = lease.bundle;
       }
     }
     core::Engine engine{*snapshot->topo, engine_options};

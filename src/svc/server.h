@@ -55,7 +55,7 @@
 
 #include "core/batch.h"
 #include "core/engine.h"
-#include "core/incremental.h"
+#include "core/incremental_planner.h"
 #include "obs/stats.h"
 #include "svc/json.h"
 #include "svc/scheduler.h"
@@ -118,10 +118,6 @@ struct ServerOptions {
   /// it from scratch. 0 disables incremental cross-version verification
   /// (every check-only job builds a fresh engine, the seed behaviour).
   std::size_t max_delta_chain = 16;
-  /// Template for the per-job engines (threads are forced to 1 — the lanes
-  /// and the pool are the parallelism; the FEC cache is replaced by the
-  /// server-wide shared one).
-  core::EngineOptions engine;
 };
 
 class Server {
@@ -235,12 +231,10 @@ class Server {
   /// built on first use and cached until the version is released.
   [[nodiscard]] std::shared_ptr<const core::BatchAlgebra> batch_algebra_for(const JobPtr& job);
 
-  /// The one place per-job engine configuration lives: the template
-  /// options with the engine forced single-threaded (Executor::run is
-  /// serialized, not reentrant) over the server-wide FEC cache. Shared by
-  /// the full-engine dispatch path and the batch path's plan builds.
-  [[nodiscard]] core::CheckOptions job_check_options() const;
-  [[nodiscard]] core::EngineOptions job_engine_options() const;
+  /// The one place per-job planning configuration lives: single-threaded
+  /// (Executor::run is serialized, not reentrant) over the server-wide FEC
+  /// cache. Shared by the engine lanes and the batch path's plan builds.
+  [[nodiscard]] core::PlanOptions job_plan_options() const;
 
   ServerOptions options_;
   // Declared before store_: the store's release hook sweeps this cache, so

@@ -35,8 +35,10 @@ struct FecOptions {
     const FecOptions& options = {});
 
 /// Generic atom refinement: partitions `universe` so every predicate in
-/// `predicates` is constant on each part. Shared by FEC (forwarding
-/// predicates), AEC (ACL permitted-sets) and DEC derivation.
+/// `predicates` is constant on each part. The reference partition for the
+/// tests and bench_check; the derivations do not call it: FEC and DEC
+/// classes refine through the same kernel over borrowed edge predicates,
+/// and AEC classes come from core::overlay_atoms.
 [[nodiscard]] std::vector<net::PacketSet> refine_into_atoms(
     const net::PacketSet& universe, const std::vector<net::PacketSet>& predicates,
     const FecOptions& options = {});

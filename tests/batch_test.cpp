@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "gen/fixtures.h"
 #include "gen/scenario.h"
 #include "gen/wan.h"

@@ -47,9 +47,7 @@ TEST(PathEnumOptions, PruneUnroutableDropsDeadPaths) {
 TEST(EngineOptions, PlumbedThroughToPrimitives) {
   const auto f = gen::make_figure1();
   core::EngineOptions options;
-  options.check.use_differential = false;
-  options.check.encoder = smt::EncoderStrategy::Sequential;
-  options.check.per_entry_fec = false;
+  options.plan.per_entry_fec = false;
   options.fix.simplify_result = false;
   core::Engine engine{f.topo, options};
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checker.h"
+#include "core/deploy.h"
 #include "gen/fixtures.h"
 #include "lai/parser.h"
 #include "net/acl_algebra.h"
+#include "obs/stats.h"
 #include "topo/paths.h"
 
 namespace jinjing::core {
@@ -216,6 +219,42 @@ TEST(Engine, ExpiredProbeFailsEveryCommandWithDeadlineExceeded) {
     // The update under work is left as it was.
     EXPECT_EQ(current, task.modify);
   }
+}
+
+// One engine plans a scope once: the check, the fix's violation search and
+// the trailing check all read the same planner. A generate on that engine
+// then answers exactly as one on a fresh engine.
+TEST(Engine, OnePlannerServesEveryCommandOfAScope) {
+  const auto f = gen::make_figure1();
+  Engine engine{f.topo};
+  {
+    obs::StatsRegistry registry;
+    const obs::ScopedRegistry installed{registry};
+    const auto report = engine.run_program(R"(
+scope A:*, B:*, C:*, D:*
+allow A:*, B:*
+modify A:1-in to A1p, A:3-out to A3p, C:1-in to permit_all, D:2-in to permit_all
+check
+fix
+check
+)",
+                                           running_example_library(), f.traffic);
+    ASSERT_TRUE(report.success());
+    EXPECT_EQ(registry.total(obs::Counter::PlanBuilds), 1u);
+  }
+
+  constexpr const char* kCheckGenerate = R"(
+scope A:*, B:*, C:*, D:*
+allow C:1-in, C:2-in, D:1-in
+modify A:1-in to permit_all, D:2-in to permit_all
+check
+generate
+)";
+  const auto warm = engine.run_program(kCheckGenerate, running_example_library(), f.traffic);
+  Engine fresh{f.topo};
+  const auto cold = fresh.run_program(kCheckGenerate, running_example_library(), f.traffic);
+  ASSERT_TRUE(warm.success());
+  EXPECT_EQ(format_plan(f.topo, warm.final_update), format_plan(f.topo, cold.final_update));
 }
 
 }  // namespace

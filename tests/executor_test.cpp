@@ -284,16 +284,16 @@ TEST_P(FixerReplanParity, SkippingUntouchedObligationsPreservesTheRepair) {
   const auto wan = gen::make_wan(tiny_wan(1000 + GetParam()));
   const auto update = gen::perturb_rules(wan, 0.06, GetParam());
 
-  smt::SmtContext smt_skip;
   FixOptions with_skip;
   with_skip.replan_touched_only = true;
-  Fixer skipping{smt_skip, wan.topo, wan.scope, with_skip};
+  Planner skip_planner{wan.topo, wan.scope};
+  Fixer skipping{skip_planner, with_skip};
   const auto a = skipping.fix(update, wan.traffic, wan.topo.bound_slots());
 
-  smt::SmtContext smt_full;
   FixOptions no_skip;
   no_skip.replan_touched_only = false;
-  Fixer sweeping{smt_full, wan.topo, wan.scope, no_skip};
+  Planner sweep_planner{wan.topo, wan.scope};
+  Fixer sweeping{sweep_planner, no_skip};
   const auto b = sweeping.fix(update, wan.traffic, wan.topo.bound_slots());
 
   ASSERT_EQ(a.success, b.success);
@@ -364,7 +364,6 @@ TEST(VerifyPlanIr, ObligationsAreOrderedAndSlotAware) {
     const auto& o = plan.obligations()[i];
     EXPECT_EQ(o.index, i);
     ASSERT_NE(o.fec, nullptr);
-    EXPECT_EQ(o.mode, Lowering::Differential);
     // Feasible paths are ascending and genuinely feasible.
     for (std::size_t k = 1; k < o.paths.size(); ++k) EXPECT_LT(o.paths[k - 1], o.paths[k]);
     // Slots are exactly the union over the obligation's paths.

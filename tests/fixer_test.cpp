@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/checker.h"
 #include "gen/fixtures.h"
 #include "net/acl_algebra.h"
 
@@ -23,8 +24,8 @@ std::vector<topo::AclSlot> allow_a_and_b(const gen::Figure1& f) {
 
 TEST(Fixer, RunningExampleNeighborhoodsAreTraffic1And2) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f));
 
   ASSERT_EQ(result.neighborhoods.size(), 2u);
@@ -40,10 +41,10 @@ TEST(Fixer, RunningExampleNeighborhoodsAreTraffic1And2) {
 
 TEST(Fixer, RunningExampleProducesThePaperPlan) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
   FixOptions options;
   options.simplify_result = false;  // inspect the raw prepended rules
-  Fixer fixer{smt, f.topo, f.scope, options};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner, options};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f));
 
   ASSERT_TRUE(result.success);
@@ -80,8 +81,8 @@ TEST(Fixer, RunningExampleProducesThePaperPlan) {
 
 TEST(Fixer, FixedUpdatePassesCheck) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f));
   ASSERT_TRUE(result.success);
 
@@ -96,8 +97,8 @@ TEST(Fixer, SimplifiedFixedA1MatchesPaper) {
   // modulo the fixing permits that remain load-bearing... in the paper the
   // final simplified A1 keeps only "deny dst 6.0.0.0/8, permit all".
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f));
   ASSERT_TRUE(result.success);
   const auto& a1 = result.fixed_update.at({f.A1, topo::Dir::In});
@@ -109,8 +110,8 @@ TEST(Fixer, SimplifiedFixedA1MatchesPaper) {
 
 TEST(Fixer, ConsistentUpdateNeedsNoFix) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix({}, f.traffic, allow_a_and_b(f));
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(result.neighborhoods.empty());
@@ -120,8 +121,8 @@ TEST(Fixer, ConsistentUpdateNeedsNoFix) {
 TEST(Fixer, ReportsFailureWhenAllowTooNarrow) {
   // Allow nothing: the running-example violations cannot be repaired.
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, {});
   EXPECT_FALSE(result.success);
   EXPECT_TRUE(std::any_of(result.neighborhoods.begin(), result.neighborhoods.end(),
@@ -130,8 +131,8 @@ TEST(Fixer, ReportsFailureWhenAllowTooNarrow) {
 
 TEST(Fixer, PlacementConstraintKeepsForbiddenDevicesClean) {
   const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f));
   for (const auto& action : result.actions) {
     const auto device = f.topo.device_of(action.slot.iface);
@@ -150,8 +151,8 @@ TEST(Fixer, FixWithControlIntent) {
   open6.verb = lai::ControlVerb::Open;
   open6.header = Figure1::traffic_class(6);
 
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result = fixer.fix({}, f.traffic, allow_a_and_b(f), {open6});
   ASSERT_TRUE(result.success);
   ASSERT_FALSE(result.actions.empty());
@@ -175,8 +176,8 @@ TEST(Fixer, IntentBoundaryInsideANeighborhoodIsRespected) {
   half.set_interval(net::Field::DstIp, net::parse_prefix("1.0.0.0/9").interval());
   isolate.header = net::PacketSet{half};
 
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
   const auto result =
       fixer.fix(f.running_example_update(), f.traffic, allow_a_and_b(f), {isolate});
   ASSERT_TRUE(result.success);

@@ -207,10 +207,8 @@ TEST_P(FixerMatrix, OutcomesAgreeAcrossMatrix) {
   std::optional<bool> reference_success;
   for (const unsigned threads : kMatrix) {
     SCOPED_TRACE(to_string(threads));
-    smt::SmtContext smt;
-    core::FixOptions options;
-    options.check = check_options(threads);
-    core::Fixer fixer{smt, wan.topo, wan.scope, options};
+    core::Planner planner{wan.topo, wan.scope, check_options(threads)};
+    core::Fixer fixer{planner};
     const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots());
 
     if (!reference_success) reference_success = fix.success;

@@ -28,7 +28,8 @@ std::vector<net::PacketSet> table3_classes() {
 
 TEST(Placement, Figure1MigrationMatchesTable4Decisions) {
   const auto f = gen::make_figure1();
-  PlacementSolver solver{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  PlacementSolver solver{planner};
   const auto result = solver.solve(figure1_migration(f), table3_classes());
 
   ASSERT_TRUE(result.success);
@@ -78,7 +79,8 @@ TEST(Placement, Figure1MigrationMatchesTable4Decisions) {
 TEST(Placement, EmptyTargetsUnsolvableWhenChangeNeeded) {
   // Removing A1's ACL with no targets cannot preserve traffic 6 isolation.
   const auto f = gen::make_figure1();
-  PlacementSolver solver{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  PlacementSolver solver{planner};
   MigrationSpec spec;
   spec.sources = {topo::AclSlot{f.A1, topo::Dir::In}};
   const auto result = solver.solve(spec, {Figure1::traffic_class(6)});
@@ -90,7 +92,8 @@ TEST(Placement, NoOpMigrationSolvesTrivially) {
   // No sources, no targets, classes already consistent: nothing to solve,
   // success with empty decisions.
   const auto f = gen::make_figure1();
-  PlacementSolver solver{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  PlacementSolver solver{planner};
   const auto result = solver.solve({}, table3_classes());
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.aec_solutions.size(), 4u);
@@ -100,7 +103,8 @@ TEST(Placement, ControlOpenForcesPermitOnTargets) {
   // generate with control (§6): open traffic 6 from A1 to C3, with targets
   // on the egress side; A1's deny moves out of the way as a source.
   const auto f = gen::make_figure1();
-  PlacementSolver solver{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  PlacementSolver solver{planner};
 
   lai::ControlIntent open6;
   open6.from = {f.A1};
@@ -135,7 +139,8 @@ TEST(Placement, ParallelSolveMatchesSequentialAndPollsProbes) {
   // order: the result equals the sequential one decision for decision. An
   // expired probe interrupts either way, from inside a pool task too.
   const auto f = gen::make_figure1();
-  const PlacementSolver solver{f.topo, f.scope};
+  const Planner planner{f.topo, f.scope};
+  const PlacementSolver solver{planner};
   const auto spec = figure1_migration(f);
   Executor executor{4};
   const auto sequential = solver.solve(spec, table3_classes());

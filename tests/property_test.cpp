@@ -135,8 +135,8 @@ TEST_P(FixRepairsToOracle, FixedUpdateIsExactlyConsistent) {
   const auto wan = gen::make_wan(tiny_wan(200 + GetParam()));
   const auto update = gen::perturb_rules(wan, 0.06, GetParam());
 
-  smt::SmtContext smt;
-  core::Fixer fixer{smt, wan.topo, wan.scope};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots());
   ASSERT_TRUE(fix.success);
   EXPECT_TRUE(oracle_consistent(wan, fix.fixed_update));
@@ -325,10 +325,10 @@ TEST_P(FixSearchMatchesExclusionLoop, SameNeighborhoodsAndBothRepairsExact) {
   std::vector<lai::ControlIntent> controls;
   if (c.control_open) controls = gen::control_open(wan, 1, c.seed).intents;
 
-  smt::SmtContext smt;
-  core::FixOptions options;
-  options.check.per_entry_fec = c.per_entry;
-  core::Fixer fixer{smt, wan.topo, wan.scope, options};
+  core::PlanOptions options;
+  options.per_entry_fec = c.per_entry;
+  core::Planner planner{wan.topo, wan.scope, options};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots(), controls);
   const auto ref = reference_fix(wan, update, controls, c.per_entry);
 
@@ -394,10 +394,10 @@ TEST_P(FixAssemblyMatchesPerNeighborhoodPrepends, SameAclsOnEnteringAndNoMoreRul
   std::vector<lai::ControlIntent> controls;
   if (c.control_open) controls = gen::control_open(wan, 1, c.seed).intents;
 
-  smt::SmtContext smt;
-  core::FixOptions options;
-  options.check.per_entry_fec = c.per_entry;
-  core::Fixer fixer{smt, wan.topo, wan.scope, options};
+  core::PlanOptions options;
+  options.per_entry_fec = c.per_entry;
+  core::Planner planner{wan.topo, wan.scope, options};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots(), controls);
   ASSERT_TRUE(fix.success);
   ASSERT_FALSE(fix.neighborhoods.empty()) << "the case exercises no violation";
@@ -409,7 +409,9 @@ TEST_P(FixAssemblyMatchesPerNeighborhoodPrepends, SameAclsOnEnteringAndNoMoreRul
     representatives.push_back(n.representative);
   }
   smt::SmtContext ref_smt;
-  core::Checker checker{ref_smt, wan.topo, wan.scope, options.check};
+  core::CheckOptions check_options;
+  check_options.per_entry_fec = c.per_entry;
+  core::Checker checker{ref_smt, wan.topo, wan.scope, check_options};
   const auto ref =
       reference_place(checker, wan, update, controls, neighborhoods, representatives, true);
   ASSERT_TRUE(ref.success);
@@ -442,7 +444,8 @@ TEST_P(GenerateSatisfiesOracle, MigrationPreservesReachability) {
 
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{wan.topo, wan.scope, options};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Generator generator{planner, options};
   const auto result = generator.generate(gen::migration_spec(wan));
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(oracle_consistent(wan, result.update));
@@ -582,11 +585,11 @@ std::optional<std::vector<bool>> z3_generate_place(const gen::Wan& wan,
 /// Every fix placement of `fix`: each neighborhood at its representative,
 /// with every bound slot allowed and with every other one allowed (so
 /// paths through fixed denying slots and infeasible instances occur).
-void compare_fix_instances(const gen::Wan& wan, core::Fixer& fixer,
+void compare_fix_instances(const gen::Wan& wan, const core::Planner& planner,
                            const topo::AclUpdate& update, const core::FixResult& fix,
                            const std::vector<lai::ControlIntent>& controls,
                            PlacementTally& tally) {
-  const auto& paths = fixer.checker().paths();
+  const auto& paths = planner.paths();
   const topo::ConfigView before{wan.topo};
   const topo::ConfigView after{wan.topo, &update};
   const auto bound = wan.topo.bound_slots();
@@ -596,7 +599,7 @@ void compare_fix_instances(const gen::Wan& wan, core::Fixer& fixer,
   for (const auto* allowed : allow_lists) {
     for (std::size_t n = 0; n < fix.neighborhoods.size(); ++n) {
       const net::Packet& h = fix.neighborhoods[n].representative;
-      const auto feasible = fixer.checker().feasible_paths(fix.neighborhoods[n].set);
+      const auto feasible = planner.feasible_paths(fix.neighborhoods[n].set);
       std::vector<topo::AclSlot> vars;
       std::vector<bool> preferred;
       for (const auto slot : slots_on(paths, feasible)) {
@@ -635,8 +638,9 @@ void compare_generate_instances(const gen::Wan& wan, const core::MigrationSpec& 
     if (wan.scope.contains_interface(wan.topo, slot.iface)) slots.push_back(slot);
   }
   const auto classes = core::acl_equivalence_classes(view, slots, wan.traffic, controls);
-  const core::PlacementSolver solver{wan.topo, wan.scope};
-  const auto& paths = solver.paths();
+  const core::Planner planner{wan.topo, wan.scope};
+  const core::PlacementSolver solver{planner};
+  const auto& paths = planner.paths();
   const std::vector<bool> preferred(spec.targets.size(), true);
   const auto kernel_values = [&](const std::optional<core::ClassDecision>& decision) {
     std::optional<std::vector<bool>> values;
@@ -681,15 +685,15 @@ TEST_P(PlacementMatchesZ3Optimize, FixAndGenerateInstances) {
 
   obs::StatsRegistry registry;
   const obs::ScopedRegistry installed{registry};
-  smt::SmtContext smt;
-  core::FixOptions options;
-  options.check.per_entry_fec = c.per_entry;
-  core::Fixer fixer{smt, wan.topo, wan.scope, options};
+  core::PlanOptions options;
+  options.per_entry_fec = c.per_entry;
+  core::Planner planner{wan.topo, wan.scope, options};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots(), controls);
   ASSERT_FALSE(fix.neighborhoods.empty()) << "the case exercises no violation";
 
   PlacementTally tally;
-  compare_fix_instances(wan, fixer, update, fix, controls, tally);
+  compare_fix_instances(wan, planner, update, fix, controls, tally);
   if (c.per_entry) compare_generate_instances(wan, spec, controls, tally);  // mode-independent
   tally.record();
   RecordProperty("max_nodes", static_cast<int>(registry.gauge(obs::Gauge::PlacementNodes)));
@@ -806,8 +810,8 @@ TEST_P(ControlScanMatchesChecker, VerdictMinimalObligationAndWitness) {
     if (rng() % 2 == 0) intent.verb = lai::ControlVerb::Isolate;
   }
   const auto perturbed = gen::perturb_rules(wan, 0.03, seed);
-  smt::SmtContext fix_smt;
-  core::Fixer fixer{fix_smt, wan.topo, wan.scope};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(perturbed, wan.traffic, wan.topo.bound_slots(), controls);
   ASSERT_TRUE(fix.success);
   const std::vector<std::pair<std::string, topo::AclUpdate>> updates = {
@@ -871,7 +875,8 @@ TEST_P(ControlOpenOracle, OpenedTrafficFlowsOthersUnchanged) {
 
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{wan.topo, wan.scope, options};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Generator generator{planner, options};
   const auto result = generator.generate(sc.spec, sc.intents);
   ASSERT_TRUE(result.success);
 
@@ -986,8 +991,8 @@ TEST_P(WanShapeOracle, CheckAndFixAgreeWithOracle) {
   core::Checker checker{smt, wan.topo, wan.scope};
   EXPECT_EQ(checker.check(update, wan.traffic).consistent, oracle_consistent(wan, update));
 
-  smt::SmtContext smt2;
-  core::Fixer fixer{smt2, wan.topo, wan.scope};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, wan.topo.bound_slots());
   ASSERT_TRUE(fix.success);
   EXPECT_TRUE(oracle_consistent(wan, fix.fixed_update));

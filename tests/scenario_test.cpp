@@ -66,8 +66,8 @@ TEST(Scenario, PerturbationCheckAndFixEndToEnd) {
   const auto check = checker.check(update, wan.traffic);
 
   if (!check.consistent) {
-    smt::SmtContext smt2;
-    core::Fixer fixer{smt2, wan.topo, wan.scope};
+    core::Planner planner{wan.topo, wan.scope};
+    core::Fixer fixer{planner};
     std::vector<topo::AclSlot> allowed = wan.topo.bound_slots();
     const auto fix = fixer.fix(update, wan.traffic, allowed);
     ASSERT_TRUE(fix.success);
@@ -89,7 +89,8 @@ TEST(Scenario, MigrationGenerateIsValidOnSmallWan) {
   const auto wan = make_wan(small_wan());
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{wan.topo, wan.scope, options};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Generator generator{planner, options};
   const auto result = generator.generate(migration_spec(wan));
   ASSERT_TRUE(result.success);
 
@@ -119,7 +120,8 @@ TEST(Scenario, ControlOpenGenerateSatisfiesIntents) {
 
   core::GenerateOptions options;
   options.universe = wan.traffic;
-  core::Generator generator{wan.topo, wan.scope, options};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Generator generator{planner, options};
   const auto result = generator.generate(sc.spec, sc.intents);
   ASSERT_TRUE(result.success);
 
@@ -140,8 +142,8 @@ TEST(Scenario, IngressToEgressRelocationBreaksPeerTraffic) {
   ASSERT_FALSE(result.consistent);
 
   // And fix repairs it within the gateway layer.
-  smt::SmtContext smt2;
-  core::Fixer fixer{smt2, wan.topo, wan.scope};
+  core::Planner planner{wan.topo, wan.scope};
+  core::Fixer fixer{planner};
   const auto fix = fixer.fix(update, wan.traffic, gateway_layer_allow(wan));
   ASSERT_TRUE(fix.success);
   smt::SmtContext smt3;

@@ -76,8 +76,8 @@ TEST(SubScope, FixRepairsWithinTheScope) {
     allowed.push_back({iface, topo::Dir::Out});
   }
 
-  smt::SmtContext smt;
-  Fixer fixer{smt, f.topo, ab_scope(f)};
+  Planner planner{f.topo, ab_scope(f)};
+  Fixer fixer{planner};
   const auto fix = fixer.fix(update, f.traffic, allowed);
   ASSERT_TRUE(fix.success);
 

@@ -40,7 +40,8 @@ TEST_P(SynthesizerAllOptions, Figure1MigrationPreservesReachability) {
   const auto f = gen::make_figure1();
   GenerateOptions options;
   options.synthesis = GetParam();
-  Generator generator{f.topo, f.scope, options};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner, options};
   const auto result = generator.generate(figure1_migration(f));
   ASSERT_TRUE(result.success);
   expect_reachability_preserved(f, result.update);
@@ -64,7 +65,8 @@ TEST(Synthesizer, Table4SynthesizedC1) {
   const auto f = gen::make_figure1();
   GenerateOptions options;
   options.universe = f.traffic;
-  Generator generator{f.topo, f.scope, options};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner, options};
   const auto result = generator.generate(figure1_migration(f));
   ASSERT_TRUE(result.success);
 
@@ -83,7 +85,8 @@ TEST(Synthesizer, Table4SynthesizedC2HasDecInsertion) {
   const auto f = gen::make_figure1();
   GenerateOptions options;
   options.universe = f.traffic;
-  Generator generator{f.topo, f.scope, options};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner, options};
   const auto result = generator.generate(figure1_migration(f));
   ASSERT_TRUE(result.success);
 
@@ -104,7 +107,8 @@ TEST(Synthesizer, Table4SynthesizedD1) {
   const auto f = gen::make_figure1();
   GenerateOptions options;
   options.universe = f.traffic;
-  Generator generator{f.topo, f.scope, options};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner, options};
   const auto result = generator.generate(figure1_migration(f));
   ASSERT_TRUE(result.success);
 
@@ -117,7 +121,8 @@ TEST(Synthesizer, Table4SynthesizedD1) {
 
 TEST(Synthesizer, SourcesBecomePermitAll) {
   const auto f = gen::make_figure1();
-  Generator generator{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner};
   const auto result = generator.generate(figure1_migration(f));
   for (const auto slot : f.migration_sources()) {
     const auto& acl = result.update.at(slot);
@@ -132,7 +137,8 @@ TEST(Synthesizer, MinimizeRulesShrinksOutput) {
     GenerateOptions options;
     options.universe = f.traffic;
     options.synthesis.minimize_rules = minimize;
-    Generator generator{f.topo, f.scope, options};
+    Planner planner{f.topo, f.scope};
+    Generator generator{planner, options};
     return generator.generate(figure1_migration(f));
   };
   const auto full = run(false);
@@ -147,7 +153,8 @@ TEST(Synthesizer, GroupingShrinksRowCount) {
   const auto run = [&](bool group) {
     GenerateOptions options;
     options.synthesis.group_rules = group;
-    Generator generator{f.topo, f.scope, options};
+    Planner planner{f.topo, f.scope};
+    Generator generator{planner, options};
     return generator.generate(figure1_migration(f));
   };
   EXPECT_LE(run(true).synthesis.row_count, run(false).synthesis.row_count);
@@ -155,7 +162,8 @@ TEST(Synthesizer, GroupingShrinksRowCount) {
 
 TEST(Synthesizer, GenerateReportsPhaseBreakdown) {
   const auto f = gen::make_figure1();
-  Generator generator{f.topo, f.scope};
+  Planner planner{f.topo, f.scope};
+  Generator generator{planner};
   const auto result = generator.generate(figure1_migration(f));
   EXPECT_EQ(result.aec_count, 4u);
   EXPECT_EQ(result.aec_solved, 3u);
