@@ -445,8 +445,7 @@ void write_report_json(const std::string& path, const core::EngineReport& report
   write_output_file(path, [&](std::ostream& file) {
   file << "{\n  \"report_path\": \"" << json_escape(path) << "\",\n  \"commands\": [";
   bool first = true;
-  std::uint64_t total_queries = 0;
-  double total_plan = 0, total_compile = 0, total_solve = 0, total_execute = 0;
+  double total_plan = 0, total_execute = 0, total_fix = 0, total_generate = 0;
   for (const auto& outcome : report.outcomes) {
     if (!first) file << ",";
     first = false;
@@ -457,15 +456,10 @@ void write_report_json(const std::string& path, const core::EngineReport& report
       file << ", \"obligations\": " << c.obligation_count
            << ", \"executed\": " << c.obligations_executed
            << ", \"cancelled\": " << c.obligations_cancelled
-           << ", \"fec_count\": " << c.fec_count << ", \"smt_queries\": " << c.smt_queries
+           << ", \"fec_count\": " << c.fec_count
            << ", \"plan_seconds\": " << c.plan_seconds
-           << ", \"compile_seconds\": " << c.compile_seconds
-           << ", \"solve_seconds\": " << c.solve_seconds
            << ", \"execute_seconds\": " << c.execute_seconds;
-      total_queries += c.smt_queries;
       total_plan += c.plan_seconds;
-      total_compile += c.compile_seconds;
-      total_solve += c.solve_seconds;
       total_execute += c.execute_seconds;
     }
     if (outcome.fix) {
@@ -478,7 +472,7 @@ void write_report_json(const std::string& path, const core::EngineReport& report
            << ", \"enlarge_seconds\": " << f.enlarge_seconds
            << ", \"place_seconds\": " << f.place_seconds
            << ", \"assemble_seconds\": " << f.assemble_seconds;
-      total_solve += f.search_seconds + f.place_seconds;
+      total_fix += f.search_seconds + f.enlarge_seconds + f.place_seconds + f.assemble_seconds;
     }
     if (outcome.generate) {
       const auto& g = *outcome.generate;
@@ -486,14 +480,13 @@ void write_report_json(const std::string& path, const core::EngineReport& report
            << ", \"derive_seconds\": " << g.derive_seconds
            << ", \"solve_seconds\": " << g.solve_seconds
            << ", \"synth_seconds\": " << g.synth_seconds;
-      total_solve += g.solve_seconds;
+      total_generate += g.derive_seconds + g.solve_seconds + g.synth_seconds;
     }
     file << "}";
   }
-  file << "\n  ],\n  \"totals\": {\"smt_queries\": " << total_queries
-       << ", \"plan_seconds\": " << total_plan << ", \"compile_seconds\": " << total_compile
-       << ", \"solve_seconds\": " << total_solve << ", \"execute_seconds\": " << total_execute
-       << "}";
+  file << "\n  ],\n  \"totals\": {\"plan_seconds\": " << total_plan
+       << ", \"execute_seconds\": " << total_execute << ", \"fix_seconds\": " << total_fix
+       << ", \"generate_seconds\": " << total_generate << "}";
   if (registry != nullptr) {
     file << ",\n  \"observability\": ";
     registry->write_json(file, "  ");

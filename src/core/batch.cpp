@@ -5,8 +5,8 @@
 #include <chrono>
 #include <limits>
 #include <map>
-#include <optional>
 
+#include "core/diff.h"
 #include "obs/stats.h"
 
 namespace jinjing::core {
@@ -65,58 +65,35 @@ std::vector<std::vector<std::size_t>> make_shards(const VerifyPlan& plan,
   return shards;
 }
 
-/// One feasible path of an obligation, clipped to its class: the packets
-/// it should permit and the packets it permits under the update.
-struct PathSides {
-  const net::PacketSet& before;
-  std::optional<net::PacketSet> steered;  // desired, when an intent spans the path
-  net::PacketSet updated;
-
-  [[nodiscard]] const net::PacketSet& desired() const { return steered ? *steered : before; }
-};
-
-/// Does some control intent span the path? Only then may its desired set
-/// differ from its before-set.
-bool steered(const std::vector<lai::ControlIntent>* controls, const topo::Path& path) {
-  return controls != nullptr &&
-         std::any_of(controls->begin(), controls->end(),
-                     [&](const lai::ControlIntent& intent) { return intent_spans_path(intent, path); });
+const std::vector<lai::ControlIntent>& intents_of(const BatchItem& item) {
+  static const std::vector<lai::ControlIntent> kNone;
+  return item.controls != nullptr ? *item.controls : kNone;
 }
 
-PathSides path_sides(const BatchAlgebra& algebra, const topo::ConfigView& after,
-                     const std::vector<lai::ControlIntent>* controls, std::size_t index,
-                     std::size_t k) {
-  const Obligation& o = algebra.bundle->plan.obligations()[index];
-  const topo::Path& path = algebra.bundle->paths[o.paths[k]];
-  PathSides sides{algebra.before(index)[k], std::nullopt,
-                  topo::clipped_path_set(after, path, *o.fec)};
-  if (steered(controls, path)) sides.steered = desired_set(*controls, path, sides.before, *o.fec);
+/// One feasible path of an obligation, clipped to its changed region: the
+/// packets of the clip it should permit and those it permits under the
+/// update. Outside the clip both sides agree.
+struct PathSides {
+  net::PacketSet desired;
+  net::PacketSet updated;
+};
+
+PathSides path_sides(const topo::ConfigView& base, const topo::ConfigView& after,
+                     const std::vector<lai::ControlIntent>& controls, const topo::Path& path,
+                     const net::PacketSet& clip) {
+  PathSides sides{topo::clipped_path_set(base, path, clip),
+                  topo::clipped_path_set(after, path, clip)};
+  if (any_intent_spans_path(controls, path)) {
+    sides.desired = desired_set(controls, path, sides.desired, clip);
+  }
   return sides;
 }
 
 }  // namespace
 
-const std::vector<net::PacketSet>& BatchAlgebra::before(std::size_t index) const {
-  BeforeSlot& slot = slots[index];
-  std::call_once(slot.once, [&] {
-    const topo::ConfigView base{*topo};
-    const Obligation& o = bundle->plan.obligations()[index];
-    slot.sets.reserve(o.paths.size());
-    for (const std::size_t p : o.paths) {
-      slot.sets.push_back(topo::clipped_path_set(base, bundle->paths[p], *o.fec));
-    }
-  });
-  return slot.sets;
-}
-
 BatchAlgebra build_batch_algebra(const topo::Topology& topo,
                                  std::shared_ptr<const PlanBundle> bundle) {
-  BatchAlgebra algebra;
-  algebra.bundle = std::move(bundle);
-  algebra.topo = &topo;
-  algebra.slots =
-      std::make_unique<BatchAlgebra::BeforeSlot[]>(algebra.bundle->plan.obligations().size());
-  return algebra;
+  return BatchAlgebra{std::move(bundle), &topo};
 }
 
 std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
@@ -141,6 +118,13 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     s.violated.assign(count, 0);
   }
 
+  // Each job's changed regions, built before the fan-out and only read by
+  // its shard tasks.
+  const topo::ConfigView base{topo};
+  std::vector<ChangedRegions> changed;
+  changed.reserve(items.size());
+  for (const BatchItem& item : items) changed.push_back(changed_regions(base, *item.update));
+
   const bool stop_at_first = options.stop_at_first;
   // One task per (job, shard): job-major so one worker's contiguous range
   // walks a single job's after-view, keeping its update hot.
@@ -148,6 +132,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     const std::size_t job = task_index / shards.size();
     const auto& shard = shards[task_index % shards.size()];
     const BatchItem& item = items[job];
+    const auto& controls = intents_of(item);
     const StopProbes& probes = item.probes;
     JobScratch& s = scratch[job];
     const topo::ConfigView after{topo, item.update};
@@ -168,7 +153,7 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
       // for this update: consistent without a scan.
       const bool live = touches(o, *item.update) ||
                         std::any_of(o.paths.begin(), o.paths.end(), [&](std::size_t p) {
-                          return steered(item.controls, bundle.paths[p]);
+                          return any_intent_spans_path(controls, bundle.paths[p]);
                         });
       if (!live || (index < item.clean.size() && item.clean[index])) {
         s.clean[index] = 1;
@@ -178,8 +163,11 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
       s.executed.fetch_add(1, std::memory_order_relaxed);
       bool violated = false;
       for (std::size_t k = 0; k < o.paths.size() && !violated; ++k) {
-        const PathSides sides = path_sides(algebra, after, item.controls, index, k);
-        violated = !sides.updated.equals(sides.desired());
+        const topo::Path& path = bundle.paths[o.paths[k]];
+        const net::PacketSet clip = path_clip(changed[job], controls, path, *o.fec);
+        if (clip.is_empty()) continue;
+        const PathSides sides = path_sides(base, after, controls, path, clip);
+        violated = !sides.updated.equals(sides.desired);
       }
       if (violated) {
         s.violated[index] = 1;
@@ -209,7 +197,6 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
   // feasible path with a changed region, and that region's first sample.
   std::uint64_t executed_total = 0;
   std::uint64_t skipped_total = 0;
-  const topo::ConfigView base{topo};
   for (std::size_t job = 0; job < items.size(); ++job) {
     JobScratch& s = scratch[job];
     BatchOutcome& out = outcomes[job];
@@ -232,21 +219,23 @@ std::vector<BatchOutcome> run_check_batch(const topo::Topology& topo,
     if (out.cancelled || out.deadline_expired) continue;
 
     const topo::ConfigView after{topo, items[job].update};
+    const auto& controls = intents_of(items[job]);
     for (std::size_t index = 0; index < count; ++index) {
       if (s.violated[index] == 0) continue;
       const Obligation& o = obligations[index];
       for (std::size_t k = 0; k < o.paths.size(); ++k) {
-        const PathSides sides = path_sides(algebra, after, items[job].controls, index, k);
-        const net::PacketSet& desired = sides.desired();
-        const net::PacketSet changed =
-            (desired - sides.updated) | (sides.updated - desired);
-        if (changed.is_empty()) continue;
+        const topo::Path& path = bundle.paths[o.paths[k]];
+        const net::PacketSet clip = path_clip(changed[job], controls, path, *o.fec);
+        if (clip.is_empty()) continue;
+        const auto [desired, updated] = path_sides(base, after, controls, path, clip);
+        const net::PacketSet flipped = (desired - updated) | (updated - desired);
+        if (flipped.is_empty()) continue;
         Violation violation;
-        violation.witness = changed.sample();
+        violation.witness = flipped.sample();
         violation.path_index = o.paths[k];
         violation.decision_before = desired.contains(violation.witness);
-        violation.decision_after = sides.updated.contains(violation.witness);
-        explain_violation(base, after, bundle.paths[o.paths[k]], violation);
+        violation.decision_after = updated.contains(violation.witness);
+        explain_violation(base, after, path, violation);
         result.consistent = false;
         result.violations.push_back(std::move(violation));
         break;

@@ -2,12 +2,15 @@
 //
 // A dispatch unit is a group of one or more pure-check jobs against the
 // same (snapshot version, scope, entering traffic) — i.e. the same
-// PlanBundle. The per-(obligation, path) before-side permitted sets depend
-// only on the base configuration, not on any job's update, so they are
-// computed once per *version*: lazily, per obligation, by the first scan
-// that needs it, and kept for every later job of that version. Each job then
-// only re-walks its *after* side with net::permitted_within, clipped to the
-// obligation's FEC. An obligation is violated iff some feasible path's
+// PlanBundle. Each job's update is reduced first to its changed regions
+// (core/diff, Theorem 4.1): per rewritten slot, the union of its
+// differential rules' matches, outside which the slot decides every packet
+// as before. An obligation's path is then walked on both sides — the base
+// configuration and the update, with net::permitted_within — only over its
+// clip: the changed regions of its rewritten hops and the headers of the
+// control intents spanning it, within the obligation's FEC (path_clip).
+// Outside the clip both sides agree, so a path with an empty clip compares
+// equal without a walk. An obligation is violated iff some feasible path's
 // clipped permitted set differs from its desired set — the before-set
 // itself, or, on a path a control intent spans, the before-set rewritten by
 // core::desired_set (§6). That is the exact header-space dual of the
@@ -31,7 +34,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/executor.h"
@@ -41,30 +43,17 @@
 
 namespace jinjing::core {
 
-/// The per-version state shared by every job checked against one plan: for
-/// each obligation, the FEC-clipped permitted set of each of its feasible
-/// paths under the base (pre-update) configuration, filled on first use.
+/// The per-version state shared by every job checked against one plan: the
+/// plan bundle and the topology whose base ACLs the before side reads.
+/// Immutable once built; the scans keep no per-version sets.
 struct BatchAlgebra {
   std::shared_ptr<const PlanBundle> bundle;
-  /// The topology whose base ACLs the before-sets describe (borrowed; it
-  /// must outlive the algebra).
+  /// The topology of the base configuration (borrowed; it must outlive the
+  /// algebra).
   const topo::Topology* topo = nullptr;
-
-  /// before(i)[k]: packets of obligation i's class permitted along its k-th
-  /// feasible path (paths[obligations()[i].paths[k]]) with no update.
-  /// Computed by the first caller to ask for obligation i, then kept; safe
-  /// to call concurrently.
-  [[nodiscard]] const std::vector<net::PacketSet>& before(std::size_t index) const;
-
-  struct BeforeSlot {
-    std::once_flag once;
-    std::vector<net::PacketSet> sets;
-  };
-  std::unique_ptr<BeforeSlot[]> slots;  // one per obligation
 };
 
-/// Prepares the algebra for `bundle` against `topo`'s base ACLs. Allocation
-/// only: every before-set is computed lazily by the scans that need it.
+/// Prepares the algebra for `bundle` against `topo`'s base ACLs.
 [[nodiscard]] BatchAlgebra build_batch_algebra(const topo::Topology& topo,
                                                std::shared_ptr<const PlanBundle> bundle);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/synth_opt.h"
+#include "core/verdict.h"
 
 namespace jinjing::core {
 
@@ -134,6 +135,37 @@ ReducedGroups reduce_by_differential(const topo::ConfigView& before, const topo:
     groups.after.emplace(slot, related_rules_indexed(after.acl(slot), index));
   }
   return groups;
+}
+
+ChangedRegions changed_regions(const topo::ConfigView& before, const topo::AclUpdate& update) {
+  ChangedRegions changed;
+  for (const auto& [slot, acl] : update) {
+    net::PacketSet region;
+    for (const auto& rule : differential_rules(before.acl(slot), acl)) {
+      if (rule.match.is_any()) {
+        region = net::PacketSet::all();
+        break;
+      }
+      region = (region | net::PacketSet{rule.match.cube()}).compact();
+    }
+    changed.emplace(slot, std::move(region));
+  }
+  return changed;
+}
+
+net::PacketSet path_clip(const ChangedRegions& changed,
+                         const std::vector<lai::ControlIntent>& controls, const topo::Path& path,
+                         const net::PacketSet& cls) {
+  net::PacketSet region;
+  for (const auto& hop : path.hops()) {
+    const auto it = changed.find(hop.slot());
+    if (it != changed.end()) region = region | it->second;
+  }
+  for (const auto& intent : controls) {
+    if (intent_spans_path(intent, path)) region = region | intent.header;
+  }
+  if (region.is_empty()) return region;
+  return (region & cls).compact();
 }
 
 }  // namespace jinjing::core

@@ -5,11 +5,21 @@
 // subsequence, (2) pool the added/removed rules into Diff_Ω, and (3) shrink
 // every ACL to the rules overlapping Diff_Ω. Theorem 4.1 guarantees the
 // reduced pair is consistent iff the original pair is.
+//
+// The set-algebra scans (fix's violation search, core/batch) use the same
+// reduction in header space: a packet that matches no differential rule of
+// a rewritten slot meets the same LCS rules in the same order before and
+// after, so it gets the same decision there. Every before/after path walk
+// is clipped to the union of those matches (changed_regions, path_clip).
 #pragma once
 
+#include <unordered_map>
 #include <vector>
 
+#include "lai/sema.h"
 #include "net/acl.h"
+#include "net/packet_set.h"
+#include "topo/paths.h"
 #include "topo/topology.h"
 
 namespace jinjing::core {
@@ -51,5 +61,23 @@ struct ReducedGroups {
 [[nodiscard]] ReducedGroups reduce_by_differential(const topo::ConfigView& before,
                                                    const topo::ConfigView& after,
                                                    const std::vector<topo::AclSlot>& slots);
+
+/// D_s per rewritten slot s: the union of the match cubes of
+/// differential_rules(before_s, after_s), compacted. A packet outside D_s
+/// gets the same decision from the slot's before- and after-ACL (a changed
+/// default action makes D_s the whole space). A rewrite to an equal ACL
+/// has an empty D_s.
+using ChangedRegions = std::unordered_map<topo::AclSlot, net::PacketSet, topo::AclSlotHash>;
+
+[[nodiscard]] ChangedRegions changed_regions(const topo::ConfigView& before,
+                                             const topo::AclUpdate& update);
+
+/// The part of `cls` where `path`'s desired and updated decisions may
+/// differ: (⋃ D_s over the path's rewritten hops ∪ the headers of the
+/// control intents spanning the path) ∩ cls. Outside it both sides agree
+/// with the path's before decision, so desired_p Δ after_p ⊆ path_clip.
+[[nodiscard]] net::PacketSet path_clip(const ChangedRegions& changed,
+                                       const std::vector<lai::ControlIntent>& controls,
+                                       const topo::Path& path, const net::PacketSet& cls);
 
 }  // namespace jinjing::core

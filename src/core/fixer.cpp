@@ -39,38 +39,6 @@ double lap(std::chrono::steady_clock::time_point& start) {
   return elapsed;
 }
 
-bool rewrites_any_hop(const topo::AclUpdate& update, const topo::Path& path) {
-  return std::any_of(path.hops().begin(), path.hops().end(), [&](const topo::Hop& hop) {
-    return update.contains(hop.slot());
-  });
-}
-
-/// The obligation's violating region: ⋃_p (desired_p Δ after_p) over its
-/// feasible paths, each side the class-clipped first-match walk. A path no
-/// rewritten slot and no control intent touches has desired_p = after_p.
-net::PacketSet violating_region(const Planner& planner, const topo::ConfigView& before,
-                                const topo::ConfigView& after, const topo::AclUpdate& update,
-                                const std::vector<lai::ControlIntent>& controls,
-                                const Obligation& obligation) {
-  const net::PacketSet& cls = *obligation.fec;
-  net::PacketSet violating;
-  for (const std::size_t pi : obligation.paths) {
-    const topo::Path& path = planner.paths()[pi];
-    const bool rewritten = rewrites_any_hop(update, path);
-    const bool steered = std::any_of(controls.begin(), controls.end(), [&](const auto& intent) {
-      return intent_spans_path(intent, path);
-    });
-    if (!rewritten && !steered) continue;
-    net::PacketSet original = topo::clipped_path_set(before, path, cls);
-    const net::PacketSet updated =
-        rewritten ? topo::clipped_path_set(after, path, cls) : original;
-    const net::PacketSet desired =
-        steered ? desired_set(controls, path, original, cls) : std::move(original);
-    violating = violating | (desired - updated) | (updated - desired);
-  }
-  return violating.compact();
-}
-
 /// Splits every piece into the part `inside` selects and the rest,
 /// dropping empty parts; a piece `inside` leaves whole stays as it is.
 template <typename Inside>
@@ -95,6 +63,30 @@ void split_pieces(std::vector<net::PacketSet>& pieces, const Inside& inside) {
 }
 
 }  // namespace
+
+std::optional<net::PacketSet> violating_region(const std::vector<topo::Path>& paths,
+                                               const topo::ConfigView& before,
+                                               const topo::ConfigView& after,
+                                               const ChangedRegions& changed,
+                                               const std::vector<lai::ControlIntent>& controls,
+                                               const Obligation& obligation) {
+  bool live = false;
+  net::PacketSet violating;
+  for (const std::size_t pi : obligation.paths) {
+    const topo::Path& path = paths[pi];
+    const net::PacketSet clip = path_clip(changed, controls, path, *obligation.fec);
+    if (clip.is_empty()) continue;
+    live = true;
+    net::PacketSet original = topo::clipped_path_set(before, path, clip);
+    const net::PacketSet updated = topo::clipped_path_set(after, path, clip);
+    const net::PacketSet desired = any_intent_spans_path(controls, path)
+                                       ? desired_set(controls, path, original, clip)
+                                       : std::move(original);
+    violating = violating | (desired - updated) | (updated - desired);
+  }
+  if (!live) return std::nullopt;
+  return std::move(violating.compact());
+}
 
 std::optional<std::vector<topo::AclSlot>> place_neighborhood(
     const std::vector<topo::Path>& paths, const std::vector<std::size_t>& feasible,
@@ -153,36 +145,40 @@ FixResult Fixer::fix(const topo::AclUpdate& update, const net::PacketSet& enteri
   const topo::ConfigView before{topo};
   const topo::ConfigView after{topo, &update};
 
-  // Phase 1: every violating neighborhood, by exact set algebra. Per live
-  // obligation, the violating region V is split by the Equation 6
-  // predicates — in-scope edges meeting the class, the before/after ACL of
-  // every slot on the class's feasible paths, the header of every intent
-  // spanning one of those paths. V is a union of such cells, so each piece
-  // left is one whole cell: the neighborhood of any of its packets. One
-  // global `handled` set dedupes cells across overlapping per-entry classes.
+  // Phase 1: every violating neighborhood, by exact set algebra. Per
+  // obligation, the violating region V is walked only over each path's
+  // changed region (Theorem 4.1's differential matches of the rewritten
+  // hops, plus spanning intent headers; changed_regions is built once per
+  // call), and an obligation no changed region meets is skipped. V is then
+  // split by the Equation 6 predicates — in-scope edges meeting the class,
+  // the before/after ACL of every slot on the class's feasible paths, the
+  // header of every intent spanning one of those paths. V is a union of
+  // such cells, so each piece left is one whole cell: the neighborhood of
+  // any of its packets. One global `handled` set dedupes cells across
+  // overlapping per-entry classes.
   net::PacketSet handled;
   auto stopwatch = std::chrono::steady_clock::now();
   const VerifyPlan& plan = planner_.plan(entering);
+  const ChangedRegions changed = changed_regions(before, update);
   result.obligations = plan.size();
   for (const auto& obligation : plan.obligations()) {
     probes.poll();
-    // An obligation whose feasible paths traverse no rewritten slot cannot
-    // violate (every hop decision is unchanged) — unless control intents
-    // redefine the desired decision, in which case everything stays live.
-    if (options_.replan_touched_only && controls.empty() && !touches(obligation, update)) {
-      ++result.obligations_skipped;
-      obs::count(obs::Counter::ObligationsSkipped);
-      continue;
-    }
     const net::PacketSet& cls = *obligation.fec;
 
     (void)lap(stopwatch);
     std::vector<net::PacketSet> cells;
     {
       const obs::TraceSpan span{obs::Span::FixSearch};
-      net::PacketSet violating =
-          violating_region(planner_, before, after, update, controls, obligation);
-      if (!violating.is_empty()) cells.push_back(std::move(violating));
+      auto violating =
+          violating_region(planner_.paths(), before, after, changed, controls, obligation);
+      if (!violating) {
+        // No path's changed region meets the class: every packet of it
+        // keeps its decision and no intent redefines it.
+        ++result.obligations_skipped;
+        obs::count(obs::Counter::ObligationsSkipped);
+      } else if (!violating->is_empty()) {
+        cells.push_back(std::move(*violating));
+      }
     }
     result.search_seconds += lap(stopwatch);
     if (cells.empty()) continue;

@@ -1,8 +1,11 @@
 // The fix primitive (§4.2): repairing an update that fails check.
 //
-// Phase 1 (seeking neighborhoods): per live plan obligation, compute the
-// exact violating region ⋃_p (desired_p Δ after_p) of its class by set
-// algebra, and split it into Equation 6 cells — the neighborhoods.
+// Phase 1 (seeking neighborhoods): per plan obligation, compute the exact
+// violating region ⋃_p (desired_p Δ after_p) of its class by set algebra,
+// each path walked only over its changed region (core/diff path_clip: the
+// differential matches of its rewritten hops and the headers of spanning
+// intents, within the class), and split it into Equation 6 cells — the
+// neighborhoods. Obligations no changed region meets are skipped.
 //
 // Phase 2 (fixing plan generation): for each neighborhood, solve for a
 // per-interface decision function D_[h]N (Equation 7) with the exact
@@ -20,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/diff.h"
 #include "core/planner.h"
 #include "lai/sema.h"
 
@@ -30,12 +34,6 @@ struct FixOptions {
   bool simplify_result = true;
   /// Guard against runaway neighborhood enumeration.
   std::size_t max_neighborhoods = 4096;
-  /// Skip plan obligations whose feasible paths traverse no slot the
-  /// candidate update rewrites: with no control intents, such obligations
-  /// cannot violate (before == after on every hop), so re-executions in a
-  /// candidate loop only pay for what changed. Off = execute every
-  /// obligation (the seed behaviour, kept for the parity property test).
-  bool replan_touched_only = true;
 };
 
 /// The block prepended (highest priority) to one slot's updated ACL: the
@@ -70,16 +68,27 @@ struct FixResult {
   topo::AclUpdate fixed_update;
 
   /// Plan consumption: how many obligations the violation search covered,
-  /// and how many were skipped as untouched by the update.
+  /// and how many were skipped because no path's changed region meets
+  /// their class.
   std::size_t obligations = 0;
   std::size_t obligations_skipped = 0;
 
   // Phase timing (seconds), for the Figure 4b analysis.
-  double search_seconds = 0;   // violating regions (class-clipped path walks)
+  double search_seconds = 0;   // violating regions (path walks clipped to the changed region)
   double enlarge_seconds = 0;  // splitting them into Equation 6 cells
   double place_seconds = 0;    // per-neighborhood placement solving
   double assemble_seconds = 0; // rule emission + simplification
 };
+
+/// The obligation's violating region ⋃_p (desired_p Δ after_p) over its
+/// feasible paths (indices into `paths`), each side the first-match walk
+/// clipped to the path's changed region (path_clip over `changed`, the
+/// update's changed_regions), outside which desired_p = after_p. Nullopt
+/// when every clip is empty: the obligation cannot violate.
+[[nodiscard]] std::optional<net::PacketSet> violating_region(
+    const std::vector<topo::Path>& paths, const topo::ConfigView& before,
+    const topo::ConfigView& after, const ChangedRegions& changed,
+    const std::vector<lai::ControlIntent>& controls, const Obligation& obligation);
 
 /// Equation 7 at one neighborhood's representative `h`: the fewest slots
 /// of `allowed` whose decision on `h` must flip from the update's so that

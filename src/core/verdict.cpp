@@ -36,6 +36,13 @@ bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path)
   return has(intent.from, path.entry()) && has(intent.to, path.exit());
 }
 
+bool any_intent_spans_path(const std::vector<lai::ControlIntent>& controls,
+                           const topo::Path& path) {
+  return std::any_of(controls.begin(), controls.end(), [&](const lai::ControlIntent& intent) {
+    return intent_spans_path(intent, path);
+  });
+}
+
 bool desired_decision(const std::vector<lai::ControlIntent>& controls, const topo::Path& path,
                       const net::Packet& h, bool original_decision) {
   for (const auto& intent : controls) {

@@ -60,6 +60,11 @@ struct CheckResult {
 /// exit in `to`)? Only spanning intents rewrite the path's decision.
 [[nodiscard]] bool intent_spans_path(const lai::ControlIntent& intent, const topo::Path& path);
 
+/// Does some control intent span the path? Only then may its desired
+/// decision differ from its before decision.
+[[nodiscard]] bool any_intent_spans_path(const std::vector<lai::ControlIntent>& controls,
+                                         const topo::Path& path);
+
 /// The desired decision for a path/packet after applying control intents:
 /// open => permit, isolate => deny, maintain (or no matching intent) =>
 /// keep the original decision. First matching intent wins (§6).

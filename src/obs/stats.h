@@ -43,7 +43,7 @@ enum class Counter : std::size_t {
   DeltaCacheRebases,    // cached plan entries carried across a version bump
   SvcBatchDispatches,   // coalesced dispatch units executed by the service
   SvcBatchJobsCoalesced, // jobs that ran inside a coalesced dispatch unit
-  SvcBatchAlgebraBuilds, // per-version batch-algebra precomputations
+  SvcBatchAlgebraBuilds, // per-version batch-algebra allocations (bundle + topology handle)
   SvcLeasesGranted,     // snapshot leases acquired (lease verb)
   SvcLeasesRenewed,     // lease renewals (incl. re-pins to a newer version)
   SvcLeasesReleased,    // leases released explicitly by the holder

@@ -1,7 +1,7 @@
 // Set-algebra batch execution: every outcome must be identical to a fresh
 // single-job Checker::check of the same update — verdict, minimal violated
-// obligation, canonical witness — regardless of executor width, of which
-// scan first filled the lazily computed before-sets, and of which sound
+// obligation, canonical witness — regardless of executor width, of the
+// changed-region clip every path walk is restricted to, and of which sound
 // subset of proven-clean obligations the caller passes in; cancellation or
 // expiry of one job must never perturb batchmates.
 #include "core/batch.h"
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/checker.h"
+#include "core/diff.h"
 #include "gen/fixtures.h"
 #include "gen/scenario.h"
 #include "gen/wan.h"
@@ -78,29 +79,38 @@ void expect_same_verdict(const CheckResult& batch, const CheckResult& solo,
   }
 }
 
-TEST(BatchAlgebraTest, BeforeSetsMatchUnclippedPathSemantics) {
+TEST(BatchAlgebraTest, ClippedSidesMatchFullClassSides) {
+  // Each path is walked only over its changed region. Outside the clip the
+  // full-class before and after sides agree, inside it the clipped walks are
+  // the full sides restricted to it, and the scan's per-obligation verdict
+  // is the full-class comparison.
   Fixture fx;
-  // A scan fills the sets of the obligations the running example touches;
-  // the rest are filled here on first access. Both must be the unclipped
-  // path semantics intersected with the class.
-  const std::vector<topo::AclUpdate> updates = {fx.f.running_example_update()};
+  const std::vector<topo::AclUpdate> updates = {
+      fx.f.running_example_update(), equivalent_rewrite(fx.f), subprefix_perturbation(fx.f)};
+  const topo::ConfigView base{fx.f.topo};
+  const auto& bundle = *fx.algebra.bundle;
   BatchRunOptions options;
   options.stop_at_first = false;
-  (void)run_check_batch(fx.f.topo, fx.algebra, items_for(updates), options);
-
-  const topo::ConfigView base{fx.f.topo};
-  const auto& obligations = fx.algebra.bundle->plan.obligations();
-  ASSERT_FALSE(obligations.empty());
-  for (const Obligation& o : obligations) {
-    const auto& before = fx.algebra.before(o.index);
-    ASSERT_EQ(before.size(), o.paths.size());
-    for (std::size_t k = 0; k < o.paths.size(); ++k) {
-      const net::PacketSet full =
-          topo::path_permitted_set(base, fx.algebra.bundle->paths[o.paths[k]]) & *o.fec;
-      EXPECT_TRUE(before[k].equals(full)) << "obligation " << o.index << " path " << k;
+  const auto outcomes = run_check_batch(fx.f.topo, fx.algebra, items_for(updates), options);
+  for (std::size_t u = 0; u < updates.size(); ++u) {
+    const topo::ConfigView after{fx.f.topo, &updates[u]};
+    const ChangedRegions changed = changed_regions(base, updates[u]);
+    for (const Obligation& o : bundle.plan.obligations()) {
+      bool equal = true;
+      for (const std::size_t p : o.paths) {
+        const topo::Path& path = bundle.paths[p];
+        const net::PacketSet full_before = topo::path_permitted_set(base, path) & *o.fec;
+        const net::PacketSet full_after = topo::path_permitted_set(after, path) & *o.fec;
+        const net::PacketSet clip = path_clip(changed, {}, path, *o.fec);
+        const std::string tag =
+            "update " + std::to_string(u) + " obligation " + std::to_string(o.index);
+        EXPECT_TRUE((full_before - clip).equals(full_after - clip)) << tag;
+        EXPECT_TRUE(topo::clipped_path_set(base, path, clip).equals(full_before & clip)) << tag;
+        EXPECT_TRUE(topo::clipped_path_set(after, path, clip).equals(full_after & clip)) << tag;
+        equal = equal && full_before.equals(full_after);
+      }
+      EXPECT_EQ(outcomes[u].clean[o.index], equal) << "update " << u << " obligation " << o.index;
     }
-    // Filled once: a second access returns the same kept sets.
-    EXPECT_EQ(&fx.algebra.before(o.index), &before);
   }
 }
 
@@ -384,9 +394,9 @@ TEST(BatchRunTest, CleanBitFilterPreservesOutcomesOnRandomWanUpdates) {
   EXPECT_EQ(recheck[0].result.obligations_cancelled, 0u);
 }
 
-/// Lazy fill under contention: many jobs over shared obligations race to
-/// fill the same before-sets on a 4-wide executor. Each width starts from a
-/// fresh algebra, so every run fills the sets itself, and all must agree.
+/// Many jobs over shared obligations on executors 1, 2 and 4 wide, each
+/// job's shard tasks reading its changed regions concurrently: every width
+/// must give identical outcomes.
 TEST(BatchRunTest, LazyBeforeSetsAgreeAcrossExecutorWidths) {
   const gen::Wan wan = gen::make_wan(gen::small_wan());
   smt::SmtContext smt;

@@ -336,9 +336,16 @@ TEST_F(CliTest, ReportJsonEmitsPipelineBreakdown) {
   for (const char* key :
        {"\"commands\"", "\"command\": \"check\"", "\"command\": \"fix\"", "\"obligations\"",
         "\"executed\"", "\"cancelled\"", "\"obligations_skipped\"", "\"plan_seconds\"",
-        "\"compile_seconds\"", "\"solve_seconds\"", "\"execute_seconds\"", "\"smt_queries\"",
-        "\"totals\""}) {
+        "\"execute_seconds\"", "\"search_seconds\"", "\"assemble_seconds\"", "\"totals\"",
+        "\"fix_seconds\"", "\"generate_seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in:\n" << json;
+  }
+  // No command runs a solver, so the command entries and totals report no
+  // solver field (the observability counter dump keeps its SMT counters);
+  // the totals name fix and generate time as such.
+  const std::string commands = json.substr(0, json.find("\"observability\""));
+  for (const char* key : {"\"smt_queries\"", "\"compile_seconds\"", "\"solve_seconds\""}) {
+    EXPECT_EQ(commands.find(key), std::string::npos) << "unexpected " << key << " in:\n" << json;
   }
 
   // An unwritable path is a runtime error, not silent success.

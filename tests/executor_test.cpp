@@ -275,38 +275,6 @@ TEST_P(StopAtFirstDeterminism, WitnessIsStableAcrossRunsAndThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StopAtFirstDeterminism, ::testing::Range(1u, 6u));
 
-// The fixer's touched-slot obligation skipping is invisible in the result:
-// the repaired update is identical (not merely equivalent) to the one the
-// full seed-style sweep produces, and both satisfy the exact oracle.
-class FixerReplanParity : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(FixerReplanParity, SkippingUntouchedObligationsPreservesTheRepair) {
-  const auto wan = gen::make_wan(tiny_wan(1000 + GetParam()));
-  const auto update = gen::perturb_rules(wan, 0.06, GetParam());
-
-  FixOptions with_skip;
-  with_skip.replan_touched_only = true;
-  Planner skip_planner{wan.topo, wan.scope};
-  Fixer skipping{skip_planner, with_skip};
-  const auto a = skipping.fix(update, wan.traffic, wan.topo.bound_slots());
-
-  FixOptions no_skip;
-  no_skip.replan_touched_only = false;
-  Planner sweep_planner{wan.topo, wan.scope};
-  Fixer sweeping{sweep_planner, no_skip};
-  const auto b = sweeping.fix(update, wan.traffic, wan.topo.bound_slots());
-
-  ASSERT_EQ(a.success, b.success);
-  ASSERT_TRUE(a.success);
-  EXPECT_TRUE(a.fixed_update == b.fixed_update);
-  EXPECT_TRUE(oracle_consistent(wan, a.fixed_update));
-  EXPECT_EQ(a.obligations, b.obligations);
-  EXPECT_GE(a.obligations_skipped, b.obligations_skipped);
-  EXPECT_EQ(b.obligations_skipped, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FixerReplanParity, ::testing::Range(1u, 5u));
-
 // ---------------------------------------------------------------------------
 // Engine session reuse.
 

@@ -195,5 +195,73 @@ TEST(Fixer, IntentBoundaryInsideANeighborhoodIsRespected) {
                                         : net::to_string(check.violations.front().witness));
 }
 
+TEST(Fixer, ObligationsOutsideTheChangedRegionAreSkipped) {
+  // C1:in newly denies 5/8, which a fix must undo, and D2:in gains a rule
+  // for 9/8, which never enters. Classes 4 and 7 cross C1:in and classes 2,
+  // 3 and 4 cross D2:in, so their obligations are touched, but none of
+  // them meets a differential rule (5/8 at C1:in, 9/8 at D2:in): no clip
+  // of theirs is non-empty and the violation search never walks them.
+  const auto f = gen::make_figure1();
+  const topo::AclSlot c1_in{f.C1, topo::Dir::In};
+  const topo::AclSlot d2_in{f.D2, topo::Dir::In};
+  const net::Acl d2_rewrite = net::Acl::parse(
+      {"deny dst 9.0.0.0/8", "deny dst 1.0.0.0/8", "deny dst 2.0.0.0/8", "permit all"});
+  topo::AclUpdate c1_only;
+  c1_only.emplace(c1_in,
+                  net::Acl::parse({"deny dst 7.0.0.0/8", "deny dst 5.0.0.0/8", "permit all"}));
+  topo::AclUpdate update = c1_only;
+  update.emplace(d2_in, d2_rewrite);
+  const auto allowed = f.topo.bound_slots();
+
+  Planner planner{f.topo, f.scope};
+  Fixer fixer{planner};
+  const auto result = fixer.fix(update, f.traffic, allowed);
+  ASSERT_TRUE(result.success);
+  ASSERT_FALSE(result.neighborhoods.empty());
+
+  // The changed region of each rewritten slot, written out by hand.
+  const auto dst = [](const char* prefix) {
+    net::HyperCube cube;
+    cube.set_interval(net::Field::DstIp, net::parse_prefix(prefix).interval());
+    return net::PacketSet{cube};
+  };
+  const std::vector<std::pair<topo::AclSlot, net::PacketSet>> regions = {
+      {c1_in, dst("5.0.0.0/8")}, {d2_in, dst("9.0.0.0/8")}};
+  std::size_t untouched = 0;
+  std::size_t outside = 0;  // touched, but no changed region meets the class
+  for (const auto& o : planner.plan(f.traffic).obligations()) {
+    if (!touches(o, update)) {
+      ++untouched;
+      continue;
+    }
+    const bool meets = std::any_of(o.paths.begin(), o.paths.end(), [&](std::size_t pi) {
+      const auto& hops = planner.paths()[pi].hops();
+      return std::any_of(regions.begin(), regions.end(), [&](const auto& region) {
+        return std::any_of(hops.begin(), hops.end(),
+                           [&](const topo::Hop& hop) { return hop.slot() == region.first; }) &&
+               o.fec->intersects(region.second);
+      });
+    });
+    if (!meets) ++outside;
+  }
+  ASSERT_GT(outside, 0u) << "no touched obligation lies outside the changed region";
+  EXPECT_EQ(result.obligations_skipped, untouched + outside);
+
+  // The D2:in rewrite changes no decision on entering traffic, so the
+  // repair is byte-identical to the C1:in-only one with D2:in swapped in.
+  Planner base_planner{f.topo, f.scope};
+  Fixer base_fixer{base_planner};
+  const auto base = base_fixer.fix(c1_only, f.traffic, allowed);
+  ASSERT_TRUE(base.success);
+  topo::AclUpdate expected = base.fixed_update;
+  expected.insert_or_assign(d2_in, d2_rewrite);
+  EXPECT_TRUE(result.fixed_update == expected);
+  ASSERT_EQ(result.neighborhoods.size(), base.neighborhoods.size());
+  for (std::size_t i = 0; i < base.neighborhoods.size(); ++i) {
+    EXPECT_TRUE(result.neighborhoods[i].set.equals(base.neighborhoods[i].set));
+    EXPECT_EQ(result.neighborhoods[i].representative, base.neighborhoods[i].representative);
+  }
+}
+
 }  // namespace
 }  // namespace jinjing::core

@@ -10,6 +10,7 @@
 #include "core/aec.h"
 #include "core/batch.h"
 #include "core/checker.h"
+#include "core/diff.h"
 #include "core/fixer.h"
 #include "core/generator.h"
 #include "gen/scenario.h"
@@ -435,6 +436,120 @@ TEST_P(FixAssemblyMatchesPerNeighborhoodPrepends, SameAclsOnEnteringAndNoMoreRul
 INSTANTIATE_TEST_SUITE_P(Cases, FixAssemblyMatchesPerNeighborhoodPrepends,
                          ::testing::ValuesIn(fix_search_cases()),
                          [](const auto& info) { return info.param.name; });
+
+// The changed-region clip (core/diff path_clip) is exact: fix's violation
+// search and the check scan, each path walked only over its clip, find the
+// same sets as the full-class walks they replaced.
+
+/// One feasible path's sides walked over the whole class, as fix and the
+/// scan did before the clip: the desired and the updated permitted sets.
+struct FullSides {
+  net::PacketSet desired;
+  net::PacketSet updated;
+};
+
+FullSides full_class_sides(const topo::ConfigView& before, const topo::ConfigView& after,
+                           const std::vector<lai::ControlIntent>& controls,
+                           const topo::Path& path, const net::PacketSet& cls) {
+  const net::PacketSet original = topo::clipped_path_set(before, path, cls);
+  FullSides sides{original, topo::clipped_path_set(after, path, cls)};
+  if (std::any_of(controls.begin(), controls.end(),
+                  [&](const auto& intent) { return spans(intent, path); })) {
+    sides.desired = core::desired_set(controls, path, original, cls);
+  }
+  return sides;
+}
+
+void expect_clip_exact(const gen::Wan& wan, const topo::AclUpdate& update,
+                       const std::vector<lai::ControlIntent>& controls, bool per_entry,
+                       const std::string& tag) {
+  core::PlanOptions options;
+  options.per_entry_fec = per_entry;
+  core::Planner planner{wan.topo, wan.scope, options};
+  const auto algebra = core::build_batch_algebra(wan.topo, planner.share_plan(wan.traffic));
+  const core::PlanBundle& bundle = *algebra.bundle;
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  const core::ChangedRegions changed = core::changed_regions(before, update);
+
+  core::BatchRunOptions run;
+  run.stop_at_first = false;
+  const auto outcome =
+      core::run_check_batch(wan.topo, algebra, {core::BatchItem{&update, {}, {}, &controls}}, run)
+          .front();
+  ASSERT_FALSE(outcome.cancelled) << tag;
+
+  std::vector<std::size_t> violated;  // the reference's violated obligations, ascending
+  for (const auto& o : bundle.plan.obligations()) {
+    net::PacketSet full;
+    for (const std::size_t p : o.paths) {
+      const auto sides = full_class_sides(before, after, controls, bundle.paths[p], *o.fec);
+      full = full | (sides.desired - sides.updated) | (sides.updated - sides.desired);
+    }
+    const auto clipped =
+        core::violating_region(bundle.paths, before, after, changed, controls, o);
+    EXPECT_TRUE((clipped ? *clipped : net::PacketSet{}).equals(full))
+        << tag << " obligation " << o.index;
+    if (!full.is_empty()) violated.push_back(o.index);
+    EXPECT_EQ(outcome.clean[o.index], full.is_empty()) << tag << " obligation " << o.index;
+  }
+
+  const auto& result = outcome.result;
+  EXPECT_EQ(result.consistent, violated.empty()) << tag;
+  ASSERT_EQ(result.violations.size(), violated.size()) << tag;
+  for (std::size_t i = 0; i < violated.size(); ++i) {
+    const auto& o = bundle.plan.obligations()[violated[i]];
+    const auto& v = result.violations[i];
+    // The witness path is the first feasible path whose full-class sides
+    // differ, and the witness lies in that difference, decided the same.
+    for (const std::size_t p : o.paths) {
+      const auto sides = full_class_sides(before, after, controls, bundle.paths[p], *o.fec);
+      const auto differ = (sides.desired - sides.updated) | (sides.updated - sides.desired);
+      if (differ.is_empty()) continue;
+      EXPECT_EQ(v.path_index, p) << tag << " obligation " << o.index;
+      EXPECT_TRUE(differ.contains(v.witness)) << tag << " obligation " << o.index;
+      EXPECT_EQ(v.decision_before, sides.desired.contains(v.witness)) << tag;
+      EXPECT_EQ(v.decision_after, sides.updated.contains(v.witness)) << tag;
+      break;
+    }
+  }
+}
+
+class ClipMatchesFullClass : public ::testing::TestWithParam<FixSearchCase> {};
+
+TEST_P(ClipMatchesFullClass, ViolatingRegionsAndScanVerdicts) {
+  const FixSearchCase& c = GetParam();
+  const auto wan = gen::make_wan(c.medium ? gen::medium_wan() : tiny_wan(800 + c.seed));
+  const auto update = gen::perturb_rules(wan, c.fraction, c.seed);
+  std::vector<lai::ControlIntent> controls;
+  if (c.control_open) controls = gen::control_open(wan, 1, c.seed).intents;
+  expect_clip_exact(wan, update, controls, c.per_entry, c.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ClipMatchesFullClass, ::testing::ValuesIn(fix_search_cases()),
+                         [](const auto& info) { return info.param.name; });
+
+// Random WANs under open, isolate and maintain intents together.
+class ClipMatchesFullClassWithIntents : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ClipMatchesFullClassWithIntents, OpenIsolateMaintain) {
+  const unsigned seed = GetParam();
+  const auto wan = gen::make_wan(tiny_wan(1100 + seed));
+  std::mt19937 rng(seed);
+  auto controls = gen::control_open(wan, 2, seed).intents;
+  constexpr lai::ControlVerb kVerbs[] = {lai::ControlVerb::Open, lai::ControlVerb::Isolate,
+                                         lai::ControlVerb::Maintain};
+  for (std::size_t i = 0; i < controls.size(); ++i) controls[i].verb = kVerbs[(i + rng()) % 3];
+  const auto update = gen::perturb_rules(wan, 0.04, seed);
+  for (const bool per_entry : {true, false}) {
+    expect_clip_exact(wan, update, controls, per_entry,
+                      "seed " + std::to_string(seed) + (per_entry ? " per-entry" : " global"));
+    expect_clip_exact(wan, {}, controls, per_entry,
+                      "no update seed " + std::to_string(seed));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClipMatchesFullClassWithIntents, ::testing::Range(1u, 9u));
 
 // generate must produce plans the oracle accepts, for random migrations.
 class GenerateSatisfiesOracle : public ::testing::TestWithParam<unsigned> {};
