@@ -6,7 +6,9 @@
 // no longer applies: fix finds its violations by set algebra and places its
 // repairs with the exact placement kernel, and issues no SMT query.
 // `placement_nodes` is the largest branch-and-bound node count of one
-// placement solve.
+// placement solve. Each cell runs five one-iteration repetitions and
+// reports their mean, median and stddev (wall time and every stage
+// counter), so a stage-level change can be told from run-to-run spread.
 //
 // Expected shape (paper): fixing time grows with the perturbation rate
 // (more violations to repair); check + fix stays within interactive
@@ -69,7 +71,9 @@ BENCHMARK(BM_Fix)
     ->ArgNames({"net", "perturb_pct"})
     ->ArgsProduct({{0, 1, 2}, {1, 3, 5}})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 }  // namespace
 }  // namespace jinjing

@@ -1,19 +1,15 @@
 // Service throughput and latency: drives a live svc::Server over its Unix
 // socket with the medium WAN and writes BENCH_serve.json.
 //
-// Five experiments:
+// Six experiments:
 //
 //  * Workers x depth matrix: for each worker count W (1, 2, 4) a fresh
 //    server serves D concurrent client sessions (D = 1, 8, 64), each
 //    submitting perturbed check jobs back-to-back so ~D jobs stay
 //    outstanding. Reports jobs/sec plus client-observed p50/p99 latency
-//    (submit to result) per cell. With batch coalescing, throughput must
-//    grow with depth: everything queued behind the job in flight shares
-//    one plan scan, so deeper queues amortize better.
-//
-//  * Coalesce sweep: the same deep-queue workload at fixed workers with
-//    --coalesce 1 (batching off) up to 64 — isolates how much of the
-//    depth scaling is the batch path itself.
+//    (submit to result) per cell. Throughput must not fall as the queue
+//    deepens: every queued job adopts the one shared plan bundle, so a
+//    deeper queue adds only its own scans.
 //
 //  * Warm vs cold: the same job stream run through the resident server
 //    (shared FecCache, network already loaded) versus a fresh engine and
@@ -42,7 +38,9 @@
 //    the two replicas — the aggregate row quantifies what the fan-out
 //    buys for pure verification load.
 //
-// --smoke shrinks everything (small WAN, fewer rounds) for CI.
+// --smoke shrinks everything (small WAN, fewer rounds) for CI. The JSON's
+// "host" block records the core count, the build type and the commit
+// passed as --commit SHA (e.g. --commit "$(git rev-parse --short HEAD)").
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -274,9 +272,11 @@ double run_cold(const gen::Wan& wan, const std::vector<Workload>& workloads) {
 int main(int argc, char** argv) {
   using namespace jinjing;
   const char* json_path = "BENCH_serve.json";
+  const char* commit = "unknown";
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json" && i + 1 < argc) json_path = argv[i + 1];
+    if (std::string(argv[i]) == "--commit" && i + 1 < argc) commit = argv[i + 1];
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
 
@@ -287,7 +287,6 @@ int main(int argc, char** argv) {
                smoke ? "small" : "medium", gen::total_rules(wan));
   std::vector<std::size_t> depths{1, 8, 64};
   std::vector<unsigned> worker_counts{1, 2, 4};
-  std::vector<std::size_t> coalesce_values{1, 8, 32, 64};
   unsigned sweep_workers = 4;
   std::size_t sweep_depth = 64;
   std::size_t min_jobs = 24;
@@ -296,9 +295,8 @@ int main(int argc, char** argv) {
   std::size_t warm_cold_jobs = 8;
   if (smoke) {
     // Depth 64 stays: the CI gate asserts that throughput does not fall
-    // off as the queue deepens, which is exactly what coalescing buys.
+    // off as the queue deepens.
     worker_counts = {1, 2};
-    coalesce_values = {1, 8, 32};
     sweep_workers = 2;
     sweep_depth = 32;
     min_jobs = 8;
@@ -310,7 +308,7 @@ int main(int argc, char** argv) {
   }
 
   const auto make_server = [&](const std::string& socket_path, unsigned workers,
-                               std::size_t coalesce, std::size_t max_delta_chain) {
+                               std::size_t max_delta_chain) {
     config::NetworkFile network;
     network.topo = wan.topo;
     network.traffic = wan.traffic;
@@ -318,7 +316,6 @@ int main(int argc, char** argv) {
     options.socket_path = socket_path;
     options.queue_depth = 256;
     options.workers = workers;
-    options.coalesce = coalesce;
     options.keep_versions = 4;
     options.max_delta_chain = max_delta_chain;
     return std::make_unique<svc::Server>(std::move(network), options);
@@ -333,12 +330,10 @@ int main(int argc, char** argv) {
   /// leaking one configuration's state into the next.
   struct MatrixCell {
     unsigned workers = 0;
-    std::size_t coalesce = 0;
     DepthResult result;
   };
-  const auto run_cell = [&](unsigned workers, std::size_t coalesce, std::size_t depth,
-                            unsigned seed_base) {
-    auto cell_server = make_server(socket_path, workers, coalesce, 16);
+  const auto run_cell = [&](unsigned workers, std::size_t depth, unsigned seed_base) {
+    auto cell_server = make_server(socket_path, workers, 16);
     cell_server->start();
     {
       svc::Client warmup{socket_path};
@@ -351,7 +346,6 @@ int main(int argc, char** argv) {
     }
     MatrixCell cell;
     cell.workers = workers;
-    cell.coalesce = coalesce;
     cell.result = run_depth({socket_path}, depth, workloads);
     cell_server->request_shutdown();
     cell_server->wait();
@@ -360,30 +354,19 @@ int main(int argc, char** argv) {
     return cell;
   };
 
-  // ---- Workers x depth matrix (perturbed pending checks, default
-  // coalescing). The acceptance shape: at workers >= 2, jobs/sec must not
-  // decrease as the queue deepens — deep queues coalesce into larger
-  // batches that amortize the per-version plan scan.
+  // ---- Workers x depth matrix (perturbed pending checks). The acceptance
+  // shape: at workers >= 2, jobs/sec must not decrease as the queue
+  // deepens — every queued job reuses the shared plan bundle.
   std::vector<MatrixCell> matrix;
   for (const unsigned workers : worker_counts) {
     for (const std::size_t depth : depths) {
-      matrix.push_back(run_cell(workers, 32, depth,
+      matrix.push_back(run_cell(workers, depth,
                                 workers * 100000 + static_cast<unsigned>(depth) * 1000));
       const auto& r = matrix.back().result;
       std::fprintf(stderr,
                    "  workers %u depth %-3zu %6.2f jobs/s  p50 %7.1fms  p99 %7.1fms  (%zu jobs)\n",
                    workers, r.depth, r.jobs_per_sec, r.p50_ms, r.p99_ms, r.jobs);
     }
-  }
-
-  // ---- Coalesce sweep at a fixed deep queue: batching off (1) up to 64.
-  std::vector<MatrixCell> coalesce_sweep;
-  for (const std::size_t coalesce : coalesce_values) {
-    coalesce_sweep.push_back(run_cell(sweep_workers, coalesce, sweep_depth,
-                                      900000 + static_cast<unsigned>(coalesce) * 1000));
-    const auto& r = coalesce_sweep.back().result;
-    std::fprintf(stderr, "  coalesce %-3zu (workers %u, depth %zu) %6.2f jobs/s\n",
-                 coalesce, sweep_workers, sweep_depth, r.jobs_per_sec);
   }
 
   // ---- Transport: the same deep-queue burst through the Unix socket and
@@ -417,7 +400,6 @@ int main(int argc, char** argv) {
     }
     options.queue_depth = 256;
     options.workers = sweep_workers;
-    options.coalesce = 32;
     options.keep_versions = 4;
     options.max_delta_chain = 16;
     auto transport_server = std::make_unique<svc::Server>(make_network(), options);
@@ -456,7 +438,6 @@ int main(int argc, char** argv) {
     writer_options.auth_token = bench_token;
     writer_options.queue_depth = 256;
     writer_options.workers = sweep_workers;
-    writer_options.coalesce = 32;
     writer_options.keep_versions = 4;
     writer_options.max_delta_chain = 16;
     auto writer = std::make_unique<svc::Server>(make_network(), writer_options);
@@ -507,12 +488,10 @@ int main(int argc, char** argv) {
     writer->wait();
   }
 
-  // The warm/churn experiments run with coalescing off (--coalesce 1):
-  // they isolate the resident caches and the delta cache, and a coalesced
-  // batch on the "disabled" baseline would amortize the very rebuild cost
-  // the comparison is measuring. The matrix above owns the batching story.
+  // The warm/churn experiments isolate the resident caches and the delta
+  // cache.
   const unsigned churn_workers = std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-  auto server = make_server(socket_path, churn_workers, 1, 16);
+  auto server = make_server(socket_path, churn_workers, 16);
   server->start();
 
   // One warmup job populates the shared FEC cache so the warm/churn
@@ -631,7 +610,7 @@ int main(int argc, char** argv) {
   // enumeration, plan build and the full obligation batch again.
   double full_churn_seconds = 0;
   {
-    auto baseline = make_server(socket_path, churn_workers, 1, 0);
+    auto baseline = make_server(socket_path, churn_workers, 0);
     baseline->start();
     {
       svc::Client warmup{socket_path};
@@ -658,6 +637,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"workload\": \"serve\",\n  \"network\": \"%s\",\n",
                smoke ? "small" : "medium");
+  std::fprintf(out,
+               "  \"host\": {\"cores\": %u, \"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), JINJING_BUILD_TYPE, commit);
   std::fprintf(out, "  \"matrix\": [\n");
   for (std::size_t i = 0; i < matrix.size(); ++i) {
     const auto& cell = matrix[i];
@@ -670,18 +652,6 @@ int main(int argc, char** argv) {
                  r.p99_ms, i + 1 < matrix.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"coalesce_sweep\": {\"workers\": %u, \"depth\": %zu, \"entries\": [\n",
-               sweep_workers, sweep_depth);
-  for (std::size_t i = 0; i < coalesce_sweep.size(); ++i) {
-    const auto& cell = coalesce_sweep[i];
-    std::fprintf(out,
-                 "    {\"coalesce\": %zu, \"jobs\": %zu, \"jobs_per_sec\": %.3f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-                 cell.coalesce, cell.result.jobs, cell.result.jobs_per_sec,
-                 cell.result.p50_ms, cell.result.p99_ms,
-                 i + 1 < coalesce_sweep.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]},\n");
   std::fprintf(out, "  \"transport\": {\"workers\": %u, \"depth\": %zu, \"entries\": [\n",
                sweep_workers, sweep_depth);
   for (std::size_t i = 0; i < transports.size(); ++i) {

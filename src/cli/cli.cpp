@@ -42,13 +42,12 @@ constexpr const char* kUsage = R"(usage:
   jinjing diff  --acl-a FILE --acl-b FILE
   jinjing gen   --size small|medium|large [--seed N]
   jinjing serve  --network FILE [--socket PATH] [--listen HOST:PORT --token SECRET]
-                 [--queue-depth N] [--workers N]
-                 [--coalesce N] [--keep-versions N] [--retain-jobs N]
-                 [--max-delta-chain N] [--max-lease-ms N]
+                 [--queue-depth N] [--workers N] [--keep-versions N]
+                 [--retain-jobs N] [--max-delta-chain N] [--max-lease-ms N]
   jinjing replica --network FILE --writer ENDPOINT [--token SECRET]
                  [--socket PATH] [--listen HOST:PORT] [--lease-ms N]
-                 [--queue-depth N] [--workers N] [--coalesce N]
-                 [--keep-versions N] [--retain-jobs N] [--max-delta-chain N]
+                 [--queue-depth N] [--workers N] [--keep-versions N]
+                 [--retain-jobs N] [--max-delta-chain N]
   jinjing client (--socket ENDPOINT | --writer ENDPOINT [--replica ENDPOINT]...)
                  METHOD [--token SECRET] [--program FILE] [--acl NAME=FILE]...
                  [--priority interactive|batch] [--deadline-ms N]
@@ -56,8 +55,8 @@ constexpr const char* kUsage = R"(usage:
                  [--lease N] [--lease-ms N] [--version N]
   jinjing soak   [--size small|medium|large] [--seed N] [--events N]
                  [--sessions N] [--qps X] [--duration-s X] [--workers N]
-                 [--coalesce N] [--queue-depth N] [--keep-versions N]
-                 [--retain-jobs N] [--max-delta-chain N] [--no-oracle]
+                 [--queue-depth N] [--keep-versions N] [--retain-jobs N]
+                 [--max-delta-chain N] [--no-oracle]
                  [--transport unix|tcp] [--report-json FILE] [--socket PATH]
                  [--dump-stream]
 
@@ -66,8 +65,9 @@ run      execute an LAI program (check / fix / generate) and print the plan
          --rollback  also print the plan that restores the current ACLs
          --stage M   also print a transient-safe two-phase push sequence
          --out FILE  write the plan as reusable 'acl ... end' blocks
-         --threads N          worker threads for classification, the
-                              obligation scan and generate's placements
+         --threads N          worker threads for classification and
+                              generate's placements (the check scan
+                              runs on one thread)
          --report-json FILE   write per-stage timings (plan/compile/solve/
                               execute), obligation counts and the full
                               observability counter dump to FILE
@@ -165,7 +165,6 @@ struct Options {
   std::optional<std::uint64_t> version_arg;
   unsigned queue_depth = 64;
   unsigned workers = 2;
-  unsigned coalesce = 32;
   unsigned keep_versions = 8;
   unsigned retain_jobs = 1024;
   unsigned max_delta_chain = 16;
@@ -335,8 +334,6 @@ Options parse_args(const std::vector<std::string>& args) {
                                                                  1u << 20));
     } else if (arg == "--workers") {
       options.workers = static_cast<unsigned>(parse_unsigned("--workers", value(), 1, 1024));
-    } else if (arg == "--coalesce") {
-      options.coalesce = static_cast<unsigned>(parse_unsigned("--coalesce", value(), 1, 4096));
     } else if (arg == "--keep-versions") {
       options.keep_versions =
           static_cast<unsigned>(parse_unsigned("--keep-versions", value(), 1, 1u << 20));
@@ -807,7 +804,6 @@ int soak_command(const Options& options, std::ostream& out) {
   soak_options.server.socket_path = options.socket_path;  // empty = temp path
   soak_options.server.queue_depth = options.queue_depth;
   soak_options.server.workers = options.workers;
-  soak_options.server.coalesce = options.coalesce;
   soak_options.server.keep_versions = options.keep_versions;
   // The retention flush submits exactly retain_jobs trivial checks, so the
   // soak default stays far below serve's 1024.
@@ -858,7 +854,6 @@ svc::ServerOptions server_options_for(const Options& options) {
   server_options.max_lease_ms = options.max_lease_ms;
   server_options.queue_depth = options.queue_depth;
   server_options.workers = options.workers;
-  server_options.coalesce = options.coalesce;
   server_options.keep_versions = options.keep_versions;
   server_options.retain_jobs = options.retain_jobs;
   server_options.max_delta_chain = options.max_delta_chain;

@@ -31,8 +31,8 @@ Engine::Engine(const topo::Topology& topo, EngineOptions options)
     : topo_(topo), options_(std::move(options)) {
   // One equivalence-class cache and one executor across every planner the
   // engine creates: a check → fix → check pipeline derives each partition
-  // once, and check scans, fix searches and generate placements draw from
-  // the same worker pool.
+  // once, and FEC refinement and generate placements draw from the same
+  // worker pool. Check scans run on the calling thread.
   if (!options_.plan.fec_cache) options_.plan.fec_cache = std::make_shared<topo::FecCache>();
   if (!options_.plan.executor) {
     options_.plan.executor = std::make_shared<Executor>(options_.plan.threads);
@@ -62,7 +62,6 @@ CheckResult Engine::check(const lai::UpdateTask& task, const topo::AclUpdate& up
   item.controls = &task.controls;
   BatchRunOptions run;
   run.stop_at_first = options_.plan.stop_at_first;
-  run.executor = &planner.executor();
   auto outcome = std::move(run_check_batch(topo_, *algebra_, {item}, run).front());
   if (outcome.cancelled) throw Interrupted{false};
   if (outcome.deadline_expired) throw Interrupted{true};

@@ -15,10 +15,12 @@
 //
 // One Planner is kept per scope and reused across the commands of a task
 // (and across tasks with the same scope): check, fix and generate read its
-// paths, enumerated once, and its plan, built once per entering set, and
-// checks reuse one scan algebra (the base-side path sets) per entering set.
-// One Executor and one FecCache are installed across the whole
-// check/fix/generate pipeline.
+// paths, enumerated once, and its plan, built once per entering set (or
+// adopted from PlanOptions::adopted_plan, as the service does). One
+// Executor and one FecCache are installed across the whole
+// check/fix/generate pipeline; the executor (`--threads`) fans out FEC
+// refinement and generate's per-class placement, while a check's scan runs
+// on the calling thread.
 #pragma once
 
 #include <memory>

@@ -32,8 +32,10 @@
 // back to the full-class query so the reported witness is bit-identical to
 // a from-scratch check. That Z3 route (run_incremental_check, declared in
 // core/incremental.h with the reproduction checker) serves the benchmark
-// replay and tests; the service uses the rebased plans and the verdict
-// bits only, as a filter on its exact set scan (core/batch).
+// replay and tests. The service uses the rebased plans only: every job
+// adopts its bundle, and its check re-scans the update (core/batch), whose
+// changed-region clip already confines the walk to what the update
+// rewrites.
 //
 // The planner keys entries by a structural fingerprint of (scope devices,
 // entering cubes) plus the base version, guarded by exact comparisons so a

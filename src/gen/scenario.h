@@ -46,7 +46,7 @@ struct ControlOpenScenario {
 /// program; Cancel carries nothing (the harness targets a recently
 /// submitted job); Malformed must be rejected at submission.
 enum class ChurnEventKind : std::uint8_t {
-  PureCheck,     // whole-network check of the pinned head (coalescable)
+  PureCheck,     // whole-network check of the pinned head
   PendingCheck,  // modify(perturbation) + check — the delta-cache shape
   CheckFix,      // perturbation check + fix (batch priority, full engine)
   Apply,         // consistency-preserving rebind; deploy the plan on success

@@ -36,10 +36,9 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "svc_jobs_rejected",         "svc_jobs_cancelled",        "svc_jobs_done",
     "svc_jobs_failed",           "svc_applies",               "delta_cache_hits",
     "delta_cache_misses",        "delta_cache_invalidations", "delta_cache_rebases",
-    "svc_batch_dispatches",      "svc_batch_jobs_coalesced",  "svc_batch_algebra_builds",
     "svc_leases_granted",        "svc_leases_renewed",        "svc_leases_released",
-    "svc_leases_expired",        "svc_repl_records_streamed", "svc_overlap_dispatches",
-    "fec_delta_splits",          "fec_delta_reused_atoms",    "fec_delta_rebuilds",
+    "svc_leases_expired",        "svc_repl_records_streamed", "fec_delta_splits",
+    "fec_delta_reused_atoms",    "fec_delta_rebuilds",
 };
 
 constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
@@ -53,8 +52,6 @@ constexpr std::array<std::string_view, kHistogramCount> kHistogramNames = {
     "executor_tasks_per_run",
     "svc_queue_wait_micros",
     "svc_job_run_micros",
-    "svc_batch_size",
-    "svc_batch_shard_occupancy",
     "fec_delta_chain_len",
 };
 
@@ -65,7 +62,7 @@ constexpr std::array<std::string_view, kSpanCount> kSpanNames = {
     "smt.optimize",    "fix.search",       "fix.enlarge",
     "fix.place",       "fix.assemble",     "generate.derive",
     "generate.solve",  "generate.synthesize",
-    "svc.job",         "svc.batch",
+    "svc.job",
 };
 
 std::size_t bucket_index(std::uint64_t value) {

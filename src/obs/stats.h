@@ -25,9 +25,9 @@ enum class Counter : std::size_t {
   FecCacheHits,         // topo::FecCache lookups served from memo
   FecCacheMisses,       // topo::FecCache lookups that derived classes
   ObligationsPlanned,   // obligations materialized into VerifyPlans
-  ObligationsExecuted,  // obligations actually solved by the executor
+  ObligationsExecuted,  // obligations walked by the scan or solved by the checker
   ObligationsCancelled, // obligations skipped by early-exit cancellation
-  ObligationsSkipped,   // obligations skipped by fixer touched-slot replan
+  ObligationsSkipped,   // obligations proven without a walk or a query
   ExecutorRuns,         // Executor::run invocations
   ExecutorTasks,        // tasks submitted across all runs
   ExecutorSteals,       // successful steal operations
@@ -41,20 +41,16 @@ enum class Counter : std::size_t {
   DeltaCacheMisses,     // incremental-planner lookups that required a full rebuild
   DeltaCacheInvalidations, // cached obligation verdicts cleared by an apply delta
   DeltaCacheRebases,    // cached plan entries carried across a version bump
-  SvcBatchDispatches,   // coalesced dispatch units executed by the service
-  SvcBatchJobsCoalesced, // jobs that ran inside a coalesced dispatch unit
-  SvcBatchAlgebraBuilds, // per-version batch-algebra allocations (bundle + topology handle)
   SvcLeasesGranted,     // snapshot leases acquired (lease verb)
   SvcLeasesRenewed,     // lease renewals (incl. re-pins to a newer version)
   SvcLeasesReleased,    // leases released explicitly by the holder
   SvcLeasesExpired,     // leases collected by the sweeper after expiry
   SvcReplRecordsStreamed, // replication records written to subscribers
-  SvcOverlapDispatches, // fix/generate jobs handed to an engine lane
   FecDeltaSplits,       // partition atoms re-split by delta FEC refinement
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
   FecDeltaRebuilds,     // delta refinements abandoned for a from-scratch rebuild
 };
-inline constexpr std::size_t kCounterCount = 39;
+inline constexpr std::size_t kCounterCount = 35;
 
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
@@ -71,11 +67,9 @@ enum class Histogram : std::size_t {
   ExecutorTasksPerRun,  // tasks handed to the executor per run
   SvcQueueWaitMicros,   // job wait time from submission to execution start
   SvcJobRunMicros,      // job execution wall time
-  SvcBatchSize,         // jobs per coalesced dispatch unit
-  SvcBatchShardOccupancy, // obligations per shard of a batch fan-out
   FecDeltaChainLen,     // lineage hops walked to resolve a partition by delta
 };
-inline constexpr std::size_t kHistogramCount = 8;
+inline constexpr std::size_t kHistogramCount = 6;
 inline constexpr std::size_t kHistogramBuckets = 40;
 
 // Trace span names; every value maps to a "name" in the Chrome trace export.
@@ -98,9 +92,8 @@ enum class Span : std::size_t {
   GenSolve,
   GenSynth,
   SvcJob,
-  SvcBatch,
 };
-inline constexpr std::size_t kSpanCount = 19;
+inline constexpr std::size_t kSpanCount = 18;
 
 // Span storage is a ring of this many events per registry, shared by all
 // threads: once it is full, each new event overwrites the oldest one.

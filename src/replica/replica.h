@@ -2,7 +2,7 @@
 //
 // One writer owns the network state; replicas shadow it and absorb the
 // check load. A Replica embeds a full svc::Server in read-only mode —
-// warm FecCache, incremental planner, batch coalescing, the works — and a
+// warm FecCache, incremental planner, its workers, the works — and a
 // follower thread that subscribes to the writer's replication stream
 // (svc/repl_wire.h) and replays every applied update into the local
 // StateStore. Checks served locally therefore run against bit-identical
@@ -52,7 +52,7 @@ struct ReplicaOptions {
   /// attempt up to the cap).
   std::uint64_t backoff_ms = 50;
   std::uint64_t backoff_cap_ms = 2000;
-  /// Tuning for the local server (transports, workers, coalesce, caches).
+  /// Tuning for the local server (transports, workers, caches).
   /// read_only and writer_endpoint are overridden by the replica.
   svc::ServerOptions serve;
 };

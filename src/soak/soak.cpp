@@ -561,7 +561,6 @@ void write_report_json(std::ostream& out, const SoakOptions& options,
     config.emplace("target_qps", options.target_qps);
     config.emplace("min_duration_seconds", options.min_duration_seconds);
     config.emplace("workers", static_cast<std::uint64_t>(options.server.workers));
-    config.emplace("coalesce", static_cast<std::uint64_t>(options.server.coalesce));
     config.emplace("keep_versions", static_cast<std::uint64_t>(options.server.keep_versions));
     config.emplace("retain_jobs", static_cast<std::uint64_t>(options.server.retain_jobs));
     config.emplace("max_delta_chain",

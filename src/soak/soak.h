@@ -7,9 +7,10 @@
 //
 //  * Differential oracle — every job that reaches Done is re-run on a
 //    fresh single-threaded core::Engine against its pinned snapshot; the
-//    verdict and the formatted plan must match bit for bit. Coalesced
-//    batches, delta-cache rebases and concurrent applies are never allowed
-//    to change a client-visible answer.
+//    verdict and the formatted plan must match bit for bit. Jobs running
+//    side by side on the workers, shared plan bundles, delta-cache rebases
+//    and concurrent applies are never allowed to change a client-visible
+//    answer.
 //  * Metric-leak watchdogs — `metrics` snapshots are diffed across epochs:
 //    tracked jobs must respect the retention bound, and after a retention
 //    flush the live-snapshot count, version index, FEC-cache entries and

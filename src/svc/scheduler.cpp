@@ -44,11 +44,9 @@ std::optional<std::uint64_t> Job::remaining_ms() const {
   return used >= spec_.deadline_ms ? 0 : spec_.deadline_ms - used;
 }
 
-Scheduler::Scheduler(std::size_t queue_depth, std::size_t retain_terminal,
-                     std::size_t engine_lanes)
+Scheduler::Scheduler(std::size_t queue_depth, std::size_t retain_terminal)
     : queue_depth_(queue_depth == 0 ? 1 : queue_depth),
-      retain_terminal_(retain_terminal == 0 ? 1 : retain_terminal),
-      engine_lanes_(engine_lanes == 0 ? 1 : engine_lanes) {}
+      retain_terminal_(retain_terminal == 0 ? 1 : retain_terminal) {}
 
 Scheduler::Admission Scheduler::submit(JobSpec spec, SnapshotPtr snapshot) {
   const std::lock_guard<std::mutex> lock{mutex_};
@@ -73,31 +71,19 @@ Scheduler::Admission Scheduler::submit(JobSpec spec, SnapshotPtr snapshot) {
 }
 
 JobPtr Scheduler::next() {
-  auto batch = next_batch(1);
-  return batch.empty() ? nullptr : std::move(batch.front());
-}
-
-std::vector<JobPtr> Scheduler::next_batch(std::size_t max) {
-  if (max == 0) max = 1;
   // Declared before the lock so the evicted JobPtrs (and any snapshot
   // release hooks their destruction triggers) run after unlocking.
   std::vector<JobPtr> evicted;
-  std::vector<JobPtr> batch;
   std::unique_lock<std::mutex> lock{mutex_};
   while (true) {
-    // A key-0 head waiting for an engine lane holds back the queue behind
-    // it: nothing overtakes it, so FIFO within a priority holds.
     work_cv_.wait(lock, [&] {
-      const JobPtr* head = head_locked();
-      if (head == nullptr) return draining_;
-      return !held_ &&
-             ((*head)->spec_.coalesce_key != 0 || engine_running_ < engine_lanes_);
+      const bool empty = head_queue_locked() == nullptr;
+      return empty ? draining_ : !held_;
     });
-    const JobPtr* head = head_locked();
-    if (head == nullptr) return {};  // draining and nothing left
-    const std::size_t priority = static_cast<std::size_t>((*head)->spec_.priority);
-    JobPtr job = std::move(queues_[priority].front());
-    queues_[priority].pop_front();
+    std::deque<JobPtr>* queue = head_queue_locked();
+    if (queue == nullptr) return nullptr;  // draining and nothing left
+    JobPtr job = std::move(queue->front());
+    queue->pop_front();
     if (job->cancel_requested()) {
       finish_locked(*job, JobState::Cancelled, {}, evicted);
       continue;
@@ -109,41 +95,13 @@ std::vector<JobPtr> Scheduler::next_batch(std::size_t max) {
       continue;
     }
     start_locked(*job);
-    const std::uint64_t key = job->spec_.coalesce_key;
-    batch.push_back(std::move(job));
-    if (key != 0 && max > 1) {
-      // Pull every same-key job of the lead's priority class (cancelled and
-      // expired candidates are finished inline, exactly as the lead path
-      // does); the jobs left behind keep their relative order.
-      auto& queue = queues_[priority];
-      for (auto it = queue.begin(); it != queue.end() && batch.size() < max;) {
-        if ((*it)->spec_.coalesce_key != key) {
-          ++it;
-          continue;
-        }
-        JobPtr taken = std::move(*it);
-        it = queue.erase(it);
-        if (taken->cancel_requested()) {
-          finish_locked(*taken, JobState::Cancelled, {}, evicted);
-          continue;
-        }
-        if (const auto remaining = taken->remaining_ms(); remaining && *remaining == 0) {
-          JobOutcome outcome;
-          outcome.error = "deadline exceeded while queued";
-          finish_locked(*taken, JobState::Failed, std::move(outcome), evicted);
-          continue;
-        }
-        start_locked(*taken);
-        batch.push_back(std::move(taken));
-      }
-    }
-    return batch;
+    return job;
   }
 }
 
-const JobPtr* Scheduler::head_locked() const {
-  for (const auto& queue : queues_) {
-    if (!queue.empty()) return &queue.front();
+std::deque<JobPtr>* Scheduler::head_queue_locked() {
+  for (auto& queue : queues_) {
+    if (!queue.empty()) return &queue;
   }
   return nullptr;
 }
@@ -152,7 +110,6 @@ void Scheduler::start_locked(Job& job) {
   job.state_ = JobState::Running;
   job.started_at_ = std::chrono::steady_clock::now();
   ++running_;
-  if (job.spec_.coalesce_key == 0) ++engine_running_;
   obs::observe(obs::Histogram::SvcQueueWaitMicros,
                static_cast<std::uint64_t>(
                    seconds_between(job.submitted_at_, job.started_at_) * 1e6));
@@ -164,14 +121,7 @@ void Scheduler::start_locked(Job& job) {
 void Scheduler::finish(const JobPtr& job, JobState state, JobOutcome outcome) {
   std::vector<JobPtr> evicted;  // destroyed after the lock; see finish_locked
   const std::lock_guard<std::mutex> lock{mutex_};
-  if (job->state_ == JobState::Running) {
-    --running_;
-    if (job->spec_.coalesce_key == 0) {
-      // The job's engine lane is free: a key-0 head may dispatch now.
-      --engine_running_;
-      work_cv_.notify_all();
-    }
-  }
+  if (job->state_ == JobState::Running) --running_;
   finish_locked(*job, state, std::move(outcome), evicted);
 }
 
@@ -233,8 +183,6 @@ bool Scheduler::cancel(std::uint64_t id) {
       }
     }
     finish_locked(job, JobState::Cancelled, {}, evicted);
-    // The cancelled job may have been a head waiting for an engine lane.
-    work_cv_.notify_all();
   }
   // A running job finishes as Cancelled when the worker observes the flag.
   return true;

@@ -8,14 +8,11 @@
 //    jobs (fix/generate), regardless of arrival order.
 //  * FIFO fairness within a priority — jobs of equal priority run in
 //    submission order; a stream of interactive jobs can delay batch work
-//    but never reorder it. Batch coalescing (next_batch) may run a later
-//    compatible job *together with* an earlier one, but never reorders the
-//    jobs it leaves queued.
-//  * Engine lanes — fix/generate jobs (coalesce key 0) run one per engine
-//    lane, and at most `engine_lanes` of them run at once. A key-0 head
-//    waits in the queue for a free lane (and holds back everything behind
-//    it, so FIFO holds); while it waits it is still Queued, so its queue
-//    time and a deadline lapsing in that wait read as queueing.
+//    but never reorder it.
+//  * Workers — the server runs a fixed number of worker threads, each
+//    looping on next(), so at most that many jobs run at once; a job
+//    waiting for a worker is still Queued, so its queue time and a deadline
+//    lapsing in that wait read as queueing.
 //  * Deadlines — a job whose deadline expires while queued fails at
 //    dispatch without running; a running job's engine polls the deadline
 //    between its units of work (obligations, neighborhoods, classes).
@@ -40,7 +37,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -75,12 +71,8 @@ struct JobSpec {
   std::uint64_t deadline_ms = 0; // 0 = none; measured from submission
   /// Resolved form of `program` against the pinned snapshot, set by the
   /// server at submission so dispatch does not parse/resolve again. May be
-  /// null (a direct scheduler user); the executor then re-resolves.
+  /// null (a direct scheduler user); the worker then re-resolves.
   std::shared_ptr<const lai::UpdateTask> task;
-  /// Batch-coalescing family: jobs sharing a nonzero key — same snapshot
-  /// version, same scope/entering fingerprint, pure check program — may be
-  /// dispatched as one unit by next_batch(). 0 = never coalesced.
-  std::uint64_t coalesce_key = 0;
 };
 
 /// One program command's verdict, as `status`/`result` render it.
@@ -167,10 +159,7 @@ class Scheduler {
 
   /// `retain_terminal` bounds how many finished jobs stay queryable; the
   /// oldest-finished beyond it are forgotten entirely (404 thereafter).
-  /// `engine_lanes` bounds how many key-0 (fix/generate) jobs may be
-  /// Running at once; the default leaves them unbounded.
-  explicit Scheduler(std::size_t queue_depth, std::size_t retain_terminal = 1024,
-                     std::size_t engine_lanes = std::numeric_limits<std::size_t>::max());
+  explicit Scheduler(std::size_t queue_depth, std::size_t retain_terminal = 1024);
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_depth_; }
   [[nodiscard]] std::size_t retain_terminal() const { return retain_terminal_; }
@@ -179,24 +168,14 @@ class Scheduler {
   /// will run against (the caller pins head at submission time).
   Admission submit(JobSpec spec, SnapshotPtr snapshot);
 
-  /// Blocks until a job is available; transitions it Queued -> Running.
-  /// A key-0 head is not available while `engine_lanes` key-0 jobs are
-  /// Running; it stays queued until one finishes. Queued jobs that were
-  /// cancelled or whose deadline expired are finished inline (Cancelled /
-  /// Failed) without being returned. Returns nullptr once draining and the
-  /// queue is empty.
+  /// Blocks until a job is available (highest priority first, FIFO
+  /// within a priority); transitions it Queued -> Running. Queued jobs that
+  /// were cancelled or whose deadline expired are finished inline
+  /// (Cancelled / Failed) without being returned. Returns nullptr once
+  /// draining and the queue is empty.
   JobPtr next();
 
-  /// Like next(), but when the lead job carries a nonzero coalesce key,
-  /// pulls up to `max - 1` further queued jobs with the same key from the
-  /// lead's priority class into one dispatch unit (all Running on return,
-  /// in submission order). Coalescing runs a later compatible job together
-  /// with an earlier one; it never reorders the jobs left behind, and never
-  /// mixes priorities. Empty once draining and the queue is empty.
-  std::vector<JobPtr> next_batch(std::size_t max);
-
-  /// Terminal transition; wakes result waiters, and the dispatcher when a
-  /// key-0 job frees its lane.
+  /// Terminal transition; wakes result waiters.
   void finish(const JobPtr& job, JobState state, JobOutcome outcome);
 
   /// True when the cancellation took hold (job was queued or running).
@@ -211,16 +190,15 @@ class Scheduler {
                                 std::optional<std::chrono::milliseconds> timeout = {});
 
   /// Blocks until the job has left the queue (Running or terminal) — the
-  /// condition-wait tests use to know a blocker occupies the dispatcher
-  /// before they burst-submit, instead of sleeping and hoping. Returns the
+  /// condition-wait tests use to know a blocker occupies a worker before
+  /// they burst-submit, instead of sleeping and hoping. Returns the
   /// status at that moment (nullopt on timeout or unknown id).
   std::optional<JobStatus> wait_started(std::uint64_t id,
                                         std::optional<std::chrono::milliseconds> timeout = {});
 
-  /// A gate on dispatch: while held, next()/next_batch() hand out nothing
-  /// and admitted jobs stay queued (their deadlines keep running). Tests
-  /// use it to queue work behind a busy dispatcher deterministically.
-  /// drain() lifts it.
+  /// A gate on dispatch: while held, next() hands out nothing and admitted
+  /// jobs stay queued (their deadlines keep running). Tests use it to queue
+  /// work behind busy workers deterministically. drain() lifts it.
   void hold();
   void release();
 
@@ -241,8 +219,8 @@ class Scheduler {
 
  private:
   [[nodiscard]] JobStatus status_locked(const Job& job) const;
-  /// The job next_batch would take next (highest priority, FIFO), or null.
-  [[nodiscard]] const JobPtr* head_locked() const;
+  /// The queue next() would take from (highest priority first), or null.
+  [[nodiscard]] std::deque<JobPtr>* head_queue_locked();
   /// Retention eviction appends the dropped JobPtrs to `evicted` instead of
   /// destroying them: releasing a job may drop the last pin on its snapshot
   /// and fire the store's release hooks (FEC-cache / delta-cache eviction),
@@ -254,7 +232,6 @@ class Scheduler {
 
   const std::size_t queue_depth_;
   const std::size_t retain_terminal_;
-  const std::size_t engine_lanes_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // new work or drain
@@ -264,7 +241,6 @@ class Scheduler {
   std::deque<std::uint64_t> terminal_order_;  // finish order, oldest first
   std::uint64_t next_id_ = 1;
   std::size_t running_ = 0;
-  std::size_t engine_running_ = 0;  // Running key-0 jobs, <= engine_lanes_
   bool draining_ = false;
   bool held_ = false;
 };

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -109,15 +108,6 @@ Json outcome_json(const topo::Topology& topo, JobState state, const JobOutcome& 
   return Json{std::move(obj)};
 }
 
-/// A program is a pure check — answered by the exact set scan, alone or
-/// coalesced — when it is pure verification: at least one command, all of
-/// them `check`. Control intents ride along into the scan (§6 desired sets).
-bool pure_check(const lai::UpdateTask& task) {
-  return !task.commands.empty() &&
-         std::all_of(task.commands.begin(), task.commands.end(),
-                     [](lai::Command c) { return c == lai::Command::Check; });
-}
-
 /// The job's cancellation and deadline probes, as the engine polls them.
 core::StopProbes stop_probes(const Job& job) {
   core::StopProbes probes;
@@ -127,33 +117,6 @@ core::StopProbes stop_probes(const Job& job) {
     return remaining && *remaining == 0;
   };
   return probes;
-}
-
-/// The coalesce family fingerprint: snapshot version + sorted scope devices
-/// + entering cubes. Jobs sharing it verify against the same immutable
-/// planning problem, so one batch algebra serves them all. Guarded by the
-/// version/scope/entering equality checks the planner and algebra cache
-/// already perform; never 0 (0 means "not coalescable").
-std::uint64_t coalesce_key_for(Version version, const topo::Scope& scope,
-                               const net::PacketSet& entering) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(version);
-  std::vector<topo::DeviceId> devices(scope.devices().begin(), scope.devices().end());
-  std::sort(devices.begin(), devices.end());
-  mix(devices.size());
-  for (const auto d : devices) mix(d);
-  mix(entering.cube_count());
-  for (const auto& cube : entering.cubes()) {
-    for (const net::Field f : net::kAllFields) {
-      mix(cube.interval(f).lo);
-      mix(cube.interval(f).hi);
-    }
-  }
-  return h == 0 ? 1 : h;
 }
 
 Json status_json(const Job& job, const JobStatus& status) {
@@ -179,10 +142,8 @@ Server::Server(config::NetworkFile network, ServerOptions options)
       repl_hash_(network_fingerprint(network)),
       base_fingerprint_(repl_hash_),
       store_(std::move(network)),
-      scheduler_(options_.queue_depth, options_.retain_jobs,
-                 std::max(options_.workers, 1u)) {
+      scheduler_(options_.queue_depth, options_.retain_jobs) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.coalesce == 0) options_.coalesce = 1;
   if (options_.keep_versions == 0) options_.keep_versions = 1;
   fec_cache_ = std::make_shared<topo::FecCache>();
   if (options_.max_delta_chain > 0) {
@@ -197,17 +158,10 @@ Server::Server(config::NetworkFile network, ServerOptions options)
   // topology were ever freed). The hook captures the cache shared_ptr, so
   // eviction stays safe whenever the release happens. The incremental
   // planner's delta-cache entries for the version die at the same point.
-  // `this` is safe to capture: the hooks live and die with store_, a member
-  // of this server (and batch_algebra_/batch_mutex_ are declared before
-  // store_, so they outlive its teardown).
-  store_.set_release_hook([this, cache = fec_cache_,
+  store_.set_release_hook([cache = fec_cache_,
                            planner = incremental_](const Snapshot& snapshot) {
     cache->evict(snapshot.topo.get());
     if (planner) planner->retire_version(snapshot.version);
-    const std::lock_guard<std::mutex> lock{batch_mutex_};
-    std::erase_if(batch_algebra_, [&](const auto& kv) {
-      return kv.second.version == snapshot.version;
-    });
   });
   // Every apply feeds the delta straight to the planner (no re-diffing)
   // and records one lineage link in the FEC cache — an ACL-only apply
@@ -373,11 +327,12 @@ void Server::start() {
 
   installed_.emplace(registry_);
   accepting_.store(true, std::memory_order_release);
-  // --workers is the executor pool width; the dispatcher thread pulls
-  // dispatch units off the scheduler and participates as pool worker 0, so
-  // total execution threads == workers.
-  executor_ = std::make_shared<core::Executor>(options_.workers);
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
+  workers_.reserve(options_.workers);
+  for (unsigned i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] {
+      while (JobPtr job = scheduler_.next()) execute_job(job);
+    });
+  }
   accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
 }
@@ -395,8 +350,9 @@ void Server::wait() {
     shutdown_cv_.wait(lock, [&] { return shutdown_requested_.load(std::memory_order_acquire); });
   }
   // Drain: the scheduler stops admitting (503) but every admitted job still
-  // runs; the dispatcher exits once the backlog is empty.
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  // runs; each worker exits once the backlog is empty.
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 
   // Now that every job is terminal, pending `result` waits have been
   // answered; close the door and let connection threads notice the flag.
@@ -758,17 +714,10 @@ Json Server::handle_submit(const Json& params) {
 
   // Resolve against the pinned topology up front: unknown device/interface/
   // ACL names are submission errors, not queued-job failures. The resolved
-  // task rides along on the job so dispatch never re-parses, and pure-check
-  // programs get a coalesce key — next_batch() may run same-key jobs (same
-  // snapshot version, same scope family) as one dispatch unit.
+  // task rides along on the job so the worker never re-parses.
   try {
-    auto task = std::make_shared<const lai::UpdateTask>(
+    spec.task = std::make_shared<const lai::UpdateTask>(
         lai::resolve(parsed, *snapshot->topo, spec.acls));
-    if (pure_check(*task)) {
-      spec.coalesce_key =
-          coalesce_key_for(snapshot->version, task->scope, snapshot->traffic);
-    }
-    spec.task = std::move(task);
   } catch (const std::exception& e) {
     fail(kInvalidParams, "program: " + std::string(e.what()));
   }
@@ -971,7 +920,6 @@ Json Server::handle_info() {
   obj.emplace("running", scheduler_.running_count());
   obj.emplace("queue_depth", scheduler_.queue_depth());
   obj.emplace("workers", static_cast<std::uint64_t>(options_.workers));
-  obj.emplace("coalesce", static_cast<std::uint64_t>(options_.coalesce));
   obj.emplace("draining", scheduler_.draining());
   obj.emplace("read_only", options_.read_only);
   if (!options_.writer_endpoint.empty()) obj.emplace("writer", options_.writer_endpoint);
@@ -1048,205 +996,33 @@ Json Server::handle_metrics() {
   return Json{std::move(obj)};
 }
 
-void Server::dispatch_loop() {
-  const std::size_t max = std::max<std::size_t>(options_.coalesce, 1);
-  // Engine lanes: fix/generate jobs run one per lane while this loop keeps
-  // draining check units, so neither repairs nor checks wait on each
-  // other. The scheduler hands out at most `workers` key-0 jobs at once (a
-  // job waiting for a lane stays queued), so a handed-off job never waits
-  // here for long. Safe because each per-job engine is single-threaded (no
-  // shared executor), and every structure it touches (FEC cache,
-  // incremental planner, scheduler, batch-algebra map) is internally
-  // locked. The lanes are joined before this loop returns, once every
-  // handed-off job has finished.
-  std::mutex lane_mutex;
-  std::condition_variable lane_cv;
-  std::deque<JobPtr> handoff;
-  bool closing = false;
-  std::vector<std::thread> lanes;
-  lanes.reserve(options_.workers);
-  for (unsigned i = 0; i < options_.workers; ++i) {
-    lanes.emplace_back([&] {
-      while (true) {
-        JobPtr job;
-        {
-          std::unique_lock<std::mutex> lock{lane_mutex};
-          lane_cv.wait(lock, [&] { return closing || !handoff.empty(); });
-          if (handoff.empty()) return;
-          job = std::move(handoff.front());
-          handoff.pop_front();
-        }
-        execute_job(job);
-      }
-    });
-  }
-  while (true) {
-    std::vector<JobPtr> unit = scheduler_.next_batch(max);
-    if (unit.empty()) break;
-    // Every pure check — a unit of one included — runs the exact set scan;
-    // fix and generate jobs run the full engine on a lane.
-    if (unit.front()->spec().coalesce_key != 0) {
-      execute_batch(unit);
-      continue;
-    }
-    obs::count(obs::Counter::SvcOverlapDispatches);
-    {
-      const std::lock_guard<std::mutex> lock{lane_mutex};
-      handoff.push_back(std::move(unit.front()));
-    }
-    lane_cv.notify_one();
-  }
-  {
-    const std::lock_guard<std::mutex> lock{lane_mutex};
-    closing = true;
-  }
-  lane_cv.notify_all();
-  for (std::thread& lane : lanes) lane.join();
-}
-
 core::PlanOptions Server::job_plan_options() const {
-  // The pool is the parallelism; each per-job engine must stay
-  // single-threaded (Executor::run is serialized, not reentrant — a nested
-  // run from inside a pool task would deadlock).
+  // The workers are the parallelism; each per-job engine stays
+  // single-threaded.
   core::PlanOptions plan;
   plan.threads = 1;
   plan.fec_cache = fec_cache_;
   return plan;
 }
 
-std::shared_ptr<const core::BatchAlgebra> Server::batch_algebra_for(const JobPtr& job) {
-  const std::uint64_t key = job->spec().coalesce_key;
-  if (key == 0 || job->spec().task == nullptr) return nullptr;
-  const SnapshotPtr& snapshot = job->snapshot();
-  {
-    const std::lock_guard<std::mutex> lock{batch_mutex_};
-    const auto it = batch_algebra_.find(key);
-    if (it != batch_algebra_.end() && it->second.version == snapshot->version) {
-      return it->second.algebra;
-    }
-  }
-  const lai::UpdateTask& task = *job->spec().task;
-  std::shared_ptr<const core::PlanBundle> bundle;
-  if (incremental_) {
-    bundle = incremental_
-                 ->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify)
-                 .bundle;
-  }
-  if (!bundle) {
-    core::Planner planner{*snapshot->topo, task.scope, job_plan_options()};
-    bundle = planner.share_plan(snapshot->traffic);
-    if (incremental_) incremental_->install(snapshot->version, task.scope, bundle);
-  }
-  auto algebra = std::make_shared<const core::BatchAlgebra>(
-      core::build_batch_algebra(*snapshot->topo, std::move(bundle)));
-  obs::count(obs::Counter::SvcBatchAlgebraBuilds);
-  const std::lock_guard<std::mutex> lock{batch_mutex_};
-  VersionedAlgebra& slot = batch_algebra_[key];
-  slot.version = snapshot->version;
-  slot.algebra = algebra;
-  // Entries for released versions are swept by the store's release hook;
-  // this bound only guards a pathological many-scope workload on one
-  // version.
-  if (batch_algebra_.size() > 16) {
-    Version oldest = std::numeric_limits<Version>::max();
-    for (const auto& [k, v] : batch_algebra_) oldest = std::min(oldest, v.version);
-    if (oldest != snapshot->version) {
-      std::erase_if(batch_algebra_, [oldest](const auto& kv) {
-        return kv.second.version == oldest;
-      });
-    }
-  }
-  return algebra;
-}
-
-void Server::execute_batch(const std::vector<JobPtr>& batch) {
-  const obs::TraceSpan span{obs::Span::SvcBatch};
-  std::shared_ptr<const core::BatchAlgebra> algebra;
-  try {
-    algebra = batch_algebra_for(batch.front());
-  } catch (const std::exception&) {
-    algebra = nullptr;
-  }
-  if (!algebra) {
-    // No shared algebra (planning failed, or a direct scheduler user
-    // without a resolved task): the unit degrades to per-job execution.
-    for (const JobPtr& job : batch) execute_job(job);
-    return;
-  }
-  if (batch.size() > 1) {
-    // The batch counters keep meaning "coalesced": units of one only run
-    // the same scan.
-    obs::count(obs::Counter::SvcBatchDispatches);
-    obs::count(obs::Counter::SvcBatchJobsCoalesced, batch.size());
-    obs::observe(obs::Histogram::SvcBatchSize, batch.size());
-  }
-
-  const SnapshotPtr& snapshot = batch.front()->snapshot();
-  // The delta cache's verdict reuse is a filter on the scan: each job leases
-  // the obligations already proven clean for its exact update, and the scan
-  // skips them. Bits are only trusted (and later committed) against the
-  // very bundle the algebra scans.
-  std::vector<core::BatchItem> items;
-  std::vector<bool> leased(batch.size(), false);
-  items.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const JobPtr& job = batch[i];
-    const lai::UpdateTask& task = *job->spec().task;
-    core::BatchItem item;
-    item.update = &task.modify;
-    item.probes = stop_probes(*job);
-    item.controls = &task.controls;
-    // Leased verdicts were proven without intents, so only an intent-free
-    // job may use them (and commit its own).
-    if (incremental_ && task.controls.empty()) {
-      core::IncrementalLease lease =
-          incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify);
-      leased[i] = lease.bundle == algebra->bundle;
-      if (leased[i]) item.clean = std::move(lease.clean);
-    }
-    items.push_back(std::move(item));
-  }
-  core::BatchRunOptions run;
-  // A lone job scans inline: one job's scan takes a few milliseconds, and
-  // waking the pool costs more than it saves at that size.
-  run.executor = batch.size() > 1 ? executor_.get() : nullptr;
-  run.max_shards = std::max<std::size_t>(std::size_t{2} * options_.workers, 2);
-  const std::vector<core::BatchOutcome> outcomes =
-      core::run_check_batch(*snapshot->topo, *algebra, items, run);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const JobPtr& job = batch[i];
-    const core::BatchOutcome& bo = outcomes[i];
-    if (bo.cancelled || job->cancel_requested()) {
-      scheduler_.finish(job, JobState::Cancelled, {});
-      continue;
-    }
-    if (bo.deadline_expired) {
-      // Same diagnostic family as a deadline caught at dispatch: the scan
-      // issues no solver query, so this is never a solver timeout.
-      JobOutcome outcome;
-      outcome.error = batch.size() > 1 ? "deadline exceeded while queued in a coalesced batch"
-                                       : "deadline exceeded during the check scan";
-      scheduler_.finish(job, JobState::Failed, std::move(outcome));
-      continue;
-    }
-    const lai::UpdateTask& task = *job->spec().task;
-    core::EngineReport report;
-    report.final_update = task.modify;
-    for (std::size_t c = 0; c < task.commands.size(); ++c) {
-      core::CommandOutcome cmd;
-      cmd.command = lai::Command::Check;
-      cmd.check = bo.result;
-      report.outcomes.push_back(std::move(cmd));
-    }
-    if (leased[i]) {
-      // Seed the verdict cache with the obligations this run proved clean,
-      // so a re-check of the same pending update scans only the rest.
-      incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                           bo.clean);
-    }
-    scheduler_.finish(job, JobState::Done, done_outcome(std::move(report)));
-  }
+std::shared_ptr<const core::PlanBundle> Server::plan_for(const Job& job,
+                                                         const lai::UpdateTask& task) {
+  if (!incremental_) return nullptr;
+  const SnapshotPtr& snapshot = job.snapshot();
+  const auto lease = [&] {
+    return incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify)
+        .bundle;
+  };
+  if (auto bundle = lease()) return bundle;
+  // A miss builds under the lock and re-leases first, so jobs racing on a
+  // cold (version, scope, traffic) wait for one build instead of each
+  // repeating it.
+  const std::lock_guard<std::mutex> lock{plan_mutex_};
+  if (auto bundle = lease()) return bundle;
+  core::Planner planner{*snapshot->topo, task.scope, job_plan_options()};
+  auto bundle = planner.share_plan(snapshot->traffic);
+  incremental_->install(snapshot->version, task.scope, bundle);
+  return bundle;
 }
 
 void Server::execute_job(const JobPtr& job) {
@@ -1275,18 +1051,10 @@ void Server::execute_job(const JobPtr& job) {
     // deterministic, placement ties included.
     core::EngineOptions engine_options;
     engine_options.plan = job_plan_options();
-    // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
-    // plan bundle for (version, scope, traffic) so the engine's planner
-    // skips path enumeration and planning.
-    // Control intents change the obligation set, so only intent-free
-    // tasks may adopt.
-    if (incremental_ && task.controls.empty()) {
-      const core::IncrementalLease lease = incremental_->acquire(
-          snapshot->version, task.scope, snapshot->traffic, task.modify);
-      if (lease.bundle) {
-        engine_options.plan.adopted_plan = lease.bundle;
-      }
-    }
+    // The engine's planner adopts the shared bundle for (version, scope,
+    // traffic) and skips path enumeration and planning. A bundle holds
+    // paths and FECs only, so control intents do not change it.
+    engine_options.plan.adopted_plan = plan_for(*job, task);
     core::Engine engine{*snapshot->topo, engine_options};
     // Cancellation and the deadline are cooperative: every command polls
     // the job's probes between its units of work.

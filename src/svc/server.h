@@ -1,16 +1,15 @@
 // The long-running verification service.
 //
 // One process keeps the expensive state warm across requests — a
-// topo::FecCache shared by every engine, the incremental planner's
-// cross-version plan/verdict cache, and per-version batch algebras for
-// coalesced check execution — and serves a stream of check/fix/generate
-// programs over a Unix domain socket. Execution is a dispatcher thread
-// pulling dispatch units off the scheduler: a coalesced unit of compatible
-// pure-check jobs (a unit of one included) runs on the dispatcher over the
-// server-wide work-stealing core::Executor, and a fix/generate job goes to
-// one of `workers` engine lanes, each running one single-threaded
-// core::Engine, so up to `workers` repairs run side by side with the check
-// units; see docs/INTERNALS.md "Batched + sharded execution".
+// topo::FecCache shared by every engine and the incremental planner's
+// cross-version plan cache — and serves a stream of check/fix/generate
+// programs over a Unix domain socket. Execution is `workers` worker
+// threads, each pulling the next job off the scheduler and running it on
+// one single-threaded core::Engine; so at most `workers` jobs run at once,
+// whatever their commands. Every job adopts its plan bundle from the
+// incremental planner (Server::plan_for), so a (version, scope, traffic)
+// plan is built once however many jobs ask for it; see docs/INTERNALS.md
+// "Execution".
 //
 // A finished job keeps a JobOutcome: its command verdicts and one shared
 // copy of its final update, which `status`/`result` render as plan text
@@ -50,10 +49,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/engine.h"
 #include "core/incremental_planner.h"
 #include "obs/stats.h"
@@ -92,17 +89,10 @@ struct ServerOptions {
   /// adds its lag gauges here).
   std::function<void(std::ostream&)> extra_metrics;
   std::size_t queue_depth = 64;
-  /// Executor threads of the server-wide pool, and the number of engine
-  /// lanes. A small dispatcher thread pulls dispatch units off the
-  /// scheduler: check units fan their obligations out over the pool (the
-  /// dispatcher participates as pool worker 0, so `workers` is the pool's
-  /// total thread count), and each fix/generate job runs on one of
-  /// `workers` lane threads, so at most `workers` engine jobs run at once
-  /// and a job waiting for a lane stays queued.
+  /// Worker threads. Each runs one job at a time on a single-threaded
+  /// engine, so at most `workers` jobs run at once and a job waiting for a
+  /// worker stays queued.
   unsigned workers = 2;
-  /// Most jobs one dispatch unit may coalesce (same snapshot version,
-  /// scope family, pure check program). 1 disables coalescing.
-  std::size_t coalesce = 32;
   /// Snapshot versions kept resolvable after apply advances the head
   /// (older ones are trimmed; jobs already holding a trimmed snapshot
   /// still finish against it, and its FEC cache entries are evicted once
@@ -116,7 +106,7 @@ struct ServerOptions {
   /// Rebase budget for the incremental planner: how many applies a cached
   /// verification plan may be carried across before the next job rebuilds
   /// it from scratch. 0 disables incremental cross-version verification
-  /// (every check-only job builds a fresh engine, the seed behaviour).
+  /// (every job's engine plans on its own).
   std::size_t max_delta_chain = 16;
 };
 
@@ -189,10 +179,6 @@ class Server {
 
   void accept_loop();
   void connection_loop(int fd, bool needs_auth);
-  /// Pulls dispatch units until the drain empties the queue: check units
-  /// run here, fix/generate jobs on the `workers` engine lanes it starts
-  /// and joins before returning.
-  void dispatch_loop();
   /// Streams replication records with version > `from` until the peer
   /// disconnects or the server drains.
   void serve_subscription(int fd, Version from);
@@ -219,34 +205,24 @@ class Server {
   Json handle_info();
   Json handle_metrics();
 
+  /// Runs one job to a terminal state on a fresh single-threaded engine.
   void execute_job(const JobPtr& job);
 
-  /// Runs a unit of one or more pure-check jobs through the exact
-  /// set-algebra scan, sharded over the shared executor, skipping each
-  /// job's obligations the delta cache already proved clean. Falls back to
-  /// per-job execute_job when the shared algebra cannot be built.
-  void execute_batch(const std::vector<JobPtr>& batch);
-
-  /// The per-version batch algebra for the lead job's coalesce family,
-  /// built on first use and cached until the version is released.
-  [[nodiscard]] std::shared_ptr<const core::BatchAlgebra> batch_algebra_for(const JobPtr& job);
+  /// The plan bundle for the job's (version, scope, traffic), leased from
+  /// the incremental planner; a miss builds it under plan_mutex_ and
+  /// installs it, so racing misses wait for that one build. nullptr when
+  /// the planner is disabled (the job's engine then plans on its own).
+  [[nodiscard]] std::shared_ptr<const core::PlanBundle> plan_for(const Job& job,
+                                                                 const lai::UpdateTask& task);
 
   /// The one place per-job planning configuration lives: single-threaded
-  /// (Executor::run is serialized, not reentrant) over the server-wide FEC
-  /// cache. Shared by the engine lanes and the batch path's plan builds.
+  /// (the workers are the parallelism) over the server-wide FEC cache.
+  /// Shared by the job engines and plan_for's builds.
   [[nodiscard]] core::PlanOptions job_plan_options() const;
 
   ServerOptions options_;
-  // Declared before store_: the store's release hook sweeps this cache, so
-  // it must outlive the store's teardown.
-  std::mutex batch_mutex_;
-  struct VersionedAlgebra {
-    Version version = 0;
-    std::shared_ptr<const core::BatchAlgebra> algebra;
-  };
-  std::unordered_map<std::uint64_t, VersionedAlgebra> batch_algebra_;  // by coalesce key
   // Replication log: one pre-serialized record per applied version,
-  // appended by the store's apply hook (so also declared before store_).
+  // appended by the store's apply hook (so declared before store_).
   // repl_hash_ is only touched under the store lock (the apply hook is the
   // single writer); the log, head marker and cv are guarded by repl_mutex_.
   struct ReplRecord {
@@ -267,13 +243,12 @@ class Server {
   std::shared_ptr<core::IncrementalPlanner> incremental_;
   obs::StatsRegistry registry_;
   std::optional<obs::ScopedRegistry> installed_;
-
-  std::shared_ptr<core::Executor> executor_;
+  std::mutex plan_mutex_;  // serializes plan_for's cold builds
 
   int listen_fd_ = -1;      // Unix socket, -1 when socket_path is empty
   int tcp_listen_fd_ = -1;  // TCP listener, -1 when listen_address is empty
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
+  std::vector<std::thread> workers_;
   struct Connection {
     std::thread thread;
     std::atomic<bool> done{false};  // set as the thread's last act

@@ -203,10 +203,10 @@ TEST(TraceSpan, RingKeepsNewestEventsFromManyShortLivedThreads) {
     });
   }
   for (auto& worker : workers) worker.join();
-  registry.record_span(obs::Span::SvcBatch, kMarker, kMarker + 1);
+  registry.record_span(obs::Span::GenSynth, kMarker, kMarker + 1);
   events = registry.trace_events();
   ASSERT_EQ(events.size(), obs::kTraceCapacity);
-  EXPECT_EQ(events.back().name, obs::Span::SvcBatch);
+  EXPECT_EQ(events.back().name, obs::Span::GenSynth);
   EXPECT_EQ(events.back().start_us, kMarker);
   EXPECT_EQ(std::count_if(events.begin(), events.end(),
                           [](const obs::TraceEvent& e) { return e.name == obs::Span::SvcJob; }),

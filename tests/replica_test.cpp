@@ -156,13 +156,12 @@ TEST(ReplicaTest, CatchesUpFromTheLogThenFollowsLiveApplies) {
 }
 
 TEST(ReplicaTest, ChecksMatchAFreshEngineOracleAtThePinnedVersion) {
-  // The writer is configured as the fresh-engine oracle: no delta cache, no
-  // coalescing, one worker — every job it answers runs a from-scratch
-  // engine against the pinned snapshot. The replica keeps the full serving
-  // stack (incremental planner, batching) and must agree bit for bit.
+  // The writer is configured as the fresh-engine oracle: no delta cache, one
+  // worker — every job it answers runs a from-scratch engine against the
+  // pinned snapshot. The replica keeps the full serving stack (incremental
+  // planner, shared plan bundles) and must agree bit for bit.
   svc::ServerOptions oracle_options = writer_options();
   oracle_options.max_delta_chain = 0;
-  oracle_options.coalesce = 1;
   oracle_options.workers = 1;
   svc::Server writer{figure1_network(), oracle_options};
   writer.start();

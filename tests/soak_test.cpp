@@ -230,7 +230,6 @@ TEST(SoakEndToEndTest, MiniSoakRunsCleanUnderChurn) {
   options.sessions = 3;
   options.server.socket_path = temp_socket("mini");
   options.server.workers = 4;
-  options.server.coalesce = 16;
   options.server.keep_versions = 8;
   options.server.retain_jobs = 48;
 
