@@ -1,7 +1,7 @@
 // Service throughput and latency: drives a live svc::Server over its Unix
 // socket with the medium WAN and writes BENCH_serve.json.
 //
-// Six experiments:
+// Five experiments:
 //
 //  * Workers x depth matrix: for each worker count W (1, 2, 4) a fresh
 //    server serves D concurrent client sessions (D = 1, 8, 64), each
@@ -12,20 +12,16 @@
 //    deeper queue adds only its own scans.
 //
 //  * Warm vs cold: the same job stream run through the resident server
-//    (shared FecCache, network already loaded) versus a fresh engine and
-//    cache per job, which is what a cold CLI invocation pays. Expected
-//    shape: warm is measurably faster because every job after the first
-//    reuses the cached equivalence classes.
+//    (plan cache warm, network already loaded) versus a fresh engine per
+//    job, which is what a cold CLI invocation pays. Every warm job adopts
+//    the cached plan bundle; at these job sizes the RPC costs about what
+//    that saves, so the ratio reads 0.7-1.1 on a 4-core container.
 //
-//  * Churn, warm over versions: R rounds of (apply a delta, re-check a
-//    fixed pending batch), run once on an incremental server and once with
-//    --max-delta-chain 0. Only check wall time counts. The speedup is the
-//    headline number for the delta cache: verdict reuse plus rebase versus
-//    a full plan rebuild on every new version.
-//
-//  * Churn depth sweep: the same interleaved apply+check loop at client
-//    depths 1/8/64 on the incremental server — added concurrency must not
-//    cost throughput, since sessions share the rebased plan.
+//  * Churn depth sweep: R rounds of (apply a delta, re-check a fixed
+//    pending batch) at client depths 1/8/64 on one resident server. Only
+//    check wall time counts. Every version shares the one plan bundle the
+//    warmup job built, so each depth reports plan_builds 0, and added
+//    concurrency must not cost throughput.
 //
 //  * Transport: the same deep-queue workload through the Unix socket and
 //    through loopback TCP (auth handshake included), fresh server per
@@ -57,6 +53,7 @@
 #include "core/engine.h"
 #include "gen/scenario.h"
 #include "gen/wan.h"
+#include "obs/stats.h"
 #include "replica/replica.h"
 #include "svc/client.h"
 #include "svc/server.h"
@@ -112,8 +109,7 @@ net::Acl duplicate_first_rule(const topo::Topology& topo, topo::AclSlot slot) {
 }
 
 /// A pending check against a gateway slot the churn applies never touch —
-/// its canonical text is stable across versions, so the delta cache can
-/// carry its proven verdicts from version to version.
+/// the same pending update is re-checked at every version.
 Workload dup_check_workload(const gen::Wan& wan, topo::AclSlot slot) {
   Workload workload;
   workload.acl_bodies.emplace("dup", config::print_acl(duplicate_first_rule(wan.topo, slot)));
@@ -224,11 +220,13 @@ DepthResult run_depth(const std::vector<std::string>& endpoints, std::size_t dep
 
 /// One churn run: `rounds` iterations of (apply a delta, drain the pending
 /// check batch at `depth` concurrent sessions). Only the check batches are
-/// timed; the applies advance the version chain between them.
+/// timed; the applies advance the version chain between them. plan_builds
+/// counts the server's plan builds over the run.
 struct ChurnTiming {
   std::size_t rounds = 0;
   std::size_t jobs = 0;
   double check_seconds = 0;
+  std::uint64_t plan_builds = 0;
 };
 
 ChurnTiming run_churn(svc::Server& server, const std::string& socket_path,
@@ -236,6 +234,7 @@ ChurnTiming run_churn(svc::Server& server, const std::string& socket_path,
                       const std::vector<Workload>& pending) {
   ChurnTiming timing;
   timing.rounds = rounds;
+  const std::uint64_t builds_before = server.registry().total(obs::Counter::PlanBuilds);
   for (std::size_t round = 0; round < rounds; ++round) {
     (void)server.store().apply_update(
         churn_update(wan, *server.store().head()->topo, round));
@@ -243,6 +242,7 @@ ChurnTiming run_churn(svc::Server& server, const std::string& socket_path,
     timing.check_seconds += batch.wall_seconds;
     timing.jobs += batch.jobs;
   }
+  timing.plan_builds = server.registry().total(obs::Counter::PlanBuilds) - builds_before;
   return timing;
 }
 
@@ -290,7 +290,6 @@ int main(int argc, char** argv) {
   unsigned sweep_workers = 4;
   std::size_t sweep_depth = 64;
   std::size_t min_jobs = 24;
-  std::size_t warm_rounds = 6, warm_jobs = 16, warm_depth = 8;
   std::size_t churn_rounds = 3;
   std::size_t warm_cold_jobs = 8;
   if (smoke) {
@@ -300,15 +299,11 @@ int main(int argc, char** argv) {
     sweep_workers = 2;
     sweep_depth = 32;
     min_jobs = 8;
-    warm_rounds = 4;
-    warm_jobs = 8;
-    warm_depth = 4;
     churn_rounds = 2;
     warm_cold_jobs = 4;
   }
 
-  const auto make_server = [&](const std::string& socket_path, unsigned workers,
-                               std::size_t max_delta_chain) {
+  const auto make_server = [&](const std::string& socket_path, unsigned workers) {
     config::NetworkFile network;
     network.topo = wan.topo;
     network.traffic = wan.traffic;
@@ -317,7 +312,6 @@ int main(int argc, char** argv) {
     options.queue_depth = 256;
     options.workers = workers;
     options.keep_versions = 4;
-    options.max_delta_chain = max_delta_chain;
     return std::make_unique<svc::Server>(std::move(network), options);
   };
   const std::string socket_path =
@@ -326,14 +320,14 @@ int main(int argc, char** argv) {
           .string();
 
   /// One measured cell against a short-lived server: warmup job, then the
-  /// depth run. A fresh server per cell keeps the FEC/delta caches from
+  /// depth run. A fresh server per cell keeps the plan cache from
   /// leaking one configuration's state into the next.
   struct MatrixCell {
     unsigned workers = 0;
     DepthResult result;
   };
   const auto run_cell = [&](unsigned workers, std::size_t depth, unsigned seed_base) {
-    auto cell_server = make_server(socket_path, workers, 16);
+    auto cell_server = make_server(socket_path, workers);
     cell_server->start();
     {
       svc::Client warmup{socket_path};
@@ -401,7 +395,6 @@ int main(int argc, char** argv) {
     options.queue_depth = 256;
     options.workers = sweep_workers;
     options.keep_versions = 4;
-    options.max_delta_chain = 16;
     auto transport_server = std::make_unique<svc::Server>(make_network(), options);
     transport_server->start();
     const std::string endpoint = tcp ? transport_server->listen_endpoint() : socket_path;
@@ -439,7 +432,6 @@ int main(int argc, char** argv) {
     writer_options.queue_depth = 256;
     writer_options.workers = sweep_workers;
     writer_options.keep_versions = 4;
-    writer_options.max_delta_chain = 16;
     auto writer = std::make_unique<svc::Server>(make_network(), writer_options);
     writer->start();
 
@@ -488,13 +480,12 @@ int main(int argc, char** argv) {
     writer->wait();
   }
 
-  // The warm/churn experiments isolate the resident caches and the delta
-  // cache.
+  // The warm/churn experiments isolate the resident plan cache.
   const unsigned churn_workers = std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-  auto server = make_server(socket_path, churn_workers, 16);
+  auto server = make_server(socket_path, churn_workers);
   server->start();
 
-  // One warmup job populates the shared FEC cache so the warm/churn
+  // One warmup job builds the shared plan bundle so the warm/churn
   // experiments measure the steady state a long-running service serves from.
   {
     svc::Client warmup{socket_path};
@@ -520,8 +511,8 @@ int main(int argc, char** argv) {
                cold_seconds, warm_cold_jobs, speedup);
 
   // ---- Fix warm vs cold: the same perturbation stream issued as `fix`
-  // jobs. On the warm server the fix's initial check adopts the rebased
-  // plan bundle from the delta cache and the synthesizer's AEC derivation
+  // jobs. On the warm server the fix's initial check adopts the cached
+  // plan bundle and the synthesizer's AEC derivation
   // hits the shared overlay memo; the cold runs rebuild both per job.
   std::vector<Workload> fix_stream = stream;
   for (auto& workload : fix_stream) {
@@ -558,23 +549,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "  fix warm %.3fs vs cold %.3fs over %zu jobs: %.2fx\n",
                fix_warm_seconds, fix_cold_seconds, fix_stream.size(), fix_speedup);
 
-  // ---- Churn, warm over versions: R rounds of (apply delta, re-check a
-  // fixed pending batch). The pending updates target gateway slots the
-  // churn never rewrites, so the delta cache can rebase its plan and carry
-  // their verdicts across every version; the disabled server below pays a
-  // full rebuild per job instead.
-  std::vector<Workload> pending;
-  for (std::size_t j = 0; j < warm_jobs; ++j) {
-    pending.push_back(dup_check_workload(wan, wan.gateway_slots[j % wan.gateway_slots.size()]));
-  }
-  const ChurnTiming incremental_churn =
-      run_churn(*server, socket_path, wan, warm_depth, warm_rounds, pending);
-  std::fprintf(stderr, "  churn warm (incremental): %zu checks over %zu versions in %.3fs\n",
-               incremental_churn.jobs, incremental_churn.rounds, incremental_churn.check_seconds);
-
   // ---- Churn depth sweep: interleaved apply+check at each depth, on the
-  // incremental server. The shared rebased plan means added concurrency
-  // must not cost throughput.
+  // resident server. The pending updates target gateway slots the churn
+  // never rewrites; every version shares the one plan bundle, so added
+  // concurrency must not cost throughput.
   struct ChurnDepth {
     std::size_t depth = 0;
     ChurnTiming timing;
@@ -593,42 +571,17 @@ int main(int argc, char** argv) {
     entry.jobs_per_sec = entry.timing.check_seconds > 0
                              ? static_cast<double>(entry.timing.jobs) / entry.timing.check_seconds
                              : 0;
-    std::fprintf(stderr, "  churn depth %-3zu %5.2f jobs/s (%zu jobs, %zu applies)\n",
-                 entry.depth, entry.jobs_per_sec, entry.timing.jobs, entry.timing.rounds);
+    std::fprintf(stderr,
+                 "  churn depth %-3zu %5.2f jobs/s (%zu jobs, %zu applies, %llu plan builds)\n",
+                 entry.depth, entry.jobs_per_sec, entry.timing.jobs, entry.timing.rounds,
+                 static_cast<unsigned long long>(entry.timing.plan_builds));
     churn_sweep.push_back(std::move(entry));
   }
 
-  const core::IncrementalStats delta_stats =
-      server->incremental() ? server->incremental()->stats() : core::IncrementalStats{};
   server->request_shutdown();
   server->wait();
   server.reset();
   std::filesystem::remove(socket_path);
-
-  // ---- The same churn stream with the delta cache disabled
-  // (--max-delta-chain 0, the seed behaviour): every check pays path
-  // enumeration, plan build and the full obligation batch again.
-  double full_churn_seconds = 0;
-  {
-    auto baseline = make_server(socket_path, churn_workers, 0);
-    baseline->start();
-    {
-      svc::Client warmup{socket_path};
-      (void)run_job(warmup, make_workload(wan, 9999));
-    }
-    const ChurnTiming full_churn =
-        run_churn(*baseline, socket_path, wan, warm_depth, warm_rounds, pending);
-    full_churn_seconds = full_churn.check_seconds;
-    std::fprintf(stderr, "  churn warm (disabled):    %zu checks over %zu versions in %.3fs\n",
-                 full_churn.jobs, full_churn.rounds, full_churn.check_seconds);
-    baseline->request_shutdown();
-    baseline->wait();
-    std::filesystem::remove(socket_path);
-  }
-  const double warm_over_versions =
-      incremental_churn.check_seconds > 0 ? full_churn_seconds / incremental_churn.check_seconds
-                                          : 0;
-  std::fprintf(stderr, "  warm-over-versions speedup: %.2fx\n", warm_over_versions);
 
   std::FILE* out = std::fopen(json_path, "w");
   if (!out) {
@@ -692,25 +645,13 @@ int main(int argc, char** argv) {
     const auto& entry = churn_sweep[i];
     std::fprintf(out,
                  "      {\"depth\": %zu, \"applies\": %zu, \"jobs\": %zu, "
-                 "\"check_seconds\": %.6f, \"jobs_per_sec\": %.3f}%s\n",
+                 "\"check_seconds\": %.6f, \"jobs_per_sec\": %.3f, \"plan_builds\": %llu}%s\n",
                  entry.depth, entry.timing.rounds, entry.timing.jobs,
                  entry.timing.check_seconds, entry.jobs_per_sec,
+                 static_cast<unsigned long long>(entry.timing.plan_builds),
                  i + 1 < churn_sweep.size() ? "," : "");
   }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out,
-               "    \"warm_over_versions\": {\"rounds\": %zu, \"jobs\": %zu, "
-               "\"incremental_seconds\": %.6f, \"full_seconds\": %.6f, \"speedup\": %.2f},\n",
-               incremental_churn.rounds, incremental_churn.jobs,
-               incremental_churn.check_seconds, full_churn_seconds, warm_over_versions);
-  std::fprintf(out,
-               "    \"delta_cache\": {\"hits\": %llu, \"misses\": %llu, "
-               "\"invalidations\": %llu, \"rebases\": %llu, \"fallbacks\": %llu}\n  }\n}\n",
-               static_cast<unsigned long long>(delta_stats.hits),
-               static_cast<unsigned long long>(delta_stats.misses),
-               static_cast<unsigned long long>(delta_stats.invalidations),
-               static_cast<unsigned long long>(delta_stats.rebases),
-               static_cast<unsigned long long>(delta_stats.fallbacks));
+  std::fprintf(out, "    ]\n  }\n}\n");
   std::fclose(out);
   std::fprintf(stderr, "wrote %s\n", json_path);
   return 0;

@@ -43,11 +43,11 @@ constexpr const char* kUsage = R"(usage:
   jinjing gen   --size small|medium|large [--seed N]
   jinjing serve  --network FILE [--socket PATH] [--listen HOST:PORT --token SECRET]
                  [--queue-depth N] [--workers N] [--keep-versions N]
-                 [--retain-jobs N] [--max-delta-chain N] [--max-lease-ms N]
+                 [--retain-jobs N] [--max-lease-ms N]
   jinjing replica --network FILE --writer ENDPOINT [--token SECRET]
                  [--socket PATH] [--listen HOST:PORT] [--lease-ms N]
                  [--queue-depth N] [--workers N] [--keep-versions N]
-                 [--retain-jobs N] [--max-delta-chain N]
+                 [--retain-jobs N]
   jinjing client (--socket ENDPOINT | --writer ENDPOINT [--replica ENDPOINT]...)
                  METHOD [--token SECRET] [--program FILE] [--acl NAME=FILE]...
                  [--priority interactive|batch] [--deadline-ms N]
@@ -56,9 +56,8 @@ constexpr const char* kUsage = R"(usage:
   jinjing soak   [--size small|medium|large] [--seed N] [--events N]
                  [--sessions N] [--qps X] [--duration-s X] [--workers N]
                  [--queue-depth N] [--keep-versions N] [--retain-jobs N]
-                 [--max-delta-chain N] [--no-oracle]
-                 [--transport unix|tcp] [--report-json FILE] [--socket PATH]
-                 [--dump-stream]
+                 [--no-oracle] [--transport unix|tcp] [--report-json FILE]
+                 [--socket PATH] [--dump-stream]
 
 run      execute an LAI program (check / fix / generate) and print the plan
          --diff      also print the per-slot rule diff of the plan
@@ -92,10 +91,6 @@ serve    run the long-lived verification service on a Unix domain socket
          --listen HOST:PORT   also accept authenticated TCP connections
                               (port 0 binds an ephemeral port); requires
                               --token
-         --max-delta-chain N  how many applies a cached verification plan
-                              may be carried across before a full rebuild
-                              (default 16; 0 disables incremental
-                              cross-version verification)
 replica  run a read-only verifier replica: subscribes to the writer's
          replication stream, re-verifies every record's hash chain, and
          serves checks locally from its own warm caches; fix/generate and
@@ -167,7 +162,6 @@ struct Options {
   unsigned workers = 2;
   unsigned keep_versions = 8;
   unsigned retain_jobs = 1024;
-  unsigned max_delta_chain = 16;
   std::string client_method;
   std::string priority;
   std::optional<std::uint64_t> job_id;
@@ -355,9 +349,6 @@ Options parse_args(const std::vector<std::string>& args) {
       options.soak_no_oracle = true;
     } else if (arg == "--dump-stream") {
       options.soak_dump_stream = true;
-    } else if (arg == "--max-delta-chain") {
-      options.max_delta_chain =
-          static_cast<unsigned>(parse_unsigned("--max-delta-chain", value(), 0, 1u << 20));
     } else if (arg == "--priority") {
       const auto& priority = value();
       if (priority != "interactive" && priority != "batch") {
@@ -808,7 +799,6 @@ int soak_command(const Options& options, std::ostream& out) {
   // The retention flush submits exactly retain_jobs trivial checks, so the
   // soak default stays far below serve's 1024.
   soak_options.server.retain_jobs = options.retain_jobs_set ? options.retain_jobs : 64;
-  soak_options.server.max_delta_chain = options.max_delta_chain;
   // The engine knob (--threads) is deliberately not wired: the
   // soak's oracle runs default options, and the service must agree with it.
 
@@ -856,7 +846,6 @@ svc::ServerOptions server_options_for(const Options& options) {
   server_options.workers = options.workers;
   server_options.keep_versions = options.keep_versions;
   server_options.retain_jobs = options.retain_jobs;
-  server_options.max_delta_chain = options.max_delta_chain;
   return server_options;
 }
 

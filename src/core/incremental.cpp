@@ -26,7 +26,7 @@ IncrementalOutcome run_incremental_check(Checker& checker, const IncrementalLeas
   result.path_count = lease.bundle->paths.size();
   result.fec_count = plan.stats().fec_count;
   result.obligation_count = obligations.size();
-  result.plan_seconds = 0;  // served from the delta cache
+  result.plan_seconds = 0;  // served from the planner's lease
 
   const std::uint64_t queries_before = checker.smt().query_count();
   const double solve_before = checker.smt().solve_seconds();

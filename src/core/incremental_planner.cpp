@@ -273,16 +273,6 @@ void IncrementalPlanner::commit(std::uint64_t version, const topo::Scope& scope,
   }
 }
 
-void IncrementalPlanner::retire_version(std::uint64_t version) {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    auto& bucket = it->second;
-    std::erase_if(bucket, [version](const Entry& e) { return e.version == version; });
-    it = bucket.empty() ? entries_.erase(it) : std::next(it);
-  }
-  refresh_gauge_locked();
-}
-
 void IncrementalPlanner::evict_locked() {
   std::size_t live = 0;
   for (const auto& [key, bucket] : entries_) live += bucket.size();

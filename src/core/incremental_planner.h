@@ -1,9 +1,12 @@
-// Incremental cross-version verification state.
+// Incremental cross-version verification state — reproduction only.
 //
-// The serving workflow interleaves applies and checks: every apply mints a
-// new StateStore version, and without help every later check re-enumerates
-// paths, re-refines FECs and re-proves every obligation from scratch. Two
-// facts make carrying that state forward sound:
+// Built with the SMT baselines in jinjing_repro: it serves the delta-scoped
+// Z3 route (run_incremental_check, core/incremental.h), the service
+// benchmark's traced replay and tests. The live server does not use it: a
+// plan bundle is the same at every version, so the server keeps one bundle
+// per scope (svc::Server's plan cache) and re-scans each update in full.
+//
+// Two facts make carrying state across StateStore versions sound:
 //
 //  1. An apply only rebinds ACL slots (StateStore::apply_locked calls
 //     topo::Topology::bind_acl and nothing else), so edges and forwarding
@@ -30,19 +33,14 @@
 // behaved identically when the verdict was proven and inherit consistency;
 // only the touched sub-atoms get SMT queries. A violating sub-atom falls
 // back to the full-class query so the reported witness is bit-identical to
-// a from-scratch check. That Z3 route (run_incremental_check, declared in
-// core/incremental.h with the reproduction checker) serves the benchmark
-// replay and tests. The service uses the rebased plans only: every job
-// adopts its bundle, and its check re-scans the update (core/batch), whose
-// changed-region clip already confines the walk to what the update
-// rewrites.
+// a from-scratch check.
 //
 // The planner keys entries by a structural fingerprint of (scope devices,
 // entering cubes) plus the base version, guarded by exact comparisons so a
 // hash collision can never return the wrong plan. Entries whose rebase
-// chain exceeds max_delta_chain are dropped (the next job pays a full
-// rebuild — the rebase-budget fallback); entries for a retired version are
-// dropped by retire_version (the trimmed-base fallback).
+// chain exceeds max_delta_chain are dropped (the next acquire misses and
+// the caller pays a full rebuild); the oldest versions are evicted beyond
+// max_entries.
 #pragma once
 
 #include <cstdint>
@@ -134,10 +132,6 @@ class IncrementalPlanner {
   void commit(std::uint64_t version, const topo::Scope& scope,
               const net::PacketSet& entering, const topo::AclUpdate& update,
               const std::vector<bool>& clean);
-
-  /// Drops every entry based on `version` — wired to the StateStore release
-  /// hook so delta-cache entries die with their snapshot.
-  void retire_version(std::uint64_t version);
 
   [[nodiscard]] IncrementalStats stats() const;
 

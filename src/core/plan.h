@@ -85,8 +85,8 @@ class VerifyPlan {
 /// paths, their forwarding sets, and the obligation plan for one entering
 /// set. A Planner exports its state as a bundle (Planner::share_plan) and
 /// can adopt one instead of re-enumerating (PlanOptions::adopted_plan);
-/// core::IncrementalPlanner carries bundles across svc::StateStore versions
-/// — an ACL-only apply copies the topology but never changes edges or
+/// svc::Server keeps one bundle per scope across svc::StateStore versions —
+/// an ACL-only apply copies the topology but never changes edges or
 /// forwarding predicates, so paths and FEC refinements stay valid verbatim.
 struct PlanBundle {
   std::vector<topo::Path> paths;

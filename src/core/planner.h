@@ -4,10 +4,10 @@
 // paths and their forwarding sets once, refines the entering traffic into
 // equivalence classes through a shared topo::FecCache, and caches the
 // resulting core::VerifyPlan per entering set. The engine's check scan
-// (core/batch), the fixer, the generator's placement solver and the
-// service's batch path all read one planner per scope; the SMT
-// reproduction checker (core/checker) is a Planner with Algorithm 1's Z3
-// execution stage on top.
+// (core/batch), the fixer and the generator's placement solver all read
+// one planner per scope, and the service builds each scope's plan once;
+// the SMT reproduction checker (core/checker) is a Planner with Algorithm
+// 1's Z3 execution stage on top.
 #pragma once
 
 #include <memory>
@@ -45,8 +45,8 @@ struct PlanOptions {
   /// A complete planning bundle exported by an earlier planner over the
   /// same (topology structure, scope) — path enumeration is skipped and
   /// plan() for the bundle's entering set is a lookup. The caller owns the
-  /// structural-compatibility guarantee (core::IncrementalPlanner keys
-  /// bundles so only structurally identical problems match).
+  /// structural-compatibility guarantee (svc::Server's plan cache keys
+  /// bundles by scope over versions that share edges and forwarding).
   std::shared_ptr<const PlanBundle> adopted_plan;
 };
 

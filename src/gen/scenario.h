@@ -47,7 +47,7 @@ struct ControlOpenScenario {
 /// submitted job); Malformed must be rejected at submission.
 enum class ChurnEventKind : std::uint8_t {
   PureCheck,     // whole-network check of the pinned head
-  PendingCheck,  // modify(perturbation) + check — the delta-cache shape
+  PendingCheck,  // modify(perturbation) + check
   CheckFix,      // perturbation check + fix (batch priority, full engine)
   Apply,         // consistency-preserving rebind; deploy the plan on success
   ControlOpen,   // control ... open burst + generate

@@ -38,7 +38,7 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "delta_cache_misses",        "delta_cache_invalidations", "delta_cache_rebases",
     "svc_leases_granted",        "svc_leases_renewed",        "svc_leases_released",
     "svc_leases_expired",        "svc_repl_records_streamed", "fec_delta_splits",
-    "fec_delta_reused_atoms",    "fec_delta_rebuilds",
+    "fec_delta_reused_atoms",
 };
 
 constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
@@ -52,7 +52,6 @@ constexpr std::array<std::string_view, kHistogramCount> kHistogramNames = {
     "executor_tasks_per_run",
     "svc_queue_wait_micros",
     "svc_job_run_micros",
-    "fec_delta_chain_len",
 };
 
 constexpr std::array<std::string_view, kSpanCount> kSpanNames = {

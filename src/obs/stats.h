@@ -37,8 +37,8 @@ enum class Counter : std::size_t {
   SvcJobsDone,          // jobs that ran to completion (success or not)
   SvcJobsFailed,        // jobs that terminated with an error (incl. deadline)
   SvcApplies,           // state-store head advances via the apply method
-  DeltaCacheHits,       // incremental-planner lookups served from a cached entry
-  DeltaCacheMisses,     // incremental-planner lookups that required a full rebuild
+  DeltaCacheHits,       // plan-cache lookups served from a cached bundle
+  DeltaCacheMisses,     // plan-cache lookups that built the bundle
   DeltaCacheInvalidations, // cached obligation verdicts cleared by an apply delta
   DeltaCacheRebases,    // cached plan entries carried across a version bump
   SvcLeasesGranted,     // snapshot leases acquired (lease verb)
@@ -48,13 +48,12 @@ enum class Counter : std::size_t {
   SvcReplRecordsStreamed, // replication records written to subscribers
   FecDeltaSplits,       // partition atoms re-split by delta FEC refinement
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
-  FecDeltaRebuilds,     // delta refinements abandoned for a from-scratch rebuild
 };
-inline constexpr std::size_t kCounterCount = 35;
+inline constexpr std::size_t kCounterCount = 34;
 
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
-  SvcCachedObligations,  // peak obligations held by the incremental planner
+  SvcCachedObligations,  // peak obligations held by a plan cache
   PlacementNodes,        // peak branch-and-bound nodes of one placement solve
 };
 inline constexpr std::size_t kGaugeCount = 2;
@@ -67,9 +66,8 @@ enum class Histogram : std::size_t {
   ExecutorTasksPerRun,  // tasks handed to the executor per run
   SvcQueueWaitMicros,   // job wait time from submission to execution start
   SvcJobRunMicros,      // job execution wall time
-  FecDeltaChainLen,     // lineage hops walked to resolve a partition by delta
 };
-inline constexpr std::size_t kHistogramCount = 6;
+inline constexpr std::size_t kHistogramCount = 5;
 inline constexpr std::size_t kHistogramBuckets = 40;
 
 // Trace span names; every value maps to a "name" in the Chrome trace export.

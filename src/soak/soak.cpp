@@ -563,8 +563,6 @@ void write_report_json(std::ostream& out, const SoakOptions& options,
     config.emplace("workers", static_cast<std::uint64_t>(options.server.workers));
     config.emplace("keep_versions", static_cast<std::uint64_t>(options.server.keep_versions));
     config.emplace("retain_jobs", static_cast<std::uint64_t>(options.server.retain_jobs));
-    config.emplace("max_delta_chain",
-                   static_cast<std::uint64_t>(options.server.max_delta_chain));
     config.emplace("oracle", options.oracle);
     config.emplace("transport", options.tcp ? "tcp" : "unix");
     doc.emplace("config", svc::Json{std::move(config)});

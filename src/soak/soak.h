@@ -8,13 +8,13 @@
 //  * Differential oracle — every job that reaches Done is re-run on a
 //    fresh single-threaded core::Engine against its pinned snapshot; the
 //    verdict and the formatted plan must match bit for bit. Jobs running
-//    side by side on the workers, shared plan bundles, delta-cache rebases
-//    and concurrent applies are never allowed to change a client-visible
+//    side by side on the workers, plan bundles shared across versions and
+//    concurrent applies are never allowed to change a client-visible
 //    answer.
 //  * Metric-leak watchdogs — `metrics` snapshots are diffed across epochs:
 //    tracked jobs must respect the retention bound, and after a retention
 //    flush the live-snapshot count, version index, FEC-cache entries and
-//    delta-cache entries must all fall back to baseline-shaped bounds. A
+//    cached plans must all fall back to baseline-shaped bounds. A
 //    leak-proxy sum that only ever grows across every epoch fails the run.
 //
 // The stream is replayable: the same (wan params, stream params) produce

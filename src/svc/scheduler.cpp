@@ -72,7 +72,7 @@ Scheduler::Admission Scheduler::submit(JobSpec spec, SnapshotPtr snapshot) {
 
 JobPtr Scheduler::next() {
   // Declared before the lock so the evicted JobPtrs (and any snapshot
-  // release hooks their destruction triggers) run after unlocking.
+  // their destruction frees) are destroyed after unlocking.
   std::vector<JobPtr> evicted;
   std::unique_lock<std::mutex> lock{mutex_};
   while (true) {
@@ -150,9 +150,8 @@ void Scheduler::finish_locked(Job& job, JobState state, JobOutcome outcome,
   // ever produced. Waiters blocked in wait() hold their own JobPtr, so
   // eviction never invalidates an in-flight result read. The evicted
   // pointers are handed to the caller, not destroyed here: dropping the
-  // last reference releases the job's snapshot pin, and the store's
-  // release hooks (cache eviction, planner retirement) must not run under
-  // the scheduler mutex.
+  // last reference releases the job's snapshot pin, and freeing a
+  // snapshot's topology need not hold the scheduler mutex.
   terminal_order_.push_back(job.id_);
   while (terminal_order_.size() > retain_terminal_) {
     const auto it = jobs_.find(terminal_order_.front());

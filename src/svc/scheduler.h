@@ -223,9 +223,8 @@ class Scheduler {
   [[nodiscard]] std::deque<JobPtr>* head_queue_locked();
   /// Retention eviction appends the dropped JobPtrs to `evicted` instead of
   /// destroying them: releasing a job may drop the last pin on its snapshot
-  /// and fire the store's release hooks (FEC-cache / delta-cache eviction),
-  /// which must not run under the scheduler mutex. Callers destroy
-  /// `evicted` after unlocking.
+  /// and free its topology, which need not hold the scheduler mutex.
+  /// Callers destroy `evicted` after unlocking.
   void finish_locked(Job& job, JobState state, JobOutcome outcome,
                      std::vector<JobPtr>& evicted);
   void start_locked(Job& job);

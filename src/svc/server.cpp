@@ -108,6 +108,13 @@ Json outcome_json(const topo::Topology& topo, JobState state, const JobOutcome& 
   return Json{std::move(obj)};
 }
 
+/// The plan cache's key: the scope's devices, sorted.
+std::vector<topo::DeviceId> scope_key(const topo::Scope& scope) {
+  std::vector<topo::DeviceId> devices(scope.devices().begin(), scope.devices().end());
+  std::sort(devices.begin(), devices.end());
+  return devices;
+}
+
 /// The job's cancellation and deadline probes, as the engine polls them.
 core::StopProbes stop_probes(const Job& job) {
   core::StopProbes probes;
@@ -145,41 +152,14 @@ Server::Server(config::NetworkFile network, ServerOptions options)
       scheduler_(options_.queue_depth, options_.retain_jobs) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.keep_versions == 0) options_.keep_versions = 1;
-  fec_cache_ = std::make_shared<topo::FecCache>();
-  if (options_.max_delta_chain > 0) {
-    core::IncrementalOptions inc;
-    inc.max_delta_chain = options_.max_delta_chain;
-    incremental_ = std::make_shared<core::IncrementalPlanner>(inc);
-  }
-  // FEC cache entries for a retired version are evicted when its *last*
-  // pin is released — a job still running against a trimmed snapshot keeps
-  // inserting entries keyed by that topology, so trim-time eviction alone
-  // would leave dead keys behind (and alias a recycled allocation if the
-  // topology were ever freed). The hook captures the cache shared_ptr, so
-  // eviction stays safe whenever the release happens. The incremental
-  // planner's delta-cache entries for the version die at the same point.
-  store_.set_release_hook([cache = fec_cache_,
-                           planner = incremental_](const Snapshot& snapshot) {
-    cache->evict(snapshot.topo.get());
-    if (planner) planner->retire_version(snapshot.version);
-  });
-  // Every apply feeds the delta straight to the planner (no re-diffing)
-  // and records one lineage link in the FEC cache — an ACL-only apply
-  // preserves every forwarding predicate, so the old version's partitions
-  // are valid verbatim and the first lookup that misses on the new topology
-  // stitches them through (bounded by the delta-chain budget). The same
-  // hook appends the canonical replication record: under the store lock the
-  // apply stream is totally ordered, which is exactly the single-writer
-  // guarantee the hash chain encodes. Because the record is produced by the
-  // hook, a replica applying a subscribed stream re-emits identical records
-  // — chained (replica-of-replica) subscriptions work unchanged.
-  store_.set_apply_hook([this, cache = fec_cache_, planner = incremental_](
-                            const Snapshot& previous, const Snapshot& next,
-                            const topo::AclUpdate& update) {
-    if (planner) {
-      cache->record_delta(previous.topo.get(), next.topo.get(), options_.max_delta_chain);
-      planner->record_apply(previous.version, next.version, *previous.topo, update);
-    }
+  // The apply hook appends the canonical replication record: under the
+  // store lock the apply stream is totally ordered, which is exactly the
+  // single-writer guarantee the hash chain encodes. Because the record is
+  // produced by the hook, a replica applying a subscribed stream re-emits
+  // identical records — chained (replica-of-replica) subscriptions work
+  // unchanged.
+  store_.set_apply_hook([this](const Snapshot& previous, const Snapshot& next,
+                               const topo::AclUpdate& update) {
     const Json encoded = encode_update(*previous.topo, update);
     repl_hash_ = chain_hash(repl_hash_, next.version, encoded);
     Json::Object record;
@@ -210,14 +190,10 @@ void Server::prewarm() {
   try {
     const SnapshotPtr head = store_.head();
     if (!head) return;
-    // The whole-network plan over the head traffic is what the first
-    // post-start checks (and the replica's differential oracle) ask for;
-    // deriving it here fills the shared FEC cache and seeds the planner so
-    // those jobs start warm instead of paying refinement serially.
+    // The whole-network plan is what the first post-start checks (and the
+    // replica's differential oracle) ask for.
     const topo::Scope scope = topo::Scope::whole_network(*head->topo);
-    core::Planner planner{*head->topo, scope, job_plan_options()};
-    auto bundle = planner.share_plan(head->traffic);
-    if (incremental_) incremental_->install(head->version, scope, std::move(bundle));
+    cache_plan(scope, core::Planner{*head->topo, scope}.share_plan(head->traffic));
   } catch (const std::exception&) {
     // Best-effort: a failed pre-warm only means the first jobs derive cold.
   }
@@ -382,7 +358,7 @@ Version Server::repl_head() const {
 }
 
 void Server::sweep_tick() {
-  // Expired leases drop their pins here (release hooks fire once the last
+  // Expired leases drop their pins here (a snapshot is freed once its last
   // pin goes), and the follow-up trim collects any version only a lapsed
   // lease was holding — without waiting for the next apply.
   if (store_.sweep_leases() > 0) {
@@ -805,10 +781,9 @@ Json Server::handle_apply(const Json& params) {
   }
   obs::count(obs::Counter::SvcApplies);
 
-  // Retire old versions. Their FEC cache entries are evicted by the
-  // store's release hook once the last job pinning them finishes, so a
-  // recycled Topology allocation can never alias a stale cache key. Leased
-  // versions survive the trim, so the replication log keeps covering them.
+  // Retire old versions; a job still pinning one finishes against it.
+  // Leased versions survive the trim, so the replication log keeps
+  // covering them.
   const auto dropped = store_.trim(options_.keep_versions);
   trim_repl_log();
 
@@ -928,27 +903,14 @@ Json Server::handle_info() {
   obj.emplace("repl_head", repl_head());
   obj.emplace("subscribers", static_cast<std::uint64_t>(subscriber_count()));
   obj.emplace("leases", static_cast<std::uint64_t>(store_.lease_count()));
-  obj.emplace("incremental", incremental_ != nullptr);
-  if (incremental_) {
-    const core::IncrementalStats stats = incremental_->stats();
-    Json::Object inc;
-    inc.emplace("max_delta_chain", static_cast<std::uint64_t>(options_.max_delta_chain));
-    inc.emplace("hits", stats.hits);
-    inc.emplace("misses", stats.misses);
-    inc.emplace("invalidations", stats.invalidations);
-    inc.emplace("rebases", stats.rebases);
-    inc.emplace("fallbacks", stats.fallbacks);
-    inc.emplace("cached_plans", static_cast<std::uint64_t>(stats.cached_plans));
-    inc.emplace("cached_obligations", static_cast<std::uint64_t>(stats.cached_obligations));
-    obj.emplace("delta_cache", Json{std::move(inc)});
-  }
   {
-    Json::Object fd;
-    fd.emplace("splits", registry_.total(obs::Counter::FecDeltaSplits));
-    fd.emplace("reused_atoms", registry_.total(obs::Counter::FecDeltaReusedAtoms));
-    fd.emplace("rebuilds", registry_.total(obs::Counter::FecDeltaRebuilds));
-    fd.emplace("lineage", static_cast<std::uint64_t>(fec_cache_->lineage_entries()));
-    obj.emplace("fec_delta", Json{std::move(fd)});
+    const std::lock_guard<std::mutex> lock{plans_mutex_};
+    Json::Object plans;
+    plans.emplace("plans", static_cast<std::uint64_t>(plans_.size()));
+    plans.emplace("obligations", plan_obligations_);
+    plans.emplace("hits", plan_hits_);
+    plans.emplace("misses", plan_misses_);
+    obj.emplace("plan_cache", Json{std::move(plans)});
   }
   return Json{std::move(obj)};
 }
@@ -964,9 +926,10 @@ Json Server::handle_metrics() {
       << "# TYPE jinjing_svc_head_version gauge\n"
       << "jinjing_svc_head_version " << store_.head_version() << "\n"
       // The leak watchdogs: tracked jobs are bounded by retention +
-      // queue, live snapshots by the version index + job pins, and FEC
-      // entries by the live snapshots — a soak diffing two metrics
-      // snapshots can catch retention/eviction leaks from these alone.
+      // queue, live snapshots by the version index + job pins, cached
+      // plans by the scopes served, and FEC entries stay 0 (plans are
+      // built on private caches) — a soak diffing two metrics snapshots
+      // can catch retention/eviction leaks from these alone.
       << "# TYPE jinjing_svc_versions gauge\n"
       << "jinjing_svc_versions " << store_.version_count() << "\n"
       << "# TYPE jinjing_svc_live_snapshots gauge\n"
@@ -975,53 +938,73 @@ Json Server::handle_metrics() {
       << "jinjing_svc_tracked_jobs " << scheduler_.tracked_count() << "\n"
       << "# TYPE jinjing_svc_fec_entries gauge\n"
       << "jinjing_svc_fec_entries " << fec_cache_->live_entries() << "\n"
-      << "# TYPE jinjing_svc_fec_lineage gauge\n"
-      << "jinjing_svc_fec_lineage " << fec_cache_->lineage_entries() << "\n"
       << "# TYPE jinjing_svc_leases gauge\n"
       << "jinjing_svc_leases " << store_.lease_count() << "\n"
       << "# TYPE jinjing_svc_subscribers gauge\n"
       << "jinjing_svc_subscribers " << subscriber_count() << "\n"
       << "# TYPE jinjing_svc_repl_head gauge\n"
       << "jinjing_svc_repl_head " << repl_head() << "\n";
-  if (options_.extra_metrics) options_.extra_metrics(out);
-  if (incremental_) {
-    const core::IncrementalStats stats = incremental_->stats();
+  {
+    const std::lock_guard<std::mutex> lock{plans_mutex_};
     out << "# TYPE jinjing_svc_cached_plans gauge\n"
-        << "jinjing_svc_cached_plans " << stats.cached_plans << "\n"
+        << "jinjing_svc_cached_plans " << plans_.size() << "\n"
         << "# TYPE jinjing_svc_cached_obligations_live gauge\n"
-        << "jinjing_svc_cached_obligations_live " << stats.cached_obligations << "\n";
+        << "jinjing_svc_cached_obligations_live " << plan_obligations_ << "\n";
   }
+  if (options_.extra_metrics) options_.extra_metrics(out);
   Json::Object obj;
   obj.emplace("prometheus", out.str());
   return Json{std::move(obj)};
 }
 
-core::PlanOptions Server::job_plan_options() const {
-  // The workers are the parallelism; each per-job engine stays
-  // single-threaded.
-  core::PlanOptions plan;
-  plan.threads = 1;
-  plan.fec_cache = fec_cache_;
-  return plan;
+std::shared_ptr<const core::PlanBundle> Server::cached_plan(const topo::Scope& scope) {
+  const auto key = scope_key(scope);
+  const std::lock_guard<std::mutex> lock{plans_mutex_};
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) return nullptr;
+  it->second.stamp = ++plan_stamp_;
+  ++plan_hits_;
+  obs::count(obs::Counter::DeltaCacheHits);
+  return it->second.bundle;
+}
+
+void Server::cache_plan(const topo::Scope& scope,
+                        std::shared_ptr<const core::PlanBundle> bundle) {
+  auto key = scope_key(scope);
+  const std::lock_guard<std::mutex> lock{plans_mutex_};
+  const std::size_t obligations = bundle->plan.size();
+  if (!plans_.try_emplace(std::move(key), CachedPlan{std::move(bundle), ++plan_stamp_}).second) {
+    return;
+  }
+  plan_obligations_ += obligations;
+  if (plans_.size() > kMaxPlans) {
+    const auto oldest =
+        std::min_element(plans_.begin(), plans_.end(), [](const auto& a, const auto& b) {
+          return a.second.stamp < b.second.stamp;
+        });
+    plan_obligations_ -= oldest->second.bundle->plan.size();
+    plans_.erase(oldest);
+  }
+  obs::gauge_max(obs::Gauge::SvcCachedObligations, plan_obligations_);
 }
 
 std::shared_ptr<const core::PlanBundle> Server::plan_for(const Job& job,
                                                          const lai::UpdateTask& task) {
-  if (!incremental_) return nullptr;
-  const SnapshotPtr& snapshot = job.snapshot();
-  const auto lease = [&] {
-    return incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify)
-        .bundle;
-  };
-  if (auto bundle = lease()) return bundle;
-  // A miss builds under the lock and re-leases first, so jobs racing on a
-  // cold (version, scope, traffic) wait for one build instead of each
-  // repeating it.
+  if (auto bundle = cached_plan(task.scope)) return bundle;
+  // A miss builds under the lock and looks again first, so jobs racing on a
+  // cold scope wait for one build instead of each repeating it.
   const std::lock_guard<std::mutex> lock{plan_mutex_};
-  if (auto bundle = lease()) return bundle;
-  core::Planner planner{*snapshot->topo, task.scope, job_plan_options()};
-  auto bundle = planner.share_plan(snapshot->traffic);
-  incremental_->install(snapshot->version, task.scope, bundle);
+  if (auto bundle = cached_plan(task.scope)) return bundle;
+  {
+    const std::lock_guard<std::mutex> count_lock{plans_mutex_};
+    ++plan_misses_;
+    obs::count(obs::Counter::DeltaCacheMisses);
+  }
+  // A private FEC cache: the classes live on in the bundle, so nothing the
+  // server keeps is keyed by this snapshot's topology.
+  const SnapshotPtr& snapshot = job.snapshot();
+  auto bundle = core::Planner{*snapshot->topo, task.scope}.share_plan(snapshot->traffic);
+  cache_plan(task.scope, bundle);
   return bundle;
 }
 
@@ -1044,16 +1027,15 @@ void Server::execute_job(const JobPtr& job) {
 
     core::EngineReport report;
     report.final_update = task.modify;
-    // One fresh engine per job, over the server-wide FEC cache. The cache
-    // is what makes the service warm — equivalence classes derived for a
-    // snapshot by any worker are reused by every later job on that
-    // snapshot. Answers are reproducible because every engine stage is
-    // deterministic, placement ties included.
+    // One fresh single-threaded engine per job (the workers are the
+    // parallelism). Its planner adopts the scope's cached bundle and skips
+    // path enumeration and planning; a bundle holds paths and FECs only,
+    // so neither the update nor control intents change it. The server-wide
+    // FEC cache carries the AEC overlay memo from job to job. Answers are
+    // reproducible because every engine stage is deterministic, placement
+    // ties included.
     core::EngineOptions engine_options;
-    engine_options.plan = job_plan_options();
-    // The engine's planner adopts the shared bundle for (version, scope,
-    // traffic) and skips path enumeration and planning. A bundle holds
-    // paths and FECs only, so control intents do not change it.
+    engine_options.plan.fec_cache = fec_cache_;
     engine_options.plan.adopted_plan = plan_for(*job, task);
     core::Engine engine{*snapshot->topo, engine_options};
     // Cancellation and the deadline are cooperative: every command polls

@@ -1,15 +1,19 @@
 // The long-running verification service.
 //
-// One process keeps the expensive state warm across requests — a
-// topo::FecCache shared by every engine and the incremental planner's
-// cross-version plan cache — and serves a stream of check/fix/generate
-// programs over a Unix domain socket. Execution is `workers` worker
-// threads, each pulling the next job off the scheduler and running it on
-// one single-threaded core::Engine; so at most `workers` jobs run at once,
-// whatever their commands. Every job adopts its plan bundle from the
-// incremental planner (Server::plan_for), so a (version, scope, traffic)
-// plan is built once however many jobs ask for it; see docs/INTERNALS.md
-// "Execution".
+// One process keeps the expensive state warm across requests — one plan
+// bundle per scope and the AEC overlay memo shared by every engine — and
+// serves a stream of check/fix/generate programs over a Unix domain socket.
+// Execution is `workers` worker threads, each pulling the next job off the
+// scheduler and running it on one single-threaded core::Engine; so at most
+// `workers` jobs run at once, whatever their commands.
+//
+// Every job adopts its plan bundle from the plan cache (Server::plan_for).
+// A bundle is paths, forwarding sets and FECs, which depend on forwarding
+// predicates and entering traffic only (paper §4.1); an apply rebinds ACL
+// slots and copies the traffic, so a scope's bundle is the same at every
+// version and the cache is keyed by the scope alone. A scope's plan is
+// built once for the life of the server; see docs/INTERNALS.md
+// "Execution" and "Plan cache".
 //
 // A finished job keeps a JobOutcome: its command verdicts and one shared
 // copy of its final update, which `status`/`result` render as plan text
@@ -45,6 +49,7 @@
 #include <functional>
 #include <iosfwd>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,7 +57,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/incremental_planner.h"
 #include "obs/stats.h"
 #include "svc/json.h"
 #include "svc/scheduler.h"
@@ -95,19 +99,13 @@ struct ServerOptions {
   unsigned workers = 2;
   /// Snapshot versions kept resolvable after apply advances the head
   /// (older ones are trimmed; jobs already holding a trimmed snapshot
-  /// still finish against it, and its FEC cache entries are evicted once
-  /// the last pin is released).
+  /// still finish against it, and it is freed once the last pin goes).
   std::size_t keep_versions = 8;
   /// Finished jobs kept queryable via status/result; the oldest-finished
   /// beyond this are evicted (404), releasing their snapshot and outcome.
   /// A retained outcome is the command verdicts plus one copy of the final
   /// update; the plan text is rendered per request, not stored.
   std::size_t retain_jobs = 1024;
-  /// Rebase budget for the incremental planner: how many applies a cached
-  /// verification plan may be carried across before the next job rebuilds
-  /// it from scratch. 0 disables incremental cross-version verification
-  /// (every job's engine plans on its own).
-  std::size_t max_delta_chain = 16;
 };
 
 class Server {
@@ -122,11 +120,11 @@ class Server {
   /// ServerError when the socket cannot be created.
   void start();
 
-  /// Pre-warms the shared FEC cache and the incremental planner from the
-  /// head snapshot (whole-network scope, head traffic) so the first checks
-  /// after startup — or after a replica divergence rebuild — do not pay
-  /// full path enumeration and refinement serially under live traffic.
-  /// Best-effort: derivation failures are swallowed. Call before start().
+  /// Seeds the plan cache with the whole-network scope's bundle so the
+  /// first checks after startup — or after a replica divergence rebuild —
+  /// do not pay full path enumeration and refinement serially under live
+  /// traffic. Best-effort: derivation failures are swallowed. Call before
+  /// start().
   void prewarm();
 
   /// Blocks until a graceful shutdown has completed (shutdown method or
@@ -164,10 +162,6 @@ class Server {
   [[nodiscard]] StateStore& store() { return store_; }
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] const obs::StatsRegistry& registry() const { return registry_; }
-  /// The incremental planner, or nullptr when max_delta_chain is 0.
-  [[nodiscard]] const core::IncrementalPlanner* incremental() const {
-    return incremental_.get();
-  }
 
  private:
   /// Set by the subscribe handler: after the response line is written the
@@ -208,17 +202,17 @@ class Server {
   /// Runs one job to a terminal state on a fresh single-threaded engine.
   void execute_job(const JobPtr& job);
 
-  /// The plan bundle for the job's (version, scope, traffic), leased from
-  /// the incremental planner; a miss builds it under plan_mutex_ and
-  /// installs it, so racing misses wait for that one build. nullptr when
-  /// the planner is disabled (the job's engine then plans on its own).
+  /// The plan bundle for the job's scope over its snapshot's traffic. A
+  /// miss builds it under plan_mutex_ and caches it, so racing misses wait
+  /// for that one build.
   [[nodiscard]] std::shared_ptr<const core::PlanBundle> plan_for(const Job& job,
                                                                  const lai::UpdateTask& task);
 
-  /// The one place per-job planning configuration lives: single-threaded
-  /// (the workers are the parallelism) over the server-wide FEC cache.
-  /// Shared by the job engines and plan_for's builds.
-  [[nodiscard]] core::PlanOptions job_plan_options() const;
+  /// The scope's cached bundle (counted as a hit), or nullptr.
+  [[nodiscard]] std::shared_ptr<const core::PlanBundle> cached_plan(const topo::Scope& scope);
+  /// Caches a scope's bundle (no-op when it already has one), evicting the
+  /// least recently used beyond kMaxPlans.
+  void cache_plan(const topo::Scope& scope, std::shared_ptr<const core::PlanBundle> bundle);
 
   ServerOptions options_;
   // Replication log: one pre-serialized record per applied version,
@@ -239,11 +233,25 @@ class Server {
   std::string bound_endpoint_;
   StateStore store_;
   Scheduler scheduler_;
-  std::shared_ptr<topo::FecCache> fec_cache_;
-  std::shared_ptr<core::IncrementalPlanner> incremental_;
+  // Shared by every job engine for the AEC overlay memo only: plans are
+  // built on private caches, so no entry here is keyed by a topology.
+  std::shared_ptr<topo::FecCache> fec_cache_ = std::make_shared<topo::FecCache>();
   obs::StatsRegistry registry_;
   std::optional<obs::ScopedRegistry> installed_;
-  std::mutex plan_mutex_;  // serializes plan_for's cold builds
+
+  // The plan cache: a scope's sorted devices -> its bundle, LRU-bounded.
+  struct CachedPlan {
+    std::shared_ptr<const core::PlanBundle> bundle;
+    std::uint64_t stamp = 0;  // last use
+  };
+  static constexpr std::size_t kMaxPlans = 64;
+  std::mutex plan_mutex_;         // serializes plan_for's cold builds
+  mutable std::mutex plans_mutex_;  // guards plans_ and the counters below
+  std::map<std::vector<topo::DeviceId>, CachedPlan> plans_;
+  std::uint64_t plan_stamp_ = 0;
+  std::uint64_t plan_obligations_ = 0;  // across plans_
+  std::uint64_t plan_hits_ = 0;
+  std::uint64_t plan_misses_ = 0;
 
   int listen_fd_ = -1;      // Unix socket, -1 when socket_path is empty
   int tcp_listen_fd_ = -1;  // TCP listener, -1 when listen_address is empty

@@ -17,15 +17,6 @@ StateStore::StateStore(config::NetworkFile network) {
   versions_.emplace(head_, wrap(std::move(snapshot)));
 }
 
-void StateStore::set_release_hook(SnapshotReleaseHook hook) {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  if (applied_) {
-    throw std::logic_error(
-        "StateStore::set_release_hook: hooks must be installed before the first apply");
-  }
-  *release_hook_ = std::move(hook);
-}
-
 void StateStore::set_apply_hook(SnapshotApplyHook hook) {
   const std::lock_guard<std::mutex> lock{mutex_};
   if (applied_) {
@@ -37,14 +28,10 @@ void StateStore::set_apply_hook(SnapshotApplyHook hook) {
 
 SnapshotPtr StateStore::wrap(std::unique_ptr<Snapshot> snapshot) const {
   live_count_->fetch_add(1, std::memory_order_relaxed);
-  // The deleter reads the hook cell at release time (not capture time), so
-  // a hook installed after construction still covers the initial snapshot.
-  return SnapshotPtr(snapshot.release(),
-                     [hook = release_hook_, live = live_count_](const Snapshot* s) {
-                       if (*hook) (*hook)(*s);
-                       live->fetch_sub(1, std::memory_order_relaxed);
-                       delete s;
-                     });
+  return SnapshotPtr(snapshot.release(), [live = live_count_](const Snapshot* s) {
+    live->fetch_sub(1, std::memory_order_relaxed);
+    delete s;
+  });
 }
 
 SnapshotPtr StateStore::head() const {

@@ -11,8 +11,8 @@
 //
 // Snapshots are handed out as shared_ptr<const Snapshot>, so a trimmed
 // version stays alive for exactly as long as some job still runs against
-// it. trim() returns the dropped snapshots so the caller can evict
-// per-topology caches (topo::FecCache keys on topology identity).
+// it. Nothing outside the store is keyed by a snapshot's topology, so a
+// release needs no callback.
 #pragma once
 
 #include <atomic>
@@ -41,18 +41,10 @@ struct Snapshot {
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-/// Called as the last reference to a snapshot is released — i.e. once no
-/// version index entry and no job pins it — while its topology is still
-/// alive. The hook is where per-topology caches evict their entries: at
-/// that point nothing can re-insert under the retired topology, and the
-/// allocation has not yet been recycled, so eviction is race-free.
-using SnapshotReleaseHook = std::function<void(const Snapshot&)>;
-
 /// Called under the store lock after every successful apply, with the
 /// previous head, the new head, and the exact update that produced it —
-/// the delta consumers (the incremental planner, FEC-cache sharing) get
-/// the diff for free instead of re-deriving it from two topologies. The
-/// hook must not call back into the store.
+/// the server's replication log records the delta without re-deriving it
+/// from two topologies. The hook must not call back into the store.
 using SnapshotApplyHook = std::function<void(const Snapshot& previous, const Snapshot& next,
                                              const topo::AclUpdate& update)>;
 
@@ -61,15 +53,9 @@ class StateStore {
   /// Loads the initial network as version 1.
   explicit StateStore(config::NetworkFile network);
 
-  /// Installs the release hook. Must be called before the first apply:
-  /// once versions beyond the initial snapshot exist, snapshots are
-  /// circulating to other threads and swapping the hook under them would
-  /// race with releases — a late install throws std::logic_error. The hook
-  /// applies to every snapshot, including the initial one.
-  void set_release_hook(SnapshotReleaseHook hook);
-
-  /// Installs the apply hook, under the same install-before-first-apply
-  /// rule as set_release_hook.
+  /// Installs the apply hook. Must be called before the first apply, so
+  /// the hook sees every delta from version 1 on — a late install throws
+  /// std::logic_error.
   void set_apply_hook(SnapshotApplyHook hook);
 
   [[nodiscard]] SnapshotPtr head() const;
@@ -95,16 +81,15 @@ class StateStore {
   /// pinned by running jobs stay alive through their shared_ptr). Versions
   /// held by an unexpired lease are kept resolvable regardless of the
   /// budget — expired leases are swept first, so a lapsed holder never
-  /// blocks collection. Returns the dropped snapshots; each one's release
-  /// hook fires when its last pin goes away.
+  /// blocks collection. Returns the dropped snapshots; each one is freed
+  /// when its last pin goes away.
   std::vector<SnapshotPtr> trim(std::size_t keep);
 
   /// Explicit snapshot pins with a deadline. A lease keeps `version`
   /// resolvable (and its snapshot alive) until it is released or its
   /// `lease_ms` window lapses without a renew — at which point the pin
-  /// drops and, if it was the last one, the release hook fires (FEC-cache
-  /// eviction, planner retirement). Returns nullopt when the version is
-  /// unknown or already trimmed.
+  /// drops and, if it was the last one, the snapshot is freed. Returns
+  /// nullopt when the version is unknown or already trimmed.
   std::optional<std::uint64_t> acquire_lease(Version version, std::uint64_t lease_ms);
 
   /// Refreshes the deadline; when `version` is given, re-pins the lease to
@@ -144,15 +129,12 @@ class StateStore {
   [[nodiscard]] SnapshotPtr wrap(std::unique_ptr<Snapshot> snapshot) const;
   SnapshotPtr apply_locked(const topo::AclUpdate& update);
   /// Moves expired leases' pins into `expired` (destroyed by the caller
-  /// after the lock drops, so release hooks never run under the store
+  /// after the lock drops, so freeing a topology never holds the store
   /// mutex). Requires mutex_ held.
   void sweep_leases_locked(std::vector<SnapshotPtr>& expired);
 
-  // Shared with every snapshot's deleter so the hook outlives the store
+  // Shared with every snapshot's deleter so the count outlives the store
   // (a pinned snapshot can be released after the store is gone).
-  std::shared_ptr<SnapshotReleaseHook> release_hook_ =
-      std::make_shared<SnapshotReleaseHook>();
-  // Shared with the deleters for the same lifetime reason.
   std::shared_ptr<std::atomic<std::size_t>> live_count_ =
       std::make_shared<std::atomic<std::size_t>>(0);
   SnapshotApplyHook apply_hook_;

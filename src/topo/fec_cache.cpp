@@ -51,49 +51,12 @@ std::uint64_t fingerprint(const Topology& topo, const Scope& scope,
   return h;
 }
 
-std::size_t entry_atom_count(const std::vector<EntryClasses>& entry) {
-  std::size_t total = 0;
-  for (const auto& e : entry) total += e.classes.size();
-  return total;
-}
-
 }  // namespace
 
 FecCache::Slot* FecCache::find_slot(std::uint64_t key, const Topology& topo,
                                     const net::PacketSet& entering) {
   for (auto& slot : slots_[key]) {
     if (slot.topo == &topo && slot.entering_cubes == entering.cubes()) return &slot;
-  }
-  return nullptr;
-}
-
-FecCache::Slot* FecCache::stitch_from_lineage_locked(std::uint64_t key, const Topology& topo,
-                                                     const net::PacketSet& entering,
-                                                     bool want_entry) {
-  const Topology* cursor = &topo;
-  for (std::size_t hops = 1; hops <= max_chain_; ++hops) {
-    const auto link = lineage_.find(cursor);
-    if (link == lineage_.end()) return nullptr;
-    cursor = link->second;
-    // Ancestors may be retired: pointer comparison only, never dereference.
-    for (const auto& slot : slots_[key]) {
-      if (slot.topo != cursor || slot.entering_cubes != entering.cubes()) continue;
-      if (want_entry ? slot.entry == nullptr : slot.global == nullptr) continue;
-      // Copy the payload out before pushing: push_back invalidates `slot`.
-      Slot stitched{&topo, slot.entering_cubes, slot.entry, slot.global};
-      const std::size_t atoms = want_entry ? entry_atom_count(*stitched.entry)
-                                           : stitched.global->size();
-      auto& bucket = slots_[key];
-      bucket.push_back(std::move(stitched));
-      obs::count(obs::Counter::FecDeltaReusedAtoms, atoms);
-      obs::observe(obs::Histogram::FecDeltaChainLen, hops);
-      return &bucket.back();
-    }
-  }
-  // Budget exhausted with the chain still going: a from-scratch rebuild is
-  // about to happen in the caller's miss path.
-  if (lineage_.find(cursor) != lineage_.end()) {
-    obs::count(obs::Counter::FecDeltaRebuilds);
   }
   return nullptr;
 }
@@ -105,11 +68,6 @@ FecCache::EntryClassesPtr FecCache::entry_classes(const Topology& topo, const Sc
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (Slot* slot = find_slot(key, topo, entering); slot != nullptr && slot->entry) {
-      ++hits_;
-      obs::count(obs::Counter::FecCacheHits);
-      return slot->entry;
-    }
-    if (Slot* slot = stitch_from_lineage_locked(key, topo, entering, /*want_entry=*/true)) {
       ++hits_;
       obs::count(obs::Counter::FecCacheHits);
       return slot->entry;
@@ -140,11 +98,6 @@ FecCache::ClassesPtr FecCache::global_classes(const Topology& topo, const Scope&
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (Slot* slot = find_slot(key, topo, entering); slot != nullptr && slot->global) {
-      ++hits_;
-      obs::count(obs::Counter::FecCacheHits);
-      return slot->global;
-    }
-    if (Slot* slot = stitch_from_lineage_locked(key, topo, entering, /*want_entry=*/false)) {
       ++hits_;
       obs::count(obs::Counter::FecCacheHits);
       return slot->global;
@@ -213,13 +166,6 @@ void FecCache::store_overlay(const net::PacketSet& universe,
   overlays_.push_back(std::move(slot));
 }
 
-void FecCache::record_delta(const Topology* from, const Topology* to, std::size_t max_chain) {
-  if (from == nullptr || to == nullptr || from == to || max_chain == 0) return;
-  const std::lock_guard<std::mutex> lock{mutex_};
-  max_chain_ = max_chain;
-  lineage_[to] = from;
-}
-
 std::uint64_t FecCache::hits() const {
   const std::lock_guard<std::mutex> lock{mutex_};
   return hits_;
@@ -243,45 +189,12 @@ std::size_t FecCache::live_entries() const {
   return total;
 }
 
-std::size_t FecCache::lineage_entries() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return lineage_.size();
-}
-
 void FecCache::clear() {
   const std::lock_guard<std::mutex> lock{mutex_};
   slots_.clear();
-  lineage_.clear();
   overlays_.clear();
   hits_ = 0;
   misses_ = 0;
-}
-
-void FecCache::evict(const Topology* topo) {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    auto& bucket = it->second;
-    std::erase_if(bucket, [topo](const Slot& slot) { return slot.topo == topo; });
-    it = bucket.empty() ? slots_.erase(it) : std::next(it);
-  }
-  // Path-compress lineage past the retiring snapshot: descendants re-point
-  // to its ancestor (or drop the link), so no entry keeps the dead pointer
-  // and a later allocation at the same address cannot alias.
-  const Topology* parent = nullptr;
-  if (const auto own = lineage_.find(topo); own != lineage_.end()) {
-    parent = own->second;
-    lineage_.erase(own);
-  }
-  for (auto it = lineage_.begin(); it != lineage_.end();) {
-    if (it->second != topo) {
-      ++it;
-    } else if (parent != nullptr) {
-      it->second = parent;
-      ++it;
-    } else {
-      it = lineage_.erase(it);
-    }
-  }
 }
 
 }  // namespace jinjing::topo

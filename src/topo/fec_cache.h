@@ -7,16 +7,10 @@
 // makes those derivations one lookup. Keys are structural fingerprints of
 // the inputs, guarded by an exact comparison of the entering set's cubes
 // (and the topology's identity) so a hash collision can never return the
-// wrong classes.
-//
-// Versioned lineage: StateStore applies are ACL-only, so two adjacent
-// versions share all edges and forwarding predicates and their partitions
-// are identical. record_delta() links the versions in O(1); a lookup that
-// misses on the new topology walks the lineage (bounded by the delta-chain
-// budget) and stitches the ancestor's partition through unchanged instead
-// of re-deriving it. Ancestor pointers are only ever compared, never
-// dereferenced, and evict() re-points lineage past retired snapshots, so a
-// Topology later allocated at a recycled address can never alias.
+// wrong classes. Partitions are keyed by topology identity, so a cache that
+// outlives a topology must not be asked about it again: the service plans
+// each scope once on a private cache and shares only the topology-free AEC
+// overlay memo across jobs.
 #pragma once
 
 #include <cstdint>
@@ -50,40 +44,23 @@ class FecCache {
   /// loop), keyed by the exact cubes of (universe, overlay regions) — no
   /// topology identity, so versions whose scoped ACLs coincide share the
   /// partition. Exact-match only: nullptr on miss, the caller computes and
-  /// store_overlay()s. LRU-bounded independently of snapshot eviction.
+  /// store_overlay()s. LRU-bounded.
   [[nodiscard]] ClassesPtr find_overlay(const net::PacketSet& universe,
                                         const std::vector<net::PacketSet>& regions);
   void store_overlay(const net::PacketSet& universe,
                      const std::vector<net::PacketSet>& regions, ClassesPtr atoms);
-
-  /// Records that `to` was produced from `from` by an ACL-only apply: every
-  /// partition memoized for `from` is valid for `to`. O(1) — the stitch
-  /// happens lazily on the first lookup that misses on `to`, walking at
-  /// most `max_chain` lineage hops before falling back to a from-scratch
-  /// derivation (counted as a delta rebuild).
-  void record_delta(const Topology* from, const Topology* to, std::size_t max_chain);
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   /// hits / (hits + misses), or 0 when never queried.
   [[nodiscard]] double hit_rate() const;
 
-  /// Memoized partitions currently held. Entries are keyed per live
-  /// topology, so in a versioned server this must stay proportional to the
-  /// number of live snapshots — the soak harness's eviction watchdog.
+  /// Memoized partitions currently held (overlays excluded). The server's
+  /// shared cache holds none — the soak harness's watchdog that no server
+  /// state is keyed by a snapshot's topology.
   [[nodiscard]] std::size_t live_entries() const;
 
-  /// Live lineage links (one per remembered version edge).
-  [[nodiscard]] std::size_t lineage_entries() const;
-
   void clear();
-
-  /// Drops every memoized partition derived from `topo` — called when a
-  /// versioned snapshot is retired so a later Topology allocated at the
-  /// same address can never alias a dead entry. Lineage links through
-  /// `topo` are path-compressed onto its own ancestor, keeping descendant
-  /// chains resolvable.
-  void evict(const Topology* topo);
 
  private:
   struct Slot {
@@ -107,21 +84,11 @@ class FecCache {
 
   [[nodiscard]] Slot* find_slot(std::uint64_t key, const Topology& topo,
                                 const net::PacketSet& entering);
-  /// Walks the lineage of `topo` (bounded by the recorded chain budget)
-  /// looking for an ancestor slot with the wanted payload; on success
-  /// stitches a copy under `topo` and returns it. Ancestors are compared by
-  /// pointer only. Returns nullptr when no ancestor resolves in budget
-  /// (counting a rebuild if the chain was merely too long).
-  [[nodiscard]] Slot* stitch_from_lineage_locked(std::uint64_t key, const Topology& topo,
-                                                 const net::PacketSet& entering,
-                                                 bool want_entry);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::vector<Slot>> slots_;
-  std::unordered_map<const Topology*, const Topology*> lineage_;
   std::vector<OverlaySlot> overlays_;
   std::uint64_t overlay_stamp_ = 0;
-  std::size_t max_chain_ = 16;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

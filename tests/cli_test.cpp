@@ -299,6 +299,11 @@ TEST_F(CliTest, FlagValidationSweep) {
         "--set-backend", "bdd"}, "unknown option"},
       {{"run", "--network", path("figure1.topo"), "--program", path("running_example.lai"),
         "--no-incremental-smt"}, "unknown option"},
+      {{"serve", "--network", path("figure1.topo"), "--socket", "/tmp/x.sock",
+        "--max-delta-chain", "4"}, "unknown option"},
+      {{"replica", "--network", path("figure1.topo"), "--writer", "127.0.0.1:1",
+        "--max-delta-chain", "4"}, "unknown option"},
+      {{"soak", "--max-delta-chain", "4"}, "unknown option"},
       {{"frobnicate"}, "unknown command"},
   };
   for (const auto& test_case : cases) {

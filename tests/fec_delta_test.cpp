@@ -1,10 +1,9 @@
 // Property suite for delta FEC refinement: refine_delta must reproduce
 // from-scratch sequential refinement bit-for-bit (same classes, same
 // order, same cube representation) across chain depths,
-// including the empty-delta, full-rewrite and chain-budget-fallback cases;
-// the FecCache lineage must stitch partitions across versions and survive
-// eviction; the planner's stale-verdict sub-atom path must agree with a
-// cold full check.
+// including the empty-delta and full-rewrite cases; the AEC overlay memo
+// must be bit-identical to an uncached derivation; the planner's
+// stale-verdict sub-atom path must agree with a cold full check.
 #include "topo/fec_delta.h"
 
 #include <gtest/gtest.h>
@@ -215,72 +214,6 @@ TEST(FecDelta, FullRewriteTouchesEveryAtom) {
   EXPECT_EQ(delta.reused, 0u);
   EXPECT_TRUE(std::all_of(delta.touched.begin(), delta.touched.end(),
                           [](bool touched) { return touched; }));
-}
-
-TEST(FecCacheLineage, StitchesPartitionsAcrossVersions) {
-  // Two topologies with identical structure at different addresses — the
-  // shape of an ACL-only apply. The lineage stitches the old partition
-  // through without re-deriving.
-  const auto params = gen::small_wan();
-  const auto v1 = gen::make_wan(params);
-  const auto v2 = gen::make_wan(params);
-  topo::FecCache cache;
-  const topo::FecOptions options;
-  const auto cold = cache.entry_classes(v1.topo, v1.scope, v1.traffic, options);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.record_delta(&v1.topo, &v2.topo, 8);
-  EXPECT_EQ(cache.lineage_entries(), 1u);
-  const auto warm = cache.entry_classes(v2.topo, v2.scope, v2.traffic, options);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cold.get(), warm.get());  // the stitched slot shares the payload
-  // The stitch materialized a slot under v2: the next lookup hits directly.
-  const auto again = cache.entry_classes(v2.topo, v2.scope, v2.traffic, options);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(again.get(), cold.get());
-}
-
-TEST(FecCacheLineage, ChainBudgetFallsBackToRebuild) {
-  const auto params = gen::small_wan();
-  const auto v1 = gen::make_wan(params);
-  const auto v2 = gen::make_wan(params);
-  const auto v3 = gen::make_wan(params);
-  topo::FecCache cache;
-  const topo::FecOptions options;
-  const auto cold = cache.global_classes(v1.topo, v1.scope, v1.traffic, options);
-  // Budget of one hop: v3 -> v2 (no slot) exhausts the walk before v1.
-  cache.record_delta(&v1.topo, &v2.topo, 1);
-  cache.record_delta(&v2.topo, &v3.topo, 1);
-  const auto rebuilt = cache.global_classes(v3.topo, v3.scope, v3.traffic, options);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  // The fallback derivation is still exactly the same partition.
-  expect_identical(*rebuilt, *cold, "budget fallback");
-}
-
-TEST(FecCacheLineage, EvictionCompressesLineagePastRetiredVersions) {
-  const auto params = gen::small_wan();
-  const auto v1 = gen::make_wan(params);
-  const auto v2 = gen::make_wan(params);
-  const auto v3 = gen::make_wan(params);
-  topo::FecCache cache;
-  const topo::FecOptions options;
-  const auto cold = cache.global_classes(v1.topo, v1.scope, v1.traffic, options);
-  cache.record_delta(&v1.topo, &v2.topo, 8);
-  cache.record_delta(&v2.topo, &v3.topo, 8);
-  // v2 retires before v3 ever looked anything up: the lineage compresses
-  // v3 -> v1 and the stitch still lands in one walk.
-  cache.evict(&v2.topo);
-  EXPECT_EQ(cache.lineage_entries(), 1u);
-  const auto warm = cache.global_classes(v3.topo, v3.scope, v3.traffic, options);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(warm.get(), cold.get());
-  // Evicting the root drops the remaining link and the slots; a fresh
-  // lookup re-derives rather than touching dead pointers.
-  cache.evict(&v1.topo);
-  cache.evict(&v3.topo);
-  EXPECT_EQ(cache.lineage_entries(), 0u);
-  EXPECT_EQ(cache.live_entries(), 0u);
 }
 
 TEST(AecOverlayCache, MemoizedOverlayIsBitIdentical) {

@@ -159,16 +159,6 @@ TEST(IncrementalPlanner, ChainBudgetDropsEntriesAtTheLimit) {
   EXPECT_GE(planner.stats().fallbacks, 1u);
 }
 
-TEST(IncrementalPlanner, RetireVersionDropsItsEntries) {
-  const auto f = gen::make_figure1();
-  IncrementalPlanner planner;
-  planner.install(1, f.scope, figure1_bundle(f));
-  ASSERT_TRUE(planner.acquire(1, f.scope, f.traffic, {}).valid());
-  planner.retire_version(1);
-  EXPECT_FALSE(planner.acquire(1, f.scope, f.traffic, {}).valid());
-  EXPECT_EQ(planner.stats().cached_plans, 0u);
-}
-
 TEST(IncrementalPlanner, DisabledPlannerNeverCaches) {
   const auto f = gen::make_figure1();
   IncrementalPlanner planner{{.max_delta_chain = 0}};

@@ -215,7 +215,7 @@ TEST(SoakEndToEndTest, ConflictingControlsResolveAndMatchOracle) {
 }
 
 /// One full harness run at ctest scale: concurrent sessions, applies
-/// interleaved with checks, coalescing and the delta cache on, the
+/// interleaved with checks, plans shared across versions, the
 /// differential oracle over every completed job, the retention flush and
 /// every leak invariant. The event mix trims the slowest kinds so the run
 /// stays TSan-friendly.
