@@ -165,34 +165,6 @@ BENCHMARK(BM_SearchTree)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(5);
 
-// Parallel per-class checking (one Z3 context per worker) vs sequential —
-// the paper's testbed was a 4-core server. NOTE: on a single-core host
-// (like the CI container this repo was developed in) wall time stays flat;
-// the interesting series needs >= 2 cores.
-void BM_ParallelCheck(benchmark::State& state) {
-  const auto& wan = bench::wan_for(2);  // large network only
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const auto update = gen::perturb_rules(wan, 0.03, 77);
-
-  for (auto _ : state) {
-    smt::SmtContext smt;
-    core::CheckOptions options;
-    options.stop_at_first = false;  // full scan: the parallelizable case
-    options.threads = threads;
-    core::Checker checker{smt, wan.topo, wan.scope, options};
-    benchmark::DoNotOptimize(checker.check(update, wan.traffic));
-  }
-  state.SetLabel(std::to_string(threads) + (threads == 1 ? " thread" : " threads"));
-}
-
-BENCHMARK(BM_ParallelCheck)
-    ->ArgNames({"threads"})
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
 void BM_Simplify(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));
   const auto acl = long_acl(rules, 21);

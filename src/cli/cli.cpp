@@ -33,8 +33,7 @@ namespace {
 constexpr const char* kUsage = R"(usage:
   jinjing run   --network FILE --program FILE [--acl NAME=FILE]...
                 [--diff] [--rollback] [--stage availability|security]
-                [--out FILE] [--threads N]
-                [--report-json FILE] [--metrics FILE] [--trace FILE]
+                [--out FILE] [--report-json FILE] [--metrics FILE] [--trace FILE]
   jinjing show  --network FILE
   jinjing audit --network FILE
   jinjing reach --network FILE --from IFACE --to IFACE [--packet SPEC]
@@ -64,9 +63,6 @@ run      execute an LAI program (check / fix / generate) and print the plan
          --rollback  also print the plan that restores the current ACLs
          --stage M   also print a transient-safe two-phase push sequence
          --out FILE  write the plan as reusable 'acl ... end' blocks
-         --threads N          worker threads for classification and
-                              generate's placements (the check scan
-                              runs on one thread)
          --report-json FILE   write per-stage timings (plan/compile/solve/
                               execute), obligation counts and the full
                               observability counter dump to FILE
@@ -143,7 +139,6 @@ struct Options {
   std::string out_path;
   std::string acl_a_path;
   std::string acl_b_path;
-  unsigned threads = 1;
   std::string report_json_path;
   std::string metrics_path;
   std::string trace_path;
@@ -280,8 +275,6 @@ Options parse_args(const std::vector<std::string>& args) {
       options.acl_b_path = value();
     } else if (arg == "--out") {
       options.out_path = value();
-    } else if (arg == "--threads") {
-      options.threads = static_cast<unsigned>(parse_unsigned("--threads", value(), 1, 1024));
     } else if (arg == "--report-json") {
       options.report_json_path = value();
     } else if (arg == "--metrics") {
@@ -494,8 +487,6 @@ int run_command(const Options& options, std::ostream& out) {
     library.insert_or_assign(name, config::parse_acl_auto(read_file(path)));
   }
 
-  core::EngineOptions engine_options;
-  engine_options.plan.threads = options.threads;
   // Observability is on whenever any export wants its data; the registry
   // lives on the stack and is uninstalled before the outputs are written.
   const bool want_observability = !options.report_json_path.empty() ||
@@ -508,7 +499,7 @@ int run_command(const Options& options, std::ostream& out) {
     installed.emplace(*registry);
   }
 
-  core::Engine engine{network.topo, engine_options};
+  core::Engine engine{network.topo};
   const auto report = engine.run_program(program_text, library, network.traffic);
 
   installed.reset();
@@ -799,8 +790,6 @@ int soak_command(const Options& options, std::ostream& out) {
   // The retention flush submits exactly retain_jobs trivial checks, so the
   // soak default stays far below serve's 1024.
   soak_options.server.retain_jobs = options.retain_jobs_set ? options.retain_jobs : 64;
-  // The engine knob (--threads) is deliberately not wired: the
-  // soak's oracle runs default options, and the service must agree with it.
 
   if (options.soak_dump_stream) {
     const gen::Wan wan = gen::make_wan(soak_options.wan);

@@ -1,6 +1,9 @@
 #include "core/aec.h"
 
+#include <algorithm>
+
 #include "net/acl_algebra.h"
+#include "obs/stats.h"
 #include "topo/fec.h"
 
 namespace jinjing::core {
@@ -67,17 +70,60 @@ std::vector<net::PacketSet> overlay_atoms(const net::PacketSet& universe,
   return atoms;
 }
 
+AecMemo::AtomsPtr AecMemo::find(const net::PacketSet& universe,
+                                 const std::vector<net::PacketSet>& regions) {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  for (auto& entry : entries_) {
+    if (entry.universe_cubes != universe.cubes()) continue;
+    if (!std::equal(entry.region_cubes.begin(), entry.region_cubes.end(), regions.begin(),
+                    regions.end(), [](const auto& cubes, const net::PacketSet& region) {
+                      return cubes == region.cubes();
+                    })) {
+      continue;
+    }
+    obs::count(obs::Counter::AecMemoHits);
+    obs::count(obs::Counter::FecDeltaReusedAtoms, entry.atoms->size());
+    entry.stamp = ++stamp_;
+    return entry.atoms;
+  }
+  obs::count(obs::Counter::AecMemoMisses);
+  return nullptr;
+}
+
+void AecMemo::store(const net::PacketSet& universe, const std::vector<net::PacketSet>& regions,
+                    AtomsPtr atoms) {
+  Entry entry;
+  entry.universe_cubes = universe.cubes();
+  entry.region_cubes.reserve(regions.size());
+  for (const auto& region : regions) entry.region_cubes.push_back(region.cubes());
+  entry.atoms = std::move(atoms);
+  const std::lock_guard<std::mutex> lock{mutex_};
+  entry.stamp = ++stamp_;
+  if (entries_.size() < kCapacity) {
+    entries_.push_back(std::move(entry));
+    return;
+  }
+  *std::min_element(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+    return a.stamp < b.stamp;
+  }) = std::move(entry);
+}
+
+std::size_t AecMemo::entries() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return entries_.size();
+}
+
 std::vector<net::PacketSet> acl_equivalence_classes(
     const topo::ConfigView& view, const std::vector<topo::AclSlot>& slots,
     const net::PacketSet& universe, const std::vector<lai::ControlIntent>& controls,
-    const std::vector<net::PacketSet>& extra_predicates, topo::FecCache* cache) {
+    const std::vector<net::PacketSet>& extra_predicates, AecMemo* memo) {
   const std::vector<net::PacketSet> regions =
       aec_regions(view, slots, universe, controls, extra_predicates);
-  if (cache == nullptr) return overlay_atoms(universe, regions);
-  if (auto memoized = cache->find_overlay(universe, regions)) return *memoized;
+  if (memo == nullptr) return overlay_atoms(universe, regions);
+  if (auto memoized = memo->find(universe, regions)) return *memoized;
   auto atoms = std::make_shared<const std::vector<net::PacketSet>>(
       overlay_atoms(universe, regions));
-  cache->store_overlay(universe, regions, atoms);
+  memo->store(universe, regions, atoms);
   return *atoms;
 }
 

@@ -28,12 +28,11 @@
 // item's remaining obligations are dropped without perturbing the others.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/plan.h"
+#include "core/stop_probes.h"
 #include "core/verdict.h"
 #include "topo/topology.h"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 
 #include "net/acl_algebra.h"
 #include "obs/stats.h"
@@ -63,17 +62,12 @@ CheckSession& Checker::session(const topo::AclUpdate& update,
 
 CheckSession::CheckSession(Checker& checker, const topo::AclUpdate& update,
                            const std::vector<lai::ControlIntent>& controls)
-    : CheckSession(checker, checker.smt(), update, controls) {}
-
-CheckSession::CheckSession(Checker& checker, smt::SmtContext& smt,
-                           const topo::AclUpdate& update,
-                           const std::vector<lai::ControlIntent>& controls)
     : checker_(checker),
-      smt_(smt),
+      smt_(checker.smt()),
       before_(checker.topology()),
       after_(checker.topology(), &update),
       controls_(controls),
-      vars_(smt.packet_vars()) {
+      vars_(smt_.packet_vars()) {
   const obs::TraceSpan span{obs::Span::CheckerCompile};
   obs::count(obs::Counter::SmtSessionsBuilt);
   const auto start = std::chrono::steady_clock::now();
@@ -281,110 +275,33 @@ CheckResult Checker::check(const topo::AclUpdate& update, const net::PacketSet& 
   result.obligation_count = obligations.size();
   result.plan_seconds = last_plan_seconds();
 
-  Executor& exec = executor();
-  const bool stop_at_first = options_.stop_at_first;
-  const bool parallel = exec.threads() > 1 && obligations.size() > 1;
-  std::vector<std::optional<Violation>> found(obligations.size());
-  ExecutionStats stats;
-
-  if (!parallel) {
-    // Sequential: one cached session on the checker's own context, executed
-    // in plan order — byte-identical to the pre-pipeline sequential loop,
-    // and the session's incremental base frame survives across commands.
-    const std::uint64_t queries_before = smt_.query_count();
-    const double solve_before = smt_.solve_seconds();
-    CheckSession& main_session = session(update, controls);
-    double busy = 0;
+  // Execute: the obligations in plan order on the checker's cached session,
+  // so the session's incremental base frame survives across commands.
+  // Under stop_at_first the first violated obligation ends the scan and
+  // the rest count as cancelled.
+  const std::uint64_t queries_before = smt_.query_count();
+  const double solve_before = smt_.solve_seconds();
+  CheckSession& main_session = session(update, controls);
+  {
     const obs::TraceSpan execute_span{obs::Span::CheckerExecute};
-    stats = exec.run(obligations.size(), [&](std::size_t) -> Executor::Task {
-      return [&](std::size_t i, const CancellationToken& token) {
-        if (token.cancelled()) return false;
-        const auto start = std::chrono::steady_clock::now();
-        const Obligation& o = obligations[i];
-        auto violation = main_session.find_violation(*o.fec, o.paths);
-        busy += seconds_since(start);
-        if (!violation) return false;
-        found[i] = std::move(*violation);
-        return stop_at_first;
-      };
-    });
-    result.smt_queries = smt_.query_count() - queries_before;
-    result.solve_seconds = smt_.solve_seconds() - solve_before;
-    result.compile_seconds =
-        last_session_seconds_ + std::max(0.0, busy - result.solve_seconds);
-  } else {
-    // Parallel: each worker compiles its own session on a private Z3
-    // context (Z3 contexts are single-threaded); the executor distributes
-    // obligations by work stealing.
-    struct WorkerState {
-      smt::SmtContext smt;
-      std::optional<CheckSession> session;
-      double busy_seconds = 0;
-    };
-    std::mutex states_mutex;
-    std::vector<std::unique_ptr<WorkerState>> states;
-    const Executor::WorkerFactory factory = [&](std::size_t) -> Executor::Task {
-      auto owned = std::make_unique<WorkerState>();
-      WorkerState* state = owned.get();
-      if (options_.timeout_ms > 0) state->smt.set_timeout_ms(options_.timeout_ms);
-      state->session.emplace(*this, state->smt, update, controls);
-      {
-        const std::lock_guard<std::mutex> lock{states_mutex};
-        states.push_back(std::move(owned));
-      }
-      return [&, state](std::size_t i, const CancellationToken& token) {
-        if (token.cancelled()) return false;
-        const auto start = std::chrono::steady_clock::now();
-        const Obligation& o = obligations[i];
-        auto violation = state->session->find_violation(*o.fec, o.paths);
-        state->busy_seconds += seconds_since(start);
-        if (!violation) return false;
-        found[i] = std::move(*violation);
-        return stop_at_first;
-      };
-    };
-    {
-      const obs::TraceSpan execute_span{obs::Span::CheckerExecute};
-      stats = exec.run(obligations.size(), factory);
+    const auto start = std::chrono::steady_clock::now();
+    for (const Obligation& o : obligations) {
+      ++result.obligations_executed;
+      auto violation = main_session.find_violation(*o.fec, o.paths);
+      if (!violation) continue;
+      result.consistent = false;
+      result.violations.push_back(std::move(*violation));
+      if (options_.stop_at_first) break;
     }
-    double busy = 0;
-    double build = 0;
-    for (const auto& state : states) {
-      result.smt_queries += state->smt.query_count();
-      result.solve_seconds += state->smt.solve_seconds();
-      busy += state->busy_seconds;
-      build += state->session->build_seconds();
-    }
-    result.compile_seconds = build + std::max(0.0, busy - result.solve_seconds);
+    result.execute_seconds = seconds_since(start);
   }
-
-  result.obligations_executed = stats.executed;
-  result.obligations_cancelled = stats.cancelled;
-  result.execute_seconds = stats.execute_seconds;
-  obs::count(obs::Counter::ObligationsExecuted, stats.executed);
-  obs::count(obs::Counter::ObligationsCancelled, stats.cancelled);
-
-  if (parallel && stop_at_first && stats.stop_index < obligations.size()) {
-    // The executor guarantees stop_index is the *minimal* obligation with a
-    // violation; re-derive its witness on a fresh context so the reported
-    // packet does not depend on which worker got there first.
-    smt::SmtContext fresh;
-    if (options_.timeout_ms > 0) fresh.set_timeout_ms(options_.timeout_ms);
-    CheckSession fresh_session{*this, fresh, update, controls};
-    const Obligation& o = obligations[stats.stop_index];
-    auto violation = fresh_session.find_violation(*o.fec, o.paths);
-    result.smt_queries += fresh.query_count();
-    if (!violation) violation = std::move(found[stats.stop_index]);  // unreachable fallback
-    result.consistent = false;
-    result.violations.push_back(std::move(*violation));
-    return result;
-  }
-
-  for (auto& violation : found) {
-    if (!violation) continue;
-    result.consistent = false;
-    result.violations.push_back(std::move(*violation));
-  }
+  result.obligations_cancelled = obligations.size() - result.obligations_executed;
+  result.smt_queries = smt_.query_count() - queries_before;
+  result.solve_seconds = smt_.solve_seconds() - solve_before;
+  result.compile_seconds =
+      last_session_seconds_ + std::max(0.0, result.execute_seconds - result.solve_seconds);
+  obs::count(obs::Counter::ObligationsExecuted, result.obligations_executed);
+  obs::count(obs::Counter::ObligationsCancelled, result.obligations_cancelled);
   return result;
 }
 

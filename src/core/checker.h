@@ -10,9 +10,8 @@
 //
 //      ( ∨_{p ∈ Y} ¬(c_p ⇔ c'_p) ) ∧ ψ_[h]FEC            (Equation 3)
 //
-// by a CheckSession (compile stage), and the obligations run on the shared
-// work-stealing core::Executor (execute stage) with early-exit cancellation
-// for stop_at_first.
+// by a CheckSession (compile stage), and the obligations run in plan order
+// (execute stage), the first violation ending the run under stop_at_first.
 //
 // The engine and the service do not run this SMT pipeline: they plan with
 // a core::Planner and check with the exact set scan of core/batch over the
@@ -65,12 +64,6 @@ class CheckSession {
   CheckSession(Checker& checker, const topo::AclUpdate& update,
                const std::vector<lai::ControlIntent>& controls);
 
-  /// Same, but issuing its SMT queries through `smt` instead of the
-  /// checker's context — one session per worker in parallel execution (Z3
-  /// contexts are single-threaded).
-  CheckSession(Checker& checker, smt::SmtContext& smt, const topo::AclUpdate& update,
-               const std::vector<lai::ControlIntent>& controls);
-
   /// Searches one packet in `fec` whose desired decision differs from the
   /// updated decision on some path of `feasible` (an obligation's path set
   /// Y, precomputed by the plan).
@@ -117,7 +110,7 @@ class Checker : public Planner {
 
   /// Runs Algorithm 1 for the update against `entering` traffic (X_Ω):
   /// plans the obligation set, compiles it against the update, and executes
-  /// it on the shared executor. `controls` (optional, §6) switches the
+  /// it in plan order. `controls` (optional, §6) switches the
   /// target from packet reachability consistency to desired reachability
   /// consistency.
   [[nodiscard]] CheckResult check(const topo::AclUpdate& update, const net::PacketSet& entering,

@@ -28,16 +28,7 @@ bool CommandOutcome::ok() const {
 bool EngineReport::success() const { return !outcomes.empty() && outcomes.back().ok(); }
 
 Engine::Engine(const topo::Topology& topo, EngineOptions options)
-    : topo_(topo), options_(std::move(options)) {
-  // One equivalence-class cache and one executor across every planner the
-  // engine creates: a check → fix → check pipeline derives each partition
-  // once, and FEC refinement and generate placements draw from the same
-  // worker pool. Check scans run on the calling thread.
-  if (!options_.plan.fec_cache) options_.plan.fec_cache = std::make_shared<topo::FecCache>();
-  if (!options_.plan.executor) {
-    options_.plan.executor = std::make_shared<Executor>(options_.plan.threads);
-  }
-}
+    : topo_(topo), options_(std::move(options)) {}
 
 Planner& Engine::planner_for(const topo::Scope& scope) {
   if (!planner_ || !same_scope(planner_->scope(), scope)) {

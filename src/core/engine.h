@@ -16,11 +16,9 @@
 // One Planner is kept per scope and reused across the commands of a task
 // (and across tasks with the same scope): check, fix and generate read its
 // paths, enumerated once, and its plan, built once per entering set (or
-// adopted from PlanOptions::adopted_plan, as the service does). One
-// Executor and one FecCache are installed across the whole
-// check/fix/generate pipeline; the executor (`--threads`) fans out FEC
-// refinement and generate's per-class placement, while a check's scan runs
-// on the calling thread.
+// adopted from PlanOptions::adopted_plan, as the service does). Every
+// command runs on the calling thread; the service runs one engine per job
+// and gets its concurrency from running jobs side by side.
 #pragma once
 
 #include <memory>
@@ -36,8 +34,7 @@
 namespace jinjing::core {
 
 struct EngineOptions {
-  /// Planning, the check command's early exit and the pipeline's shared
-  /// executor and FEC cache (the engine creates whichever is unset).
+  /// Planning and the check command's early exit.
   PlanOptions plan;
   FixOptions fix;
   GenerateOptions generate;

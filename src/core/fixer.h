@@ -25,6 +25,7 @@
 
 #include "core/diff.h"
 #include "core/planner.h"
+#include "core/stop_probes.h"
 #include "lai/sema.h"
 
 namespace jinjing::core {

@@ -40,19 +40,19 @@ GenerateResult Generator::generate(const MigrationSpec& spec,
   {
     const obs::TraceSpan span{obs::Span::GenDerive};
     classes = acl_equivalence_classes(view, slots, options_.universe, controls,
-                                      replacement_predicates, &planner_.fec_cache());
+                                      replacement_predicates, planner_.options().aec_memo);
   }
   result.aec_count = classes.size();
   result.derive_seconds = seconds_since(t0);
 
   // Phase 2: solve decision functions (§5.2), refine to DECs where needed
-  // (§5.3), fanned out over the shared executor.
+  // (§5.3).
   t0 = std::chrono::steady_clock::now();
   PlacementResult placement;
   {
     const obs::TraceSpan solve_span{obs::Span::GenSolve};
     const PlacementSolver solver{planner_};
-    placement = solver.solve(spec, classes, controls, &planner_.executor(), probes);
+    placement = solver.solve(spec, classes, controls, probes);
   }
   result.aec_solved = placement.aec_solutions.size();
   for (const auto& [ci, decs] : placement.dec_solutions) result.dec_count += decs.size();

@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "core/planner.h"
+#include "core/stop_probes.h"
 #include "core/synthesizer.h"
 
 namespace jinjing::core {
@@ -37,10 +38,10 @@ struct GenerateResult {
 class Generator {
  public:
   /// Generates over `planner`'s scope (borrowed; it must outlive the
-  /// generator). Phase 1's AEC overlay is memoized in the planner's FEC
-  /// cache, so warm jobs whose scoped ACLs match an earlier derivation skip
-  /// it; phase 2 solves on the planner's paths and fans its classes out over
-  /// the planner's executor (single-threaded = in class order).
+  /// generator). Phase 1's AEC overlay goes through the planner's
+  /// PlanOptions::aec_memo when one is set, so warm jobs whose scoped ACLs
+  /// match an earlier derivation skip it; phase 2 solves on the planner's
+  /// paths, class by class.
   explicit Generator(Planner& planner, const GenerateOptions& options = {});
 
   /// Runs the three phases; `probes` are polled before each class's

@@ -285,26 +285,11 @@ ClassOutcome PlacementSolver::solve_one(const MigrationSpec& spec, const net::Pa
 PlacementResult PlacementSolver::solve(const MigrationSpec& spec,
                                        const std::vector<net::PacketSet>& classes,
                                        const std::vector<lai::ControlIntent>& controls,
-                                       Executor* executor, const StopProbes& probes) const {
-  std::vector<ClassOutcome> outcomes(classes.size());
-  const auto solve_class_at = [&](std::size_t ci) {
-    probes.poll();
-    outcomes[ci] = solve_one(spec, classes[ci], controls);
-  };
-  if (executor != nullptr && executor->threads() > 1 && classes.size() > 1) {
-    (void)executor->run(classes.size(), [&](std::size_t) -> Executor::Task {
-      return [&](std::size_t ci, const CancellationToken& token) {
-        if (!token.cancelled()) solve_class_at(ci);
-        return false;
-      };
-    });
-  } else {
-    for (std::size_t ci = 0; ci < classes.size(); ++ci) solve_class_at(ci);
-  }
-
+                                       const StopProbes& probes) const {
   PlacementResult result;
-  for (std::size_t ci = 0; ci < outcomes.size(); ++ci) {
-    auto& outcome = outcomes[ci];
+  for (std::size_t ci = 0; ci < classes.size(); ++ci) {
+    probes.poll();
+    ClassOutcome outcome = solve_one(spec, classes[ci], controls);
     if (outcome.aec) {
       result.aec_solutions.emplace(ci, std::move(*outcome.aec));
       continue;

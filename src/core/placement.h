@@ -23,6 +23,7 @@
 
 #include "core/aec.h"
 #include "core/planner.h"
+#include "core/stop_probes.h"
 #include "lai/sema.h"
 #include "topo/paths.h"
 #include "topo/topology.h"
@@ -128,15 +129,12 @@ class PlacementSolver {
   /// planner must outlive the solver).
   explicit PlacementSolver(const Planner& planner);
 
-  /// Solves every class. `controls` switches the target decision from
-  /// "preserve c_p" to the §6 desired decision. Classes are independent,
-  /// so a multi-threaded `executor` fans them out; outcomes merge in class
-  /// order either way. `probes` are polled before each class (Interrupted
-  /// when one fires).
+  /// Solves every class, in class order. `controls` switches the target
+  /// decision from "preserve c_p" to the §6 desired decision. `probes` are
+  /// polled before each class (Interrupted when one fires).
   [[nodiscard]] PlacementResult solve(const MigrationSpec& spec,
                                       const std::vector<net::PacketSet>& classes,
                                       const std::vector<lai::ControlIntent>& controls = {},
-                                      Executor* executor = nullptr,
                                       const StopProbes& probes = {}) const;
 
   /// Equation 10 for one class over the given paths (indices into the

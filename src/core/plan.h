@@ -8,13 +8,12 @@
 // that decomposition explicit: it is built once per UpdateTask from path
 // enumeration + equivalence-class refinement (core::Planner) and does NOT
 // depend on the ACL update under test, so check scans, fix searches and
-// repeated engine commands all execute against the same plan. Obligations carry the precomputed ACL slots their paths
-// traverse, which is what lets an incremental re-execution skip
-// obligations an update cannot affect.
+// repeated engine commands all execute against the same plan. Obligations
+// carry the precomputed ACL slots their paths traverse, which is what lets
+// an incremental re-execution skip obligations an update cannot affect.
 //
 // The obligation graph is a (currently edge-free) DAG: obligations are
-// mutually independent, so the executor may run them in any order or in
-// parallel; ordering by `index` reproduces the sequential semantics.
+// mutually independent; every consumer runs them in `index` order.
 #pragma once
 
 #include <cstdint>

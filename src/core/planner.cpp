@@ -5,11 +5,19 @@
 
 namespace jinjing::core {
 
+namespace {
+
+/// Runs one FEC derivation under the fec.derive span and shares its classes.
+template <typename Derive>
+auto derived(Derive derive) {
+  const obs::TraceSpan span{obs::Span::FecDerive};
+  return std::make_shared<const decltype(derive())>(derive());
+}
+
+}  // namespace
+
 Planner::Planner(const topo::Topology& topo, const topo::Scope& scope, const PlanOptions& options)
-    : topo_(topo),
-      scope_(scope),
-      options_(options),
-      fec_cache_(options.fec_cache ? options.fec_cache : std::make_shared<topo::FecCache>()) {
+    : topo_(topo), scope_(scope), options_(options) {
   if (options_.adopted_plan) {
     // The bundle carries paths, forwarding sets and the plan verbatim; the
     // caller guarantees it was built over the same structure (see
@@ -20,16 +28,6 @@ Planner::Planner(const topo::Topology& topo, const topo::Scope& scope, const Pla
   paths_ = topo::enumerate_paths(topo_, scope_);
   path_forwarding_.reserve(paths_.size());
   for (const auto& p : paths_) path_forwarding_.push_back(topo::forwarding_set(topo_, p));
-}
-
-std::shared_ptr<const std::vector<topo::EntryClasses>> Planner::entry_classes(
-    const net::PacketSet& entering) {
-  return fec_cache_->entry_classes(topo_, scope_, entering, topo::FecOptions{options_.threads});
-}
-
-std::shared_ptr<const std::vector<net::PacketSet>> Planner::global_classes(
-    const net::PacketSet& entering) {
-  return fec_cache_->global_classes(topo_, scope_, entering, topo::FecOptions{options_.threads});
 }
 
 std::vector<std::size_t> Planner::feasible_paths(const net::PacketSet& traffic) const {
@@ -54,9 +52,13 @@ const VerifyPlan& Planner::plan(const net::PacketSet& entering) {
   }
   const obs::TraceSpan span{obs::Span::CheckerPlan};
   if (options_.per_entry_fec) {
-    plan_ = build_verify_plan(paths(), path_forwarding(), entry_classes(entering));
+    auto classes =
+        derived([&] { return topo::per_entry_equivalence_classes(topo_, scope_, entering); });
+    plan_ = build_verify_plan(paths(), path_forwarding(), std::move(classes));
   } else {
-    plan_ = build_verify_plan(paths(), path_forwarding(), global_classes(entering));
+    auto classes =
+        derived([&] { return topo::forwarding_equivalence_classes(topo_, scope_, entering); });
+    plan_ = build_verify_plan(paths(), path_forwarding(), std::move(classes));
   }
   plan_entering_ = entering;
   last_plan_seconds_ = plan_.stats().plan_seconds;
@@ -73,12 +75,6 @@ std::shared_ptr<const PlanBundle> Planner::share_plan(const net::PacketSet& ente
   bundle->path_forwarding = path_forwarding();
   bundle->entering = entering;
   return bundle;
-}
-
-Executor& Planner::executor() {
-  if (options_.executor) return *options_.executor;
-  if (!own_executor_) own_executor_ = std::make_shared<Executor>(options_.threads);
-  return *own_executor_;
 }
 
 }  // namespace jinjing::core

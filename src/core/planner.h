@@ -2,26 +2,25 @@
 //
 // A Planner binds one (topology, scope) problem: it enumerates the scope's
 // paths and their forwarding sets once, refines the entering traffic into
-// equivalence classes through a shared topo::FecCache, and caches the
-// resulting core::VerifyPlan per entering set. The engine's check scan
-// (core/batch), the fixer and the generator's placement solver all read
-// one planner per scope, and the service builds each scope's plan once;
-// the SMT reproduction checker (core/checker) is a Planner with Algorithm
-// 1's Z3 execution stage on top.
+// equivalence classes, and caches the resulting core::VerifyPlan per
+// entering set. The engine's check scan (core/batch), the fixer and the
+// generator's placement solver all read one planner per scope, and the
+// service builds each scope's plan once; the SMT reproduction checker
+// (core/checker) is a Planner with Algorithm 1's Z3 execution stage on top.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/plan.h"
 #include "topo/fec.h"
-#include "topo/fec_cache.h"
 #include "topo/paths.h"
 #include "topo/topology.h"
 
 namespace jinjing::core {
+
+class AecMemo;
 
 struct PlanOptions {
   /// Return on the first violated FEC (the paper's check behaviour). Off =
@@ -31,17 +30,9 @@ struct PlanOptions {
   /// reachable from that entry (structured-topology fast path). Covers the
   /// same (class, feasible path) combinations as the global FECs.
   bool per_entry_fec = true;
-  /// Worker threads for obligation execution and equivalence-class
-  /// refinement. 1 = sequential (obligations run inline in plan order,
-  /// which is the byte-deterministic mode). Ignored for execution when an
-  /// explicit `executor` is installed.
-  unsigned threads = 1;
-  /// Shared equivalence-class cache. When unset the planner creates a
-  /// private one, which still serves repeated plans on the same planner.
-  std::shared_ptr<topo::FecCache> fec_cache;
-  /// Shared obligation executor. When unset the planner lazily creates a
-  /// private pool of `threads` workers.
-  std::shared_ptr<Executor> executor;
+  /// Memo for generate's AEC overlay (borrowed; null = overlay every time).
+  /// The service shares one across its jobs.
+  AecMemo* aec_memo = nullptr;
   /// A complete planning bundle exported by an earlier planner over the
   /// same (topology structure, scope) — path enumeration is skipped and
   /// plan() for the bundle's entering set is a lookup. The caller owns the
@@ -57,9 +48,10 @@ class Planner {
   Planner(const topo::Topology& topo, const topo::Scope& scope, const PlanOptions& options = {});
 
   /// The verification plan for `entering` traffic: the obligation DAG built
-  /// from path enumeration + FEC refinement. Cached — the plan does not
-  /// depend on the ACL update, so re-checks, fix searches and repeated
-  /// engine commands reuse it.
+  /// from path enumeration + FEC refinement (per entry or global, by
+  /// options().per_entry_fec). Cached — the plan does not depend on the ACL
+  /// update, so re-checks, fix searches and repeated engine commands reuse
+  /// it.
   [[nodiscard]] const VerifyPlan& plan(const net::PacketSet& entering);
 
   /// Exports this planner's state for `entering` as a shareable bundle
@@ -70,29 +62,15 @@ class Planner {
   /// Seconds the last plan() call spent building (0 when it was cached).
   [[nodiscard]] double last_plan_seconds() const { return last_plan_seconds_; }
 
-  /// The obligation executor: the installed shared one, or a lazily created
-  /// private pool of options().threads workers.
-  [[nodiscard]] Executor& executor();
-
   [[nodiscard]] const std::vector<topo::Path>& paths() const {
     return adopted_ ? adopted_->paths : paths_;
   }
   [[nodiscard]] const PlanOptions& options() const { return options_; }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const topo::Scope& scope() const { return scope_; }
-  [[nodiscard]] topo::FecCache& fec_cache() { return *fec_cache_; }
 
   /// Paths whose forwarding predicates can carry `traffic` (the set Y).
   [[nodiscard]] std::vector<std::size_t> feasible_paths(const net::PacketSet& traffic) const;
-
-  /// Per-entry classes of `entering` under this planner's scope, served
-  /// from the FEC cache (classes do not depend on the update).
-  [[nodiscard]] std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes(
-      const net::PacketSet& entering);
-
-  /// Global FECs of `entering`, cached likewise.
-  [[nodiscard]] std::shared_ptr<const std::vector<net::PacketSet>> global_classes(
-      const net::PacketSet& entering);
 
  protected:
   /// Forwarding set per path, parallel to paths().
@@ -104,7 +82,6 @@ class Planner {
   const topo::Topology& topo_;
   const topo::Scope scope_;
   PlanOptions options_;
-  std::shared_ptr<topo::FecCache> fec_cache_;
   std::shared_ptr<const PlanBundle> adopted_;    // set: paths_/path_forwarding_ stay empty
   std::vector<topo::Path> paths_;
   std::vector<net::PacketSet> path_forwarding_;
@@ -113,8 +90,6 @@ class Planner {
   std::optional<net::PacketSet> plan_entering_;
   VerifyPlan plan_;
   double last_plan_seconds_ = 0;  // 0 on cache hit
-
-  std::shared_ptr<Executor> own_executor_;  // lazily created when none installed
 };
 
 }  // namespace jinjing::core

@@ -53,7 +53,7 @@ struct CheckResult {
   double plan_seconds = 0;     // plan build (0 when served from cache)
   double compile_seconds = 0;  // session build + formula lowering
   double solve_seconds = 0;    // inside Z3 check() calls
-  double execute_seconds = 0;  // executor wall time for the obligation batch
+  double execute_seconds = 0;  // wall time of the obligation run
 };
 
 /// Does a control intent span this path's endpoints (entry in `from`,

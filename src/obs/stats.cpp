@@ -31,8 +31,7 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "smt_frame_reuses",          "smt_sessions_built",        "smt_optimize_queries",
     "plan_builds",               "plan_cache_hits",           "fec_cache_hits",
     "fec_cache_misses",          "obligations_planned",       "obligations_executed",
-    "obligations_cancelled",     "obligations_skipped",       "executor_runs",
-    "executor_tasks",            "executor_steals",           "svc_jobs_submitted",
+    "obligations_cancelled",     "obligations_skipped",       "svc_jobs_submitted",
     "svc_jobs_rejected",         "svc_jobs_cancelled",        "svc_jobs_done",
     "svc_jobs_failed",           "svc_applies",               "delta_cache_hits",
     "delta_cache_misses",        "delta_cache_invalidations", "delta_cache_rebases",
@@ -48,8 +47,6 @@ constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
 
 constexpr std::array<std::string_view, kHistogramCount> kHistogramNames = {
     "smt_solve_micros",
-    "executor_queue_depth",
-    "executor_tasks_per_run",
     "svc_queue_wait_micros",
     "svc_job_run_micros",
 };
@@ -57,11 +54,10 @@ constexpr std::array<std::string_view, kHistogramCount> kHistogramNames = {
 constexpr std::array<std::string_view, kSpanCount> kSpanNames = {
     "engine.check",    "engine.fix",       "engine.generate",
     "checker.plan",    "checker.compile",  "checker.execute",
-    "executor.run",    "fec.derive",       "smt.query",
-    "smt.optimize",    "fix.search",       "fix.enlarge",
-    "fix.place",       "fix.assemble",     "generate.derive",
-    "generate.solve",  "generate.synthesize",
-    "svc.job",
+    "fec.derive",      "smt.query",        "smt.optimize",
+    "fix.search",      "fix.enlarge",      "fix.place",
+    "fix.assemble",    "generate.derive",  "generate.solve",
+    "generate.synthesize",                 "svc.job",
 };
 
 std::size_t bucket_index(std::uint64_t value) {

@@ -22,15 +22,12 @@ enum class Counter : std::size_t {
   SmtOptimizeQueries,   // z3 optimize calls during fixer placement
   PlanBuilds,           // VerifyPlan constructions
   PlanCacheHits,        // Planner::plan() reuses (same entering set)
-  FecCacheHits,         // topo::FecCache lookups served from memo
-  FecCacheMisses,       // topo::FecCache lookups that derived classes
+  AecMemoHits,          // core::AecMemo lookups served from memo (fec_cache_hits)
+  AecMemoMisses,        // core::AecMemo lookups that overlaid (fec_cache_misses)
   ObligationsPlanned,   // obligations materialized into VerifyPlans
   ObligationsExecuted,  // obligations walked by the scan or solved by the checker
   ObligationsCancelled, // obligations skipped by early-exit cancellation
   ObligationsSkipped,   // obligations proven without a walk or a query
-  ExecutorRuns,         // Executor::run invocations
-  ExecutorTasks,        // tasks submitted across all runs
-  ExecutorSteals,       // successful steal operations
   SvcJobsSubmitted,     // jobs admitted by the service scheduler
   SvcJobsRejected,      // submissions refused by admission control / drain
   SvcJobsCancelled,     // jobs that terminated as cancelled
@@ -49,7 +46,7 @@ enum class Counter : std::size_t {
   FecDeltaSplits,       // partition atoms re-split by delta FEC refinement
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
 };
-inline constexpr std::size_t kCounterCount = 34;
+inline constexpr std::size_t kCounterCount = 31;
 
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
@@ -62,12 +59,10 @@ inline constexpr std::size_t kGaugeCount = 2;
 // width is i, i.e. cumulative(le = 2^i - 1) is exact.
 enum class Histogram : std::size_t {
   SmtSolveMicros,       // wall time of individual solver.check() calls
-  ExecutorQueueDepth,   // remaining victim queue depth observed at each steal
-  ExecutorTasksPerRun,  // tasks handed to the executor per run
   SvcQueueWaitMicros,   // job wait time from submission to execution start
   SvcJobRunMicros,      // job execution wall time
 };
-inline constexpr std::size_t kHistogramCount = 5;
+inline constexpr std::size_t kHistogramCount = 3;
 inline constexpr std::size_t kHistogramBuckets = 40;
 
 // Trace span names; every value maps to a "name" in the Chrome trace export.
@@ -78,7 +73,6 @@ enum class Span : std::size_t {
   CheckerPlan,
   CheckerCompile,
   CheckerExecute,
-  ExecutorRun,
   FecDerive,
   SmtQuery,
   SmtOptimize,
@@ -91,7 +85,7 @@ enum class Span : std::size_t {
   GenSynth,
   SvcJob,
 };
-inline constexpr std::size_t kSpanCount = 18;
+inline constexpr std::size_t kSpanCount = 17;
 
 // Span storage is a ring of this many events per registry, shared by all
 // threads: once it is full, each new event overwrites the oldest one.

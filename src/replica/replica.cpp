@@ -29,9 +29,9 @@ Replica::~Replica() {
 void Replica::build_server() {
   config::NetworkFile copy = pristine_;
   auto server = std::make_unique<svc::Server>(std::move(copy), options_.serve);
-  // Warm the FEC cache and plan cache from the pristine network before the
-  // listener opens: after a divergence rebuild the first differential
-  // checks would otherwise pay full refinement serially under live load.
+  // Warm the plan cache from the pristine network before the listener
+  // opens: after a divergence rebuild the first differential checks would
+  // otherwise pay full refinement serially under live load.
   server->prewarm();
   server->start();
   // Pin whatever the kernel picked, so a rebuild after a writer-restart

@@ -2,7 +2,7 @@
 //
 // One writer owns the network state; replicas shadow it and absorb the
 // check load. A Replica embeds a full svc::Server in read-only mode —
-// warm FecCache, incremental planner, its workers, the works — and a
+// plan cache, AEC memo, workers, the works — and a
 // follower thread that subscribes to the writer's replication stream
 // (svc/repl_wire.h) and replays every applied update into the local
 // StateStore. Checks served locally therefore run against bit-identical

@@ -14,6 +14,7 @@
 
 #include "config/acl_format.h"
 #include "config/topology_format.h"
+#include "core/aec.h"
 #include "core/deploy.h"
 #include "core/engine.h"
 #include "svc/client.h"
@@ -284,7 +285,7 @@ MetricSample take_sample(svc::Client& client, std::string label) {
   sample.versions = prometheus_value(text, "jinjing_svc_versions");
   sample.live_snapshots = prometheus_value(text, "jinjing_svc_live_snapshots");
   sample.tracked_jobs = prometheus_value(text, "jinjing_svc_tracked_jobs");
-  sample.fec_entries = prometheus_value(text, "jinjing_svc_fec_entries");
+  sample.aec_memo_entries = prometheus_value(text, "jinjing_svc_aec_memo_entries");
   sample.cached_plans = prometheus_value(text, "jinjing_svc_cached_plans");
   sample.cached_obligations = prometheus_value(text, "jinjing_svc_cached_obligations_live");
   return sample;
@@ -404,7 +405,7 @@ void check_invariants(const SoakOptions& options, SoakReport& report, Totals& to
   // fall back to the version index (+1 for a transient client pin).
   breach("live_snapshots", final_sample.live_snapshots, keep + 1);
   breach("cached_plans", final_sample.cached_plans, 4 * keep + 4);
-  breach("fec_entries", final_sample.fec_entries, 4 * final_sample.live_snapshots + 4);
+  breach("aec_memo_entries", final_sample.aec_memo_entries, core::AecMemo::kCapacity);
 
   // The RSS proxy may breathe with the load, but growth across *every*
   // epoch — through the oracle releases and the retention flush — is the
@@ -603,7 +604,7 @@ void write_report_json(std::ostream& out, const SoakOptions& options,
       s.emplace("versions", sample.versions);
       s.emplace("live_snapshots", sample.live_snapshots);
       s.emplace("tracked_jobs", sample.tracked_jobs);
-      s.emplace("fec_entries", sample.fec_entries);
+      s.emplace("aec_memo_entries", sample.aec_memo_entries);
       s.emplace("cached_plans", sample.cached_plans);
       s.emplace("cached_obligations", sample.cached_obligations);
       s.emplace("leak_proxy", sample.leak_proxy());

@@ -13,8 +13,9 @@
 //    answer.
 //  * Metric-leak watchdogs — `metrics` snapshots are diffed across epochs:
 //    tracked jobs must respect the retention bound, and after a retention
-//    flush the live-snapshot count, version index, FEC-cache entries and
-//    cached plans must all fall back to baseline-shaped bounds. A
+//    flush the live-snapshot count, version index and cached plans must
+//    fall back to baseline-shaped bounds, and the AEC memo must stay within
+//    its capacity. A
 //    leak-proxy sum that only ever grows across every epoch fails the run.
 //
 // The stream is replayable: the same (wan params, stream params) produce
@@ -68,14 +69,14 @@ struct MetricSample {
   std::uint64_t versions = 0;
   std::uint64_t live_snapshots = 0;
   std::uint64_t tracked_jobs = 0;
-  std::uint64_t fec_entries = 0;
+  std::uint64_t aec_memo_entries = 0;
   std::uint64_t cached_plans = 0;
   std::uint64_t cached_obligations = 0;
 
   /// The RSS proxy: every count that should be bounded by live state, not
   /// by how long the server has been running.
   [[nodiscard]] std::uint64_t leak_proxy() const {
-    return versions + live_snapshots + tracked_jobs + fec_entries + cached_plans +
+    return versions + live_snapshots + tracked_jobs + aec_memo_entries + cached_plans +
            cached_obligations;
   }
 };

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -927,17 +928,17 @@ Json Server::handle_metrics() {
       << "jinjing_svc_head_version " << store_.head_version() << "\n"
       // The leak watchdogs: tracked jobs are bounded by retention +
       // queue, live snapshots by the version index + job pins, cached
-      // plans by the scopes served, and FEC entries stay 0 (plans are
-      // built on private caches) — a soak diffing two metrics snapshots
-      // can catch retention/eviction leaks from these alone.
+      // plans by the scopes served, and AEC memo entries by the memo's
+      // capacity — a soak diffing two metrics snapshots can catch
+      // retention/eviction leaks from these alone.
       << "# TYPE jinjing_svc_versions gauge\n"
       << "jinjing_svc_versions " << store_.version_count() << "\n"
       << "# TYPE jinjing_svc_live_snapshots gauge\n"
       << "jinjing_svc_live_snapshots " << store_.live_snapshots() << "\n"
       << "# TYPE jinjing_svc_tracked_jobs gauge\n"
       << "jinjing_svc_tracked_jobs " << scheduler_.tracked_count() << "\n"
-      << "# TYPE jinjing_svc_fec_entries gauge\n"
-      << "jinjing_svc_fec_entries " << fec_cache_->live_entries() << "\n"
+      << "# TYPE jinjing_svc_aec_memo_entries gauge\n"
+      << "jinjing_svc_aec_memo_entries " << aec_memo_.entries() << "\n"
       << "# TYPE jinjing_svc_leases gauge\n"
       << "jinjing_svc_leases " << store_.lease_count() << "\n"
       << "# TYPE jinjing_svc_subscribers gauge\n"
@@ -1000,8 +1001,7 @@ std::shared_ptr<const core::PlanBundle> Server::plan_for(const Job& job,
     ++plan_misses_;
     obs::count(obs::Counter::DeltaCacheMisses);
   }
-  // A private FEC cache: the classes live on in the bundle, so nothing the
-  // server keeps is keyed by this snapshot's topology.
+  // The classes live on in the bundle, keyed by scope only.
   const SnapshotPtr& snapshot = job.snapshot();
   auto bundle = core::Planner{*snapshot->topo, task.scope}.share_plan(snapshot->traffic);
   cache_plan(task.scope, bundle);
@@ -1009,7 +1009,10 @@ std::shared_ptr<const core::PlanBundle> Server::plan_for(const Job& job,
 }
 
 void Server::execute_job(const JobPtr& job) {
-  const obs::TraceSpan span{obs::Span::SvcJob};
+  // Closed before finish() publishes the result, so a client that sees the
+  // job done also finds its span in the trace.
+  std::optional<obs::TraceSpan> span;
+  span.emplace(obs::Span::SvcJob);
   const SnapshotPtr& snapshot = job->snapshot();
 
   JobOutcome outcome;
@@ -1031,11 +1034,11 @@ void Server::execute_job(const JobPtr& job) {
     // parallelism). Its planner adopts the scope's cached bundle and skips
     // path enumeration and planning; a bundle holds paths and FECs only,
     // so neither the update nor control intents change it. The server-wide
-    // FEC cache carries the AEC overlay memo from job to job. Answers are
+    // AEC memo carries generate's overlays from job to job. Answers are
     // reproducible because every engine stage is deterministic, placement
     // ties included.
     core::EngineOptions engine_options;
-    engine_options.plan.fec_cache = fec_cache_;
+    engine_options.plan.aec_memo = &aec_memo_;
     engine_options.plan.adopted_plan = plan_for(*job, task);
     core::Engine engine{*snapshot->topo, engine_options};
     // Cancellation and the deadline are cooperative: every command polls
@@ -1062,6 +1065,7 @@ void Server::execute_job(const JobPtr& job) {
     state = JobState::Failed;
     outcome.error = e.what();
   }
+  span.reset();
   scheduler_.finish(job, state, std::move(outcome));
 }
 

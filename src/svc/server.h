@@ -61,7 +61,6 @@
 #include "svc/json.h"
 #include "svc/scheduler.h"
 #include "svc/state_store.h"
-#include "topo/fec_cache.h"
 
 namespace jinjing::svc {
 
@@ -233,9 +232,9 @@ class Server {
   std::string bound_endpoint_;
   StateStore store_;
   Scheduler scheduler_;
-  // Shared by every job engine for the AEC overlay memo only: plans are
-  // built on private caches, so no entry here is keyed by a topology.
-  std::shared_ptr<topo::FecCache> fec_cache_ = std::make_shared<topo::FecCache>();
+  // Generate's AEC overlay memo, shared by every job engine. Its keys hold
+  // no topology, and it keeps at most core::AecMemo::kCapacity entries.
+  core::AecMemo aec_memo_;
   obs::StatsRegistry registry_;
   std::optional<obs::ScopedRegistry> installed_;
 

@@ -11,17 +11,15 @@
 // |P ∪ D| refinement.
 //
 // Exactness contract (property-tested in fec_delta_test): given
-//   base == refine_into_atoms(universe, P, {threads: 1})
+//   base == refine_into_atoms(universe, P)
 // the delta result's atoms are bit-identical — same classes, same order,
 // same cube representation — to
-//   refine_into_atoms(universe, P ++ D, {threads: 1}).
-// (A base produced by multi-threaded refinement is a
-// valid partition in a different order; the delta then reproduces the
-// partition exactly but inherits the base's order.) The identity holds
-// because sequential refinement processes predicates outermost: the state
-// after P is exactly `base`, and continuing with D is what refine_delta
-// executes — including the representation details (pass-through atoms are
-// never re-compacted; split fragments are compacted inside-before-outside).
+//   refine_into_atoms(universe, P ++ D).
+// The identity holds because refinement processes predicates outermost:
+// the state after P is exactly `base`, and continuing with D is what
+// refine_delta executes — including the representation details
+// (pass-through atoms are never re-compacted; split fragments are compacted
+// inside-before-outside).
 #pragma once
 
 #include <vector>

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 
+#include "core/batch.h"
 #include "gen/fixtures.h"
+#include "gen/scenario.h"
+#include "topo/paths.h"
 
 namespace jinjing::core {
 namespace {
@@ -288,6 +292,120 @@ TEST(CheckerMonolithic, AgreesWithClassifiedVerdicts) {
                                    "deny dst 2.0.0.0/8", "permit all"}));
   EXPECT_TRUE(checker.check_monolithic(rewrite, f.traffic).consistent);
 }
+
+// ---------------------------------------------------------------------------
+// Randomized-WAN plan execution.
+
+gen::WanParams tiny_wan(unsigned seed) {
+  gen::WanParams p;
+  p.cores = 2;
+  p.aggs = 2;
+  p.cells = 2;
+  p.gateways_per_cell = 2;
+  p.prefixes_per_gateway = 2;
+  p.rules_per_acl = 10;
+  p.seed = seed;
+  return p;
+}
+
+/// Exact per-path consistency verdict via the header-space engine.
+bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update) {
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  for (const auto& path : topo::enumerate_paths(wan.topo, wan.scope)) {
+    const auto carried = topo::forwarding_set(wan.topo, path) & wan.traffic;
+    if (carried.is_empty()) continue;
+    if (!(topo::path_permitted_set(before, path) & carried)
+             .equals(topo::path_permitted_set(after, path) & carried)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+CheckResult run_check(const gen::Wan& wan, const topo::AclUpdate& update, bool stop_at_first) {
+  smt::SmtContext smt;
+  CheckOptions options;
+  options.stop_at_first = stop_at_first;
+  Checker checker{smt, wan.topo, wan.scope, options};
+  return checker.check(update, wan.traffic);
+}
+
+// The SMT checker and the exact set scan execute the same plan: they agree
+// on the verdict and on how many obligations are violated, the checker runs
+// every obligation when it may not stop early, and every checker witness
+// is genuine. (The name predates the removal of parallel execution, which
+// this suite once compared with the sequential run.)
+class PlanExecutionParity : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PlanExecutionParity, ParallelMatchesSequential) {
+  const auto wan = gen::make_wan(tiny_wan(800 + GetParam()));
+  const auto update = gen::perturb_rules(wan, 0.05, GetParam());
+
+  smt::SmtContext smt;
+  CheckOptions options;
+  options.stop_at_first = false;
+  Checker checker{smt, wan.topo, wan.scope, options};
+  const auto checked = checker.check(update, wan.traffic);
+  const BatchAlgebra algebra = build_batch_algebra(wan.topo, checker.share_plan(wan.traffic));
+  BatchRunOptions run;
+  run.stop_at_first = false;
+  const auto scanned =
+      run_check_batch(wan.topo, algebra, {BatchItem{&update, {}, {}}}, run).front().result;
+
+  EXPECT_EQ(checked.consistent, oracle_consistent(wan, update));
+  EXPECT_EQ(scanned.consistent, checked.consistent);
+  EXPECT_EQ(scanned.violations.size(), checked.violations.size());
+  EXPECT_EQ(scanned.fec_count, checked.fec_count);
+  EXPECT_EQ(scanned.obligation_count, checked.obligation_count);
+  // Without early exit, the checker runs every obligation.
+  EXPECT_EQ(checked.obligations_executed, checked.obligation_count);
+  EXPECT_EQ(checked.obligations_cancelled, 0u);
+
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  for (const auto& v : checked.violations) {
+    const auto& path = checker.paths()[v.path_index];
+    EXPECT_EQ(topo::path_permits(before, path, v.witness), v.decision_before);
+    EXPECT_EQ(topo::path_permits(after, path, v.witness), v.decision_after);
+    EXPECT_NE(v.decision_before, v.decision_after);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlanExecutionParity, ::testing::Range(1u, 6u));
+
+// stop_at_first returns a deterministic first violation: repeated runs on
+// fresh checkers yield the same witness on the same path, and the
+// obligations after the first violated one count as cancelled. (The name
+// predates the removal of the thread-count axis.)
+class StopAtFirstDeterminism : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StopAtFirstDeterminism, WitnessIsStableAcrossRunsAndThreadCounts) {
+  const auto wan = gen::make_wan(tiny_wan(900 + GetParam()));
+  // Heavier perturbation: several violated obligations.
+  const auto update = gen::perturb_rules(wan, 0.10, GetParam());
+  if (oracle_consistent(wan, update)) GTEST_SKIP() << "perturbation happens to be consistent";
+
+  std::optional<Violation> first;
+  for (int run = 0; run < 4; ++run) {
+    const auto result = run_check(wan, update, /*stop_at_first=*/true);
+    ASSERT_FALSE(result.consistent);
+    ASSERT_EQ(result.violations.size(), 1u);
+    EXPECT_EQ(result.obligations_executed + result.obligations_cancelled,
+              result.obligation_count);
+    const auto& v = result.violations.front();
+    if (!first) {
+      first = v;
+      continue;
+    }
+    EXPECT_EQ(v.witness, first->witness) << "run " << run;
+    EXPECT_EQ(v.path_index, first->path_index) << "run " << run;
+    EXPECT_EQ(v.decision_before, first->decision_before);
+    EXPECT_EQ(v.decision_after, first->decision_after);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StopAtFirstDeterminism, ::testing::Range(1u, 6u));
 
 }  // namespace
 }  // namespace jinjing::core

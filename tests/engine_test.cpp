@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/checker.h"
 #include "core/deploy.h"
 #include "gen/fixtures.h"
+#include "gen/scenario.h"
 #include "lai/parser.h"
 #include "net/acl_algebra.h"
 #include "obs/stats.h"
@@ -255,6 +258,118 @@ generate
   const auto cold = fresh.run_program(kCheckGenerate, running_example_library(), f.traffic);
   ASSERT_TRUE(warm.success());
   EXPECT_EQ(format_plan(f.topo, warm.final_update), format_plan(f.topo, cold.final_update));
+}
+
+// ---------------------------------------------------------------------------
+// Randomized-WAN engine sessions and the plan IR.
+
+gen::WanParams tiny_wan(unsigned seed) {
+  gen::WanParams p;
+  p.cores = 2;
+  p.aggs = 2;
+  p.cells = 2;
+  p.gateways_per_cell = 2;
+  p.prefixes_per_gateway = 2;
+  p.rules_per_acl = 10;
+  p.seed = seed;
+  return p;
+}
+
+/// Exact per-path consistency verdict via the header-space engine.
+bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update) {
+  const topo::ConfigView before{wan.topo};
+  const topo::ConfigView after{wan.topo, &update};
+  for (const auto& path : topo::enumerate_paths(wan.topo, wan.scope)) {
+    const auto carried = topo::forwarding_set(wan.topo, path) & wan.traffic;
+    if (carried.is_empty()) continue;
+    if (!(topo::path_permitted_set(before, path) & carried)
+             .equals(topo::path_permitted_set(after, path) & carried)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// check; fix; check through ONE engine reuses the cached plan across
+// commands — and still repairs correctly.
+TEST(EngineSession, CheckFixCheckReusesPlanAndStaysCorrect) {
+  const auto wan = gen::make_wan(tiny_wan(42));
+  const auto update = gen::perturb_rules(wan, 0.08, 7);
+  if (oracle_consistent(wan, update)) GTEST_SKIP() << "perturbation happens to be consistent";
+
+  Engine engine{wan.topo};
+  lai::UpdateTask task;
+  task.scope = wan.scope;
+  task.allowed = wan.topo.bound_slots();
+  task.modify = update;
+  task.commands = {lai::Command::Check, lai::Command::Fix, lai::Command::Check};
+  const auto report = engine.run(task, wan.traffic);
+
+  ASSERT_EQ(report.outcomes.size(), 3u);
+  EXPECT_FALSE(report.outcomes[0].check->consistent);
+  EXPECT_TRUE(report.outcomes[1].fix->success);
+  EXPECT_TRUE(report.outcomes[2].check->consistent);
+  EXPECT_TRUE(report.success());
+  EXPECT_TRUE(oracle_consistent(wan, report.final_update));
+
+  // The trailing check planned nothing: the obligation plan was built once
+  // by the first command and served from the planner's cache afterwards.
+  EXPECT_GT(report.outcomes[0].check->plan_seconds, 0.0);
+  EXPECT_EQ(report.outcomes[2].check->plan_seconds, 0.0);
+
+  // A second task on the same engine (same scope) also replans nothing.
+  lai::UpdateTask again;
+  again.scope = wan.scope;
+  again.modify = gen::perturb_rules(wan, 0.04, 11);
+  again.commands = {lai::Command::Check};
+  const auto second = engine.run(again, wan.traffic);
+  ASSERT_EQ(second.outcomes.size(), 1u);
+  EXPECT_EQ(second.outcomes[0].check->plan_seconds, 0.0);
+  EXPECT_EQ(second.outcomes[0].check->consistent, oracle_consistent(wan, again.modify));
+}
+
+// The plan IR itself: obligations cover every (entry, class) combination in
+// classifier order, and `touches` is exact about slot membership.
+TEST(VerifyPlanIr, ObligationsAreOrderedAndSlotAware) {
+  const auto wan = gen::make_wan(tiny_wan(77));
+  Planner planner{wan.topo, wan.scope};
+  const auto& plan = planner.plan(wan.traffic);
+
+  ASSERT_GT(plan.size(), 0u);
+  EXPECT_EQ(plan.stats().fec_count, plan.size());
+  EXPECT_EQ(plan.stats().path_count, planner.paths().size());
+
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const auto& o = plan.obligations()[i];
+    EXPECT_EQ(o.index, i);
+    ASSERT_NE(o.fec, nullptr);
+    // Feasible paths are ascending and genuinely feasible.
+    for (std::size_t k = 1; k < o.paths.size(); ++k) EXPECT_LT(o.paths[k - 1], o.paths[k]);
+    // Slots are exactly the union over the obligation's paths.
+    for (const auto& slot : o.slots) {
+      topo::AclUpdate touching;
+      touching.emplace(slot, net::Acl::permit_all());
+      EXPECT_TRUE(touches(o, touching));
+    }
+    topo::AclUpdate empty_update;
+    EXPECT_FALSE(touches(o, empty_update));
+  }
+
+  // An update rewriting every bound slot touches exactly the obligations
+  // with a bound slot on some feasible path (hops may carry unbound slots,
+  // which no update can rewrite).
+  topo::AclUpdate all;
+  for (const auto slot : wan.topo.bound_slots()) all.emplace(slot, net::Acl::permit_all());
+  EXPECT_EQ(plan.live_count(all, /*has_controls=*/false),
+            static_cast<std::size_t>(
+                std::count_if(plan.obligations().begin(), plan.obligations().end(),
+                              [&](const Obligation& o) {
+                                return std::any_of(o.slots.begin(), o.slots.end(), [&](auto slot) {
+                                  return all.find(slot) != all.end();
+                                });
+                              })));
+  // Control intents force every obligation live.
+  EXPECT_EQ(plan.live_count(all, /*has_controls=*/true), plan.size());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Exactness and cache regression for equivalence-class refinement: the
-// classes must be exactly the atoms of the predicates (checked against a
-// definition-level oracle), parallel refinement must match sequential,
-// FecCache hits must return exactly the cold derivation, and the checker's
-// verdicts and witnesses must agree with the exact header-space oracle.
+// Exactness regression for equivalence-class refinement: the classes must
+// be exactly the atoms of the predicates (checked against a
+// definition-level oracle), and the checker's verdicts and witnesses must
+// agree with the exact header-space oracle.
 #include "topo/fec.h"
 
 #include <gtest/gtest.h>
@@ -19,22 +18,10 @@
 #include "gen/scenario.h"
 #include "gen/wan.h"
 #include "net/acl_algebra.h"
-#include "topo/fec_cache.h"
 #include "topo/paths.h"
 
 namespace jinjing::topo {
 namespace {
-
-/// Partitions are unordered: equal iff same size and every class of `a`
-/// has an equal class in `b` (classes are pairwise disjoint, so a
-/// bijection follows).
-bool same_partition(const std::vector<net::PacketSet>& a, const std::vector<net::PacketSet>& b) {
-  if (a.size() != b.size()) return false;
-  return std::all_of(a.begin(), a.end(), [&](const net::PacketSet& cls) {
-    return std::any_of(b.begin(), b.end(),
-                       [&](const net::PacketSet& other) { return cls.equals(other); });
-  });
-}
 
 /// Definition-level oracle for Eq. 2: `classes` are the atoms of
 /// `predicates` over `universe` iff they are nonempty, pairwise disjoint
@@ -137,25 +124,6 @@ TEST_P(BackendEquivalence, PerEntryClassesMatchOnRandomWan) {
   }
 }
 
-TEST_P(BackendEquivalence, ParallelRefinementMatchesSequential) {
-  const auto wan = gen::make_wan(randomized_params(GetParam()));
-  const auto sequential =
-      forwarding_equivalence_classes(wan.topo, wan.scope, wan.traffic, FecOptions{1});
-  const auto parallel =
-      forwarding_equivalence_classes(wan.topo, wan.scope, wan.traffic, FecOptions{3});
-  EXPECT_TRUE(same_partition(sequential, parallel));
-
-  const auto seq_entries =
-      per_entry_equivalence_classes(wan.topo, wan.scope, wan.traffic, FecOptions{1});
-  const auto par_entries =
-      per_entry_equivalence_classes(wan.topo, wan.scope, wan.traffic, FecOptions{3});
-  ASSERT_EQ(seq_entries.size(), par_entries.size());
-  for (std::size_t i = 0; i < seq_entries.size(); ++i) {
-    EXPECT_EQ(seq_entries[i].entry, par_entries[i].entry);
-    EXPECT_TRUE(same_partition(seq_entries[i].classes, par_entries[i].classes));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalence, ::testing::Range(1u, 9u));
 
 TEST(BackendEquivalence, RefineIntoAtomsMatchesOnRandomSets) {
@@ -189,79 +157,6 @@ TEST(BackendEquivalence, RefineIntoAtomsMatchesOnRandomSets) {
     const auto universe = net::PacketSet::all();
     expect_atoms_of(universe, refs, refine_into_atoms(universe, preds));
   }
-}
-
-TEST(FecCacheTest, WarmHitReturnsIdenticalClasses) {
-  const auto wan = gen::make_wan(gen::small_wan());
-  FecCache cache;
-  const FecOptions options;
-  const auto cold = cache.entry_classes(wan.topo, wan.scope, wan.traffic, options);
-  const auto warm = cache.entry_classes(wan.topo, wan.scope, wan.traffic, options);
-  // A hit returns the very same payload, which in turn matches a fresh
-  // uncached derivation.
-  EXPECT_EQ(cold.get(), warm.get());
-  const auto fresh = per_entry_equivalence_classes(wan.topo, wan.scope, wan.traffic, options);
-  ASSERT_EQ(cold->size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ((*cold)[i].entry, fresh[i].entry);
-    EXPECT_TRUE(same_partition((*cold)[i].classes, fresh[i].classes));
-  }
-
-  const auto global_cold = cache.global_classes(wan.topo, wan.scope, wan.traffic, options);
-  const auto global_warm = cache.global_classes(wan.topo, wan.scope, wan.traffic, options);
-  EXPECT_EQ(global_cold.get(), global_warm.get());
-  EXPECT_TRUE(same_partition(
-      *global_cold, forwarding_equivalence_classes(wan.topo, wan.scope, wan.traffic, options)));
-  EXPECT_EQ(cache.misses(), 2u);  // entry + global
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
-}
-
-TEST(FecCacheTest, DistinctInputsDoNotCollide) {
-  const auto wan = gen::make_wan(gen::small_wan());
-  FecCache cache;
-  const FecOptions options;
-  const auto all = cache.global_classes(wan.topo, wan.scope, wan.traffic, options);
-  // Different entering set: must miss and give a different partition size
-  // or content, never the cached payload.
-  const auto narrowed = (wan.traffic & wan.gateway_dst_set(0)).compact();
-  const auto sub = cache.global_classes(wan.topo, wan.scope, narrowed, options);
-  EXPECT_NE(all.get(), sub.get());
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  // The derivation mode is part of the key: the same inputs classified
-  // per entry miss too.
-  (void)cache.entry_classes(wan.topo, wan.scope, wan.traffic, options);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
-  cache.clear();
-  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
-}
-
-TEST(FecCacheTest, CheckerCandidateLoopHitsCache) {
-  // Fixer-style workload: repeated check() of different candidate updates
-  // against one checker. Classes are update-independent, so the partition
-  // is derived exactly once: the checker's plan cache serves every check
-  // after the first, and a sibling checker sharing the FecCache (the
-  // engine's check → fix layout) hits the cache instead of re-deriving.
-  const auto f = gen::make_figure1();
-  smt::SmtContext smt;
-  core::CheckOptions options;
-  options.fec_cache = std::make_shared<topo::FecCache>();
-  core::Checker checker{smt, f.topo, f.scope, options};
-  const auto baseline = checker.check({}, f.traffic);
-  EXPECT_TRUE(baseline.consistent);
-  EXPECT_EQ(checker.fec_cache().misses(), 1u);
-  const auto broken = checker.check(f.running_example_update(), f.traffic);
-  EXPECT_FALSE(broken.consistent);
-  EXPECT_EQ(checker.fec_cache().misses(), 1u);
-
-  smt::SmtContext sibling_smt;
-  core::Checker sibling{sibling_smt, f.topo, f.scope, options};
-  const auto again = sibling.check(f.running_example_update(), f.traffic);
-  EXPECT_FALSE(again.consistent);
-  EXPECT_EQ(sibling.fec_cache().misses(), 1u);
-  EXPECT_GE(sibling.fec_cache().hits(), 1u);
 }
 
 /// Exact per-path consistency verdict via the header-space engine.

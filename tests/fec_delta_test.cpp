@@ -1,8 +1,8 @@
 // Property suite for delta FEC refinement: refine_delta must reproduce
-// from-scratch sequential refinement bit-for-bit (same classes, same
-// order, same cube representation) across chain depths,
-// including the empty-delta and full-rewrite cases; the AEC overlay memo
-// must be bit-identical to an uncached derivation; the planner's
+// from-scratch refinement bit-for-bit (same classes, same order, same cube
+// representation) across chain depths, including the empty-delta and
+// full-rewrite cases; the AEC overlay memo must be bit-identical to an
+// uncached derivation and stay within its capacity; the planner's
 // stale-verdict sub-atom path must agree with a cold full check.
 #include "topo/fec_delta.h"
 
@@ -19,7 +19,7 @@
 #include "gen/scenario.h"
 #include "gen/wan.h"
 #include "net/acl_algebra.h"
-#include "topo/fec_cache.h"
+#include "obs/stats.h"
 
 namespace jinjing {
 namespace {
@@ -32,14 +32,6 @@ void expect_identical(const std::vector<net::PacketSet>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].cubes(), want[i].cubes()) << label << " atom " << i;
   }
-}
-
-bool same_partition(const std::vector<net::PacketSet>& a, const std::vector<net::PacketSet>& b) {
-  if (a.size() != b.size()) return false;
-  return std::all_of(a.begin(), a.end(), [&](const net::PacketSet& cls) {
-    return std::any_of(b.begin(), b.end(),
-                       [&](const net::PacketSet& other) { return cls.equals(other); });
-  });
 }
 
 /// Random ACL-shaped predicate generator (prefix + optional port range),
@@ -166,22 +158,6 @@ TEST_P(FecDeltaProperty, ChainedDeltasMatchFromScratchAtEveryDepth) {
   }
 }
 
-TEST_P(FecDeltaProperty, ThreadedBaseYieldsSamePartition) {
-  // A multi-threaded base is a valid partition in a different order: the
-  // delta then reproduces the combined partition exactly, inheriting the
-  // base's order.
-  PredicateGen gen{GetParam() + 200};
-  const auto universe = net::PacketSet::all();
-  const auto base_preds = gen.batch(2, 5);
-  const auto changed = gen.batch(1, 3);
-  auto combined = base_preds;
-  combined.insert(combined.end(), changed.begin(), changed.end());
-  const auto base = topo::refine_into_atoms(universe, base_preds, topo::FecOptions{3});
-  const auto scratch = topo::refine_into_atoms(universe, combined);
-  const auto delta = topo::refine_delta(base, changed);
-  EXPECT_TRUE(same_partition(delta.atoms, scratch));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, FecDeltaProperty, ::testing::Range(1u, 7u));
 
 TEST(FecDelta, EmptyDeltaIsIdentity) {
@@ -224,15 +200,39 @@ TEST(AecOverlayCache, MemoizedOverlayIsBitIdentical) {
     if (wan.scope.contains_interface(wan.topo, slot.iface)) slots.push_back(slot);
   }
   ASSERT_FALSE(slots.empty());
-  topo::FecCache cache;
-  const auto cold = core::acl_equivalence_classes(view, slots, wan.traffic, {}, {}, &cache);
+  core::AecMemo memo;
+  obs::StatsRegistry registry;
+  const obs::ScopedRegistry installed{registry};
+  const auto cold = core::acl_equivalence_classes(view, slots, wan.traffic, {}, {}, &memo);
   const auto uncached = core::acl_equivalence_classes(view, slots, wan.traffic);
   expect_identical(cold, uncached, "overlay cold");
-  const std::uint64_t misses = cache.misses();
-  const auto warm = core::acl_equivalence_classes(view, slots, wan.traffic, {}, {}, &cache);
-  EXPECT_EQ(cache.misses(), misses);  // exact-match hit, no re-derivation
-  EXPECT_GE(cache.hits(), 1u);
+  EXPECT_EQ(registry.total(obs::Counter::AecMemoMisses), 1u);
+  EXPECT_EQ(memo.entries(), 1u);
+  const auto warm = core::acl_equivalence_classes(view, slots, wan.traffic, {}, {}, &memo);
+  // An exact-match hit, no re-derivation.
+  EXPECT_EQ(registry.total(obs::Counter::AecMemoMisses), 1u);
+  EXPECT_EQ(registry.total(obs::Counter::AecMemoHits), 1u);
+  EXPECT_EQ(registry.total(obs::Counter::FecDeltaReusedAtoms), cold.size());
+  EXPECT_EQ(memo.entries(), 1u);
   expect_identical(warm, cold, "overlay warm");
+}
+
+TEST(AecOverlayCache, MemoEvictsTheLeastRecentlyUsedPastItsCapacity) {
+  core::AecMemo memo;
+  const auto universe = [](unsigned i) {
+    net::Match m;
+    m.dst = net::Prefix{net::Ipv4{10, static_cast<std::uint8_t>(i), 0, 0}, 16};
+    return net::PacketSet{m.cube()};
+  };
+  const auto atoms = std::make_shared<const std::vector<net::PacketSet>>();
+  for (unsigned i = 0; i < core::AecMemo::kCapacity; ++i) memo.store(universe(i), {}, atoms);
+  EXPECT_EQ(memo.entries(), core::AecMemo::kCapacity);
+  ASSERT_NE(memo.find(universe(0), {}), nullptr);  // entry 0 becomes the most recent
+  memo.store(universe(200), {}, atoms);
+  EXPECT_EQ(memo.entries(), core::AecMemo::kCapacity);
+  EXPECT_NE(memo.find(universe(0), {}), nullptr);
+  EXPECT_EQ(memo.find(universe(1), {}), nullptr);  // the least recently used is gone
+  EXPECT_NE(memo.find(universe(200), {}), nullptr);
 }
 
 TEST(IncrementalDelta, StaleVerdictSubAtomPathAgreesWithColdCheck) {
@@ -245,7 +245,6 @@ TEST(IncrementalDelta, StaleVerdictSubAtomPathAgreesWithColdCheck) {
 
   core::CheckOptions options;
   options.stop_at_first = false;
-  options.fec_cache = std::make_shared<topo::FecCache>();
   core::IncrementalPlanner planner;
 
   smt::SmtContext smt1;

@@ -50,7 +50,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
     workers.emplace_back([] {
       for (int i = 0; i < kPerThread; ++i) {
         obs::count(obs::Counter::SmtQueries);
-        obs::count(obs::Counter::ExecutorTasks, 3);
+        obs::count(obs::Counter::ObligationsPlanned, 3);
         obs::observe(obs::Histogram::SmtSolveMicros,
                      static_cast<std::uint64_t>(i % 16));
         obs::gauge_max(obs::Gauge::SvcCachedObligations, static_cast<std::uint64_t>(i));
@@ -61,7 +61,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
 
   EXPECT_EQ(registry.total(obs::Counter::SmtQueries),
             std::uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(registry.total(obs::Counter::ExecutorTasks),
+  EXPECT_EQ(registry.total(obs::Counter::ObligationsPlanned),
             std::uint64_t{3} * kThreads * kPerThread);
   EXPECT_EQ(registry.total(obs::Counter::SmtTimeouts), 0u);
   EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), std::uint64_t{kPerThread - 1});
@@ -96,7 +96,7 @@ TEST(StatsRegistry, HistogramBucketsArePowerOfTwo) {
   EXPECT_EQ(snapshot.sum, 0u + 1 + 2 + 3 + 4 + 1023 + 1024);
 
   // Untouched histograms stay empty.
-  EXPECT_EQ(registry.histogram(obs::Histogram::ExecutorQueueDepth).count, 0u);
+  EXPECT_EQ(registry.histogram(obs::Histogram::SvcQueueWaitMicros).count, 0u);
 }
 
 TEST(StatsRegistry, GaugeKeepsHighWaterMark) {
@@ -156,7 +156,7 @@ TEST(TraceSpan, EventsSurviveThreadExit) {
     const obs::ScopedRegistry installed{registry};
     std::thread worker{[] {
       for (int i = 0; i < 5; ++i) {
-        const obs::TraceSpan span{obs::Span::ExecutorRun};
+        const obs::TraceSpan span{obs::Span::FecDerive};
       }
     }};
     worker.join();
@@ -260,7 +260,7 @@ TEST(DisabledPath, NoRegistryMeansNoCountsAndNoAllocations) {
   const std::size_t before = g_alloc_calls.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     obs::count(obs::Counter::SmtQueries);
-    obs::count(obs::Counter::ExecutorSteals, 7);
+    obs::count(obs::Counter::ObligationsSkipped, 7);
     obs::gauge_max(obs::Gauge::SvcCachedObligations, 123);
     obs::observe(obs::Histogram::SmtSolveMicros, 55);
     const obs::TraceSpan span{obs::Span::SmtQuery};
@@ -327,7 +327,7 @@ TEST(Exports, ChromeTraceFormat) {
 
 TEST(Exports, JsonObjectHasAllSections) {
   obs::StatsRegistry registry;
-  registry.add(obs::Counter::FecCacheHits, 2);
+  registry.add(obs::Counter::AecMemoHits, 2);
   std::ostringstream out;
   registry.write_json(out, "");
   const std::string text = out.str();

@@ -134,41 +134,33 @@ TEST(Placement, ControlOpenForcesPermitOnTargets) {
   EXPECT_FALSE(sol.decision.at({f.A4, topo::Dir::Out}));
 }
 
+// An expired probe interrupts the solve before the next class. (The name
+// predates the removal of the parallel class fan-out it once compared.)
 TEST(Placement, ParallelSolveMatchesSequentialAndPollsProbes) {
-  // Classes fan out over a multi-threaded executor and merge in class
-  // order: the result equals the sequential one decision for decision. An
-  // expired probe interrupts either way, from inside a pool task too.
   const auto f = gen::make_figure1();
   const Planner planner{f.topo, f.scope};
   const PlacementSolver solver{planner};
   const auto spec = figure1_migration(f);
-  Executor executor{4};
-  const auto sequential = solver.solve(spec, table3_classes());
-  const auto parallel = solver.solve(spec, table3_classes(), {}, &executor);
-  ASSERT_EQ(parallel.success, sequential.success);
-  ASSERT_EQ(parallel.aec_solutions.size(), sequential.aec_solutions.size());
-  for (const auto& [ci, solution] : sequential.aec_solutions) {
-    EXPECT_EQ(parallel.aec_solutions.at(ci).decision, solution.decision) << "AEC " << ci;
-  }
-  ASSERT_EQ(parallel.dec_solutions.size(), sequential.dec_solutions.size());
-  for (const auto& [ci, decs] : sequential.dec_solutions) {
-    ASSERT_EQ(parallel.dec_solutions.at(ci).size(), decs.size());
-    for (std::size_t d = 0; d < decs.size(); ++d) {
-      EXPECT_TRUE(parallel.dec_solutions.at(ci)[d].cls.equals(decs[d].cls));
-      EXPECT_EQ(parallel.dec_solutions.at(ci)[d].decision, decs[d].decision);
-    }
-  }
-
   StopProbes expired;
   expired.expired = [] { return true; };
-  for (Executor* pool : {static_cast<Executor*>(nullptr), &executor}) {
-    try {
-      (void)solver.solve(spec, table3_classes(), {}, pool, expired);
-      ADD_FAILURE() << "solve ran past an expired deadline";
-    } catch (const Interrupted& e) {
-      EXPECT_TRUE(e.deadline());
-    }
+  try {
+    (void)solver.solve(spec, table3_classes(), {}, expired);
+    ADD_FAILURE() << "solve ran past an expired deadline";
+  } catch (const Interrupted& e) {
+    EXPECT_TRUE(e.deadline());
   }
+
+  // A probe that fires only after the first class still stops the rest.
+  int polls = 0;
+  StopProbes cancelled;
+  cancelled.cancelled = [&polls] { return ++polls > 1; };
+  try {
+    (void)solver.solve(spec, table3_classes(), {}, cancelled);
+    ADD_FAILURE() << "solve ran past a cancellation";
+  } catch (const Interrupted& e) {
+    EXPECT_FALSE(e.deadline());
+  }
+  EXPECT_EQ(polls, 2);
 }
 
 }  // namespace

@@ -1015,41 +1015,6 @@ TEST_P(ControlOpenOracle, OpenedTrafficFlowsOthersUnchanged) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ControlOpenOracle, ::testing::Range(1u, 6u));
 
 
-// Parallel checking returns the same verdict as sequential.
-class ParallelCheck : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelCheck, MatchesSequentialVerdict) {
-  const auto wan = gen::make_wan(tiny_wan(500 + GetParam()));
-  const auto update = gen::perturb_rules(wan, 0.04, GetParam());
-
-  smt::SmtContext smt_seq;
-  core::CheckOptions seq;
-  seq.stop_at_first = false;
-  core::Checker sequential{smt_seq, wan.topo, wan.scope, seq};
-  const auto a = sequential.check(update, wan.traffic);
-
-  smt::SmtContext smt_par;
-  core::CheckOptions par;
-  par.stop_at_first = false;
-  par.threads = 4;
-  core::Checker parallel{smt_par, wan.topo, wan.scope, par};
-  const auto b = parallel.check(update, wan.traffic);
-
-  EXPECT_EQ(a.consistent, b.consistent);
-  EXPECT_EQ(a.violations.size(), b.violations.size());
-  EXPECT_EQ(a.fec_count, b.fec_count);
-
-  // stop_at_first parallel: consistent verdicts also agree.
-  smt::SmtContext smt_stop;
-  core::CheckOptions stop;
-  stop.threads = 4;
-  core::Checker stopping{smt_stop, wan.topo, wan.scope, stop};
-  EXPECT_EQ(stopping.check(update, wan.traffic).consistent, a.consistent);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCheck, ::testing::Range(1u, 6u));
-
-
 // §6 x Theorem 4.1 interaction: with control intents present, the
 // differential reduction must keep the rules the intents can flip — the
 // verdict must match basic mode exactly.

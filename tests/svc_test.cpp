@@ -1,5 +1,7 @@
 // The verification service: JSON wire format, versioned state store,
 // scheduler policy, and a live server+client round trip on Figure 1.
+#include <sched.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -706,7 +708,7 @@ TEST_F(ServerTest, CheckOnlyJobsReuseTheCachedPlanAcrossApplies) {
   EXPECT_NE(text.find("jinjing_delta_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("jinjing_svc_cached_plans 1\n"), std::string::npos);
   EXPECT_NE(text.find("jinjing_svc_cached_obligations_live"), std::string::npos);
-  EXPECT_NE(text.find("jinjing_svc_fec_entries 0\n"), std::string::npos);
+  EXPECT_NE(text.find("jinjing_svc_aec_memo_entries 0\n"), std::string::npos);
 }
 
 // --------------------------------------- Batched + sharded execution
@@ -1363,6 +1365,75 @@ TEST(EngineLaneTest, SixEngineJobsOnThreeLanesMatchFreshEnginesAndOverlap) {
     overlapped = jobs_overlapped();
   }
   EXPECT_TRUE(overlapped) << "no two engine jobs provably ran at once";
+}
+
+/// Pins the calling thread, and every thread it starts meanwhile, to the
+/// first CPU it may run on; restores the thread's affinity when destroyed.
+class OneCpu {
+ public:
+  OneCpu() {
+    EXPECT_EQ(sched_getaffinity(0, sizeof saved_, &saved_), 0);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    EXPECT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  }
+  ~OneCpu() { sched_setaffinity(0, sizeof saved_, &saved_); }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+};
+
+TEST(EngineLaneTest, EveryJobAClientSeesDoneHasItsSpanInTheTrace) {
+  // A job's svc.job span closes before the job is published as finished,
+  // so once a burst has drained the trace holds exactly one span per job.
+  // The server's threads inherit this thread's CPU affinity: on one CPU a
+  // woken client runs before the worker that woke it gets the CPU back, so
+  // a span closed after the job was published would be missing here.
+  const OneCpu pinned;
+  ServerOptions options;
+  options.workers = 2;
+  ScopedServer scoped{options, "job_spans"};
+  Client client{scoped.socket};
+  // Spans of jobs started since `since`: the ring keeps the newest events,
+  // and one burst's events fit in it many times over.
+  const auto job_spans = [&](std::uint64_t since) {
+    const auto events = scoped.server->registry().trace_events();
+    return static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(), [&](const obs::TraceEvent& e) {
+          return e.name == obs::Span::SvcJob && e.start_us >= since;
+        }));
+  };
+  const auto programs = engine_programs();
+  constexpr std::size_t kCopies = 10;
+  for (int burst = 0; burst < 40; ++burst) {
+    const std::uint64_t since = scoped.server->registry().now_us();
+    std::vector<std::uint64_t> ids;
+    scoped.server->scheduler().hold();
+    for (std::size_t copy = 0; copy < kCopies; ++copy) {
+      for (const CheckProgram& p : programs) ids.push_back(submit_program(client, p));
+    }
+    scoped.server->scheduler().release();
+    for (const std::uint64_t id : ids) {
+      ASSERT_EQ(wait_result(client, id).at("status").at("state").as_string(), "done");
+    }
+    EXPECT_EQ(job_spans(since), ids.size()) << "burst " << burst;
+  }
+
+  // The generate programs went through the server's AEC memo, which the
+  // gauge reports and the memo's capacity bounds.
+  const std::string metrics = client.call("metrics").at("prometheus").as_string();
+  const std::uint64_t memo_entries =
+      prometheus_counter(metrics, "jinjing_svc_aec_memo_entries");
+  EXPECT_GE(memo_entries, 1u);
+  EXPECT_LE(memo_entries, core::AecMemo::kCapacity);
 }
 
 TEST(EngineLaneTest, JobWaitingForTheOnlyLaneIsStillQueued) {
